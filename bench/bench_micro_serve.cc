@@ -33,7 +33,6 @@
 #include "net/swap_service.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -191,16 +190,16 @@ void BM_ShardedBatchThroughput(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(1);
   QueryEngineOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
-  static std::unique_ptr<ShardedQueryEngine> engine;
+  static std::unique_ptr<QueryEngine> engine;
   static size_t engine_threads = 0;
   if (!engine || engine_threads != options.num_threads) {
-    auto opened = ShardedQueryEngine::OpenMmap(f.shard_paths, options);
+    auto opened = QueryEngine::OpenMmap(f.shard_paths, options);
     if (!opened.ok()) {
       state.SkipWithError("sharded open failed");
       return;
     }
     engine =
-        std::make_unique<ShardedQueryEngine>(std::move(opened).value());
+        std::make_unique<QueryEngine>(std::move(opened).value());
     engine_threads = options.num_threads;
   }
   const auto& workload = ServeWorkload();
@@ -249,7 +248,7 @@ void BM_ManifestOpen(benchmark::State& state) {
   QueryEngineOptions options;
   options.num_threads = 1;
   for (auto _ : state) {
-    auto engine = ShardedQueryEngine::OpenManifest(f.manifest_path, options);
+    auto engine = QueryEngine::OpenManifest(f.manifest_path, options);
     if (!engine.ok()) {
       state.SkipWithError("manifest open failed");
       return;
@@ -266,16 +265,16 @@ void BM_PlannedShardedBatchThroughput(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(1);
   QueryEngineOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
-  static std::unique_ptr<ShardedQueryEngine> engine;
+  static std::unique_ptr<QueryEngine> engine;
   static size_t engine_threads = 0;
   if (!engine || engine_threads != options.num_threads) {
-    auto opened = ShardedQueryEngine::OpenManifest(f.manifest_path, options);
+    auto opened = QueryEngine::OpenManifest(f.manifest_path, options);
     if (!opened.ok()) {
       state.SkipWithError("manifest open failed");
       return;
     }
     engine =
-        std::make_unique<ShardedQueryEngine>(std::move(opened).value());
+        std::make_unique<QueryEngine>(std::move(opened).value());
     engine_threads = options.num_threads;
   }
   const auto& workload = ServeWorkload();
@@ -301,15 +300,15 @@ void BM_ShardLocalThroughput(benchmark::State& state) {
   const int shard = static_cast<int>(state.range(0));
   QueryEngineOptions options;
   options.num_threads = 1;
-  static std::unique_ptr<ShardedQueryEngine> engine;
+  static std::unique_ptr<QueryEngine> engine;
   if (!engine) {
-    auto opened = ShardedQueryEngine::OpenManifest(f.manifest_path, options);
+    auto opened = QueryEngine::OpenManifest(f.manifest_path, options);
     if (!opened.ok()) {
       state.SkipWithError("manifest open failed");
       return;
     }
     engine =
-        std::make_unique<ShardedQueryEngine>(std::move(opened).value());
+        std::make_unique<QueryEngine>(std::move(opened).value());
   }
   if (static_cast<size_t>(shard) >= f.plan.shards.size()) {
     state.SkipWithError("shard index out of range");
@@ -368,7 +367,7 @@ void BM_CompressedServeThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(workload.size()));
-  QueryEngineStats stats = engine.stats();
+  QueryEngineStats stats = engine.Stats();
   state.counters["compression_ratio"] =
       stats.label_bytes > 0
           ? static_cast<double>(stats.uncompressed_label_bytes) /
@@ -423,9 +422,11 @@ void BM_ServeTopKClosest(benchmark::State& state) {
     sources.push_back(static_cast<Vertex>(rng.NextBounded(n)));
   }
   size_t si = 0;
+  std::vector<RankedCandidate> ranked;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine->TopK(sources[si++ % sources.size()], candidates, 3.0f, k));
+    engine->TopKEx(sources[si++ % sources.size()], candidates, 3.0f, k,
+                   &ranked);
+    benchmark::DoNotOptimize(ranked.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(num_candidates));
@@ -572,7 +573,7 @@ void BM_ZipfServeThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(workload.size()));
-  QueryEngineStats stats = engine.stats();
+  QueryEngineStats stats = engine.Stats();
   const double lookups =
       static_cast<double>(stats.cache_hits + stats.cache_misses);
   state.counters["hit_rate"] =

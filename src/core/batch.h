@@ -79,7 +79,7 @@ std::vector<ProfilePoint> QualityProfile(
     const std::vector<Quality>& thresholds, size_t* label_merges = nullptr);
 
 // ------------------------------------------------------------------
-// Implementation cores shared with the serving engines (sharded serving
+// Implementation cores shared with the serving engine (a shard tiling
 // stitches per-vertex label slices from different shards, so the cores are
 // parameterized over an entries accessor / interval kernel).
 

@@ -582,7 +582,11 @@ Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
                                   const SnapshotLoadOptions& options) {
   Result<MappedSnapshot> snapshot = LoadSnapshotMmap(path, options);
   if (!snapshot.ok()) return snapshot.status();
-  MappedSnapshot& mapped = snapshot.value();
+  return FromSnapshot(std::move(snapshot).value(), path);
+}
+
+Result<WcIndex> WcIndex::FromSnapshot(MappedSnapshot mapped,
+                                      const std::string& path) {
   if (!mapped.info.IsFullRange() || !mapped.info.has_order) {
     return Status::InvalidArgument(
         "not a full-range snapshot with a vertex order: " + path);

@@ -259,12 +259,16 @@ class WcIndex {
   /// independent of label count. The result is finalized; its
   /// append-oriented labels() are empty, so dynamic updates and
   /// construction-side reuse need Load instead. Only full-range snapshots
-  /// with an order section qualify — shard files go through
-  /// ShardedQueryEngine. A v3 compressed snapshot loads into the
+  /// with an order section qualify — shard files are served as a tiling by
+  /// QueryEngine::OpenMmap. A v3 compressed snapshot loads into the
   /// compressed backend (see compressed()): label bytes stay on disk and
   /// page in on first decode.
   static Result<WcIndex> LoadMmap(const std::string& path,
                                   const SnapshotLoadOptions& options = {});
+
+  /// LoadMmap over a snapshot the caller already mapped from `path`.
+  static Result<WcIndex> FromSnapshot(MappedSnapshot mapped,
+                                      const std::string& path);
 
  private:
   friend class WcIndexBuilder;

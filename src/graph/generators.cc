@@ -251,22 +251,6 @@ QualityGraph GenerateWattsStrogatz(size_t num_vertices, size_t k, double beta,
   return builder.Build();
 }
 
-DirectedQualityGraph GenerateRandomDirected(size_t num_vertices,
-                                            size_t num_arcs,
-                                            const QualityModel& quality,
-                                            uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::tuple<Vertex, Vertex, Quality>> arcs;
-  arcs.reserve(num_arcs);
-  for (size_t i = 0; i < num_arcs; ++i) {
-    Vertex u = static_cast<Vertex>(rng.NextBounded(num_vertices));
-    Vertex v = static_cast<Vertex>(rng.NextBounded(num_vertices));
-    if (u == v) continue;
-    arcs.emplace_back(u, v, SampleQuality(quality, &rng));
-  }
-  return DirectedQualityGraph::FromEdges(num_vertices, arcs);
-}
-
 WeightedQualityGraph GenerateRandomWeighted(size_t num_vertices,
                                             size_t num_edges,
                                             Distance max_length,

@@ -20,7 +20,6 @@
 #include <tuple>
 #include <vector>
 
-#include "graph/directed_graph.h"
 #include "graph/graph.h"
 #include "graph/weighted_graph.h"
 #include "util/random.h"
@@ -93,12 +92,6 @@ QualityGraph GenerateRandomTree(size_t num_vertices,
 /// neighbors per side, each edge rewired with probability `beta`.
 QualityGraph GenerateWattsStrogatz(size_t num_vertices, size_t k, double beta,
                                    const QualityModel& quality, uint64_t seed);
-
-/// Generates a random directed graph with `num_arcs` arcs (§V extension).
-DirectedQualityGraph GenerateRandomDirected(size_t num_vertices,
-                                            size_t num_arcs,
-                                            const QualityModel& quality,
-                                            uint64_t seed);
 
 /// Generates a connected random weighted graph with integer edge lengths in
 /// [1, max_length] (§V extension).

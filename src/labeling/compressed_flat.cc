@@ -396,16 +396,18 @@ struct GroupCursor {
 
 }  // namespace
 
-Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels, Vertex s,
+Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
+                              Vertex s,
+                              const CompressedFlatLabelSet& t_labels,
                               Vertex t, Quality w) {
-  if (s >= labels.NumVertices() || t >= labels.NumVertices()) {
+  if (s >= s_labels.NumVertices() || t >= t_labels.NumVertices()) {
     return kInfDistance;
   }
-  if (s == t) return 0;
   GroupCursor cs, ct;
-  bool s_ok = cs.Init(labels, s);
-  bool t_ok = ct.Init(labels, t);
-  const std::span<const Quality> dict = labels.raw_dictionary();
+  bool s_ok = cs.Init(s_labels, s);
+  bool t_ok = ct.Init(t_labels, t);
+  const std::span<const Quality> s_dict = s_labels.raw_dictionary();
+  const std::span<const Quality> t_dict = t_labels.raw_dictionary();
   Distance best = kInfDistance;
   while (s_ok && t_ok) {
     if (cs.hub < ct.hub) {
@@ -413,8 +415,8 @@ Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels, Vertex s,
     } else if (ct.hub < cs.hub) {
       t_ok = ct.SkipEntriesAndAdvance();
     } else {
-      const Distance ds = cs.FirstDistWithQuality(dict, w);
-      const Distance dt = ct.FirstDistWithQuality(dict, w);
+      const Distance ds = cs.FirstDistWithQuality(s_dict, w);
+      const Distance dt = ct.FirstDistWithQuality(t_dict, w);
       if (ds != kInfDistance && dt != kInfDistance) {
         const Distance sum = ds + dt;
         if (sum < best) best = sum;

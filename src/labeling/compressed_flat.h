@@ -139,7 +139,7 @@ class CompressedFlatLabelSet {
 
   /// Chains this set's decoded entry/group payload CRCs onto the caller's
   /// running values — the shard-set form of ContentFingerprint (see
-  /// ShardedQueryEngine::ContentFingerprint). Returns false when a vertex
+  /// QueryEngine::ContentFingerprint). Returns false when a vertex
   /// fails to decode. Costs a full decode pass.
   bool ChainContentCrcs(uint32_t* entries_crc, uint32_t* groups_crc) const;
 
@@ -178,11 +178,27 @@ class CompressedFlatLabelSet {
 /// Streaming kMerge kernel over two compressed labels: two group cursors
 /// walk the varint streams directly — matched groups are scanned for the
 /// first entry with quality >= w (Theorem 3), unmatched groups are skipped
-/// without building a single LabelEntry. Bit-identical to QueryFlatMerge
-/// on the decoded labels (tested); bounds-checked, so corrupt bytes
-/// degrade to "stream ends early" instead of reading out of range.
-Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels, Vertex s,
+/// without building a single LabelEntry. L(s) is vertex s of `s_labels`
+/// and L(t) vertex t of `t_labels` (two shards, each decoding through its
+/// own quality dictionary, or one set twice). Bit-identical to
+/// QueryFlatMerge on the decoded labels (tested); bounds-checked, so
+/// corrupt bytes degrade to "stream ends early" instead of reading out of
+/// range.
+Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
+                              Vertex s,
+                              const CompressedFlatLabelSet& t_labels,
                               Vertex t, Quality w);
+
+/// The one-set form, with the index's degenerate-query guards (out of
+/// range = unreachable, s == t = 0).
+inline Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels,
+                                     Vertex s, Vertex t, Quality w) {
+  if (s >= labels.NumVertices() || t >= labels.NumVertices()) {
+    return kInfDistance;
+  }
+  if (s == t) return 0;
+  return QueryCompressedMerge(labels, s, labels, t, w);
+}
 
 }  // namespace wcsd
 

@@ -1,9 +1,9 @@
-// WcServer: a dependency-free epoll TCP front end over the serving engines.
+// WcServer: a dependency-free epoll TCP front end over the serving engine.
 //
-// The engine layer (serve/query_engine.h) turned the index into a
-// thread-safe in-process service; WcServer turns that service into a
-// network one. N reactor threads (options.num_reactors, default 1) each
-// run their own epoll loop over their own SO_REUSEPORT listen socket —
+// The engine (serve/query_engine.h) is a thread-safe in-process
+// QueryService over any tiling of the index; WcServer turns that service
+// into a network one. N reactor threads (options.num_reactors, default 1)
+// each run their own epoll loop over their own SO_REUSEPORT listen socket —
 // the kernel hashes each incoming 4-tuple to one reactor, and that
 // reactor owns the connection end-to-end: accept, read, parse, serve,
 // flush, close all happen on one thread, so per-connection state needs no
@@ -51,76 +51,19 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.h"
 #include "net/wire.h"
-#include "serve/batch_runner.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/status.h"
-#include "util/types.h"
 
 namespace wcsd {
 
-/// The request-routing surface the server needs from a serving engine.
-/// Implementations must be safe to call from any thread (both engines are).
-class QueryService {
- public:
-  virtual ~QueryService() = default;
-  virtual Distance Query(Vertex s, Vertex t, Quality w) const = 0;
-  virtual std::vector<Distance> Batch(
-      const std::vector<BatchQueryInput>& queries) const = 0;
-  virtual uint64_t NumVertices() const = 0;
-  virtual QueryEngineStats Stats() const = 0;
-  /// Per-shard balance for the wire Stats frame; empty when the engine is
-  /// not sharded.
-  virtual std::vector<ShardBalanceEntry> ShardBalance() const { return {}; }
-
-  /// Outcome-reporting variants for degraded-mode engines. The defaults
-  /// delegate to Query/Batch and always succeed; a sharded engine serving
-  /// with quarantined shards overrides them to refuse queries whose label
-  /// slices are unavailable (the server surfaces kShardUnavailable).
-  virtual ServeOutcome QueryEx(Vertex s, Vertex t, Quality w,
-                               Distance* out) const {
-    *out = Query(s, t, w);
-    return ServeOutcome::kOk;
-  }
-  virtual ServeOutcome BatchEx(const std::vector<BatchQueryInput>& queries,
-                               std::vector<Distance>* out) const {
-    *out = Batch(queries);
-    return ServeOutcome::kOk;
-  }
-
-  /// The v6 query families. Defaults report kNotSupported so a minimal
-  /// service implementation keeps working: the server answers the frames
-  /// with a clean kNotSupported error instead of wrong data. Both engine
-  /// adapters override all three (path only serves when the engine was
-  /// configured with a graph).
-  virtual ServeOutcome TopKEx(Vertex source,
-                              std::span<const Vertex> candidates, Quality w,
-                              size_t k,
-                              std::vector<RankedCandidate>* out) const {
-    (void)source, (void)candidates, (void)w, (void)k, (void)out;
-    return ServeOutcome::kNotSupported;
-  }
-  virtual ServeOutcome ProfileEx(Vertex s, Vertex t,
-                                 std::span<const Quality> thresholds,
-                                 std::vector<ProfilePoint>* out) const {
-    (void)s, (void)t, (void)thresholds, (void)out;
-    return ServeOutcome::kNotSupported;
-  }
-  virtual ServeOutcome PathEx(Vertex s, Vertex t, Quality w,
-                              std::vector<Vertex>* out) const {
-    (void)s, (void)t, (void)w, (void)out;
-    return ServeOutcome::kNotSupported;
-  }
-};
-
-/// Adapters for the two engines. The shared_ptr keeps the engine (and its
-/// mmap'd snapshot) alive for the service's lifetime.
-std::shared_ptr<QueryService> MakeQueryService(
-    std::shared_ptr<const QueryEngine> engine);
-std::shared_ptr<QueryService> MakeQueryService(
-    std::shared_ptr<const ShardedQueryEngine> engine);
+/// The engine is itself a QueryService (serve/query_engine.h); this upcast
+/// keeps call sites that hold a concrete engine terse. The shared_ptr keeps
+/// the engine (and its mmap'd snapshot) alive for the service's lifetime.
+inline std::shared_ptr<const QueryService> MakeQueryService(
+    std::shared_ptr<const QueryEngine> engine) {
+  return engine;
+}
 
 struct WcServerOptions {
   /// Address to bind. Loopback by default: exposing an index to a wider

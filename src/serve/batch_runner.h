@@ -1,6 +1,6 @@
-// Shared serving scaffold: chunked fan-out over a ThreadPool with per-call
-// completion tracking, plus the per-worker stats slots and the batch-body
-// template both engines (QueryEngine, ShardedQueryEngine) run on.
+// Shared batch scaffold: chunked fan-out over a ThreadPool with per-call
+// completion tracking (the serving engine's batches and core BatchQuery),
+// plus the per-worker stats slots the engine accumulates into.
 //
 // ThreadPool::Wait waits for GLOBAL quiescence, which is wrong for a
 // serving engine: two user threads batching against the same engine would
@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.h"
 #include "util/thread_pool.h"
 #include "util/types.h"
 
@@ -170,38 +169,6 @@ struct ServeStatsBlock {
   std::atomic<uint64_t> shard_unavailable{0};
   std::atomic<uint64_t> path_fallbacks{0};
 };
-
-/// The batch body shared by both engines: evaluate `fn(query)` for every
-/// input across the pool in contiguous chunks, accumulating per-thread
-/// scratch counters locally and publishing once per chunk. Results are
-/// positionally aligned with the inputs.
-template <typename QueryFn>
-std::vector<Distance> RunServeBatch(ThreadPool* pool, size_t num_threads,
-                                    size_t min_chunk, ServeStatsBlock& stats,
-                                    const std::vector<BatchQueryInput>& queries,
-                                    const QueryFn& fn) {
-  std::vector<Distance> results(queries.size(), kInfDistance);
-  stats.batches.fetch_add(1, std::memory_order_relaxed);
-  // ~4 chunks per worker so stragglers rebalance, but never slices smaller
-  // than min_chunk.
-  const size_t target = std::max<size_t>(1, num_threads * 4);
-  const size_t chunk =
-      std::max(min_chunk, (queries.size() + target - 1) / target);
-  RunChunked(pool, queries.size(), chunk,
-             [&](size_t begin, size_t end, size_t worker) {
-               uint64_t reachable = 0;
-               for (size_t i = begin; i < end; ++i) {
-                 results[i] = fn(queries[i]);
-                 if (results[i] != kInfDistance) ++reachable;
-               }
-               ServeWorkerSlot& slot = stats.slots[worker];
-               slot.queries.fetch_add(end - begin,
-                                      std::memory_order_relaxed);
-               slot.reachable.fetch_add(reachable,
-                                        std::memory_order_relaxed);
-             });
-  return results;
-}
 
 }  // namespace wcsd
 

@@ -22,10 +22,10 @@
 // Inserts that fit without displacement are always admitted.
 //
 // The cache stores plain decoded bytes keyed by a caller-chosen id (the
-// GLOBAL vertex id, so a sharded engine can share one cache across
-// shards). It is bound to one index for its lifetime — engines create it
-// per open and never share it across generations, so no fingerprint
-// protocol is needed.
+// GLOBAL vertex id, so one engine shares one cache across its shards). It
+// is bound to one index for its lifetime — engines create it per open and
+// never share it across generations, so no fingerprint protocol is
+// needed.
 
 #ifndef WCSD_SERVE_DECODE_CACHE_H_
 #define WCSD_SERVE_DECODE_CACHE_H_

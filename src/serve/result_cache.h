@@ -157,7 +157,7 @@ class ResultCache {
   bool LookupBound(Vertex s, Vertex t, Quality w,
                    uint64_t expected_fingerprint, Distance* dist);
 
-  /// The lookup-miss-insert sequence both engines run: returns the cached
+  /// The lookup-miss-insert sequence the engine runs: returns the cached
   /// distance on a hit, otherwise calls `compute()` (which must return the
   /// IntervalQueryResult for (s, t, w)), stores its interval, and returns
   /// its distance.

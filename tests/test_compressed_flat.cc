@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "paper_fixtures.h"
 #include "serve/decode_cache.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -105,6 +105,51 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     ASSERT_EQ(QueryCompressedMerge(compressed, s, t, w), expected)
         << "s=" << s << " t=" << t << " w=" << w;
   }
+
+  // Across shards: a compressed shard set served without a decode cache
+  // streams L(s) and L(t) from their own shards, each decoded through its
+  // own quality dictionary. Forty quality levels and single-vertex shards
+  // make those dictionaries differ.
+  QualityModel fine;
+  fine.num_levels = 40;
+  WcIndex wide =
+      WcIndex::Build(GenerateRandomConnected(60, 150, fine, 13),
+                     WcIndexOptions::Plus());
+  wide.Finalize();
+  const FlatLabelSet& wflat = wide.flat_labels();
+  const uint64_t wn = wflat.NumVertices();
+  const std::vector<uint64_t> fences = {0, 1, 2, 3, wn / 2, wn};
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  std::vector<std::string> shard_paths;
+  std::set<std::vector<Quality>> dictionaries;
+  for (size_t k = 0; k + 1 < fences.size(); ++k) {
+    shard_paths.push_back(TempPath("cf_merge.shard" + std::to_string(k)));
+    ASSERT_TRUE(WriteSnapshotShard(shard_paths.back(), wflat, fences[k],
+                                   fences[k + 1], wn, {}, compress)
+                    .ok());
+    auto mapped = LoadSnapshotMmap(shard_paths.back());
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    auto dictionary = mapped.value().compressed.raw_dictionary();
+    dictionaries.emplace(dictionary.begin(), dictionary.end());
+  }
+  ASSERT_GT(dictionaries.size(), 1u);
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  auto sharded = QueryEngine::OpenMmap(shard_paths, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded.value().decode_cache(), nullptr);
+  for (Vertex s = 0; s < 3; ++s) {
+    for (Vertex t = 0; t < wn; ++t) {
+      for (Quality w : {1.0f, 8.0f, 16.0f, 24.0f, 32.0f, 40.0f}) {
+        ASSERT_EQ(sharded.value().Query(s, t, w),
+                  QueryFlat(wflat.View(s), wflat.View(t), w,
+                            QueryImpl::kMerge))
+            << "s=" << s << " t=" << t << " w=" << w;
+      }
+    }
+  }
+  for (const std::string& p : shard_paths) std::remove(p.c_str());
 }
 
 TEST(CompressedFlat, MeaningfulCompressionRatio) {
@@ -398,7 +443,7 @@ TEST(CompressedFlat, CompressedShardSetServesIdentically) {
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
   verify.verify_level = SnapshotVerifyLevel::kDeep;
-  auto engine = ShardedQueryEngine::OpenManifest(
+  auto engine = QueryEngine::OpenManifest(
       written.value().manifest_path, {}, verify);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().compressed());
@@ -433,7 +478,7 @@ TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, mid, n, {}, compress).ok());
   ASSERT_TRUE(WriteSnapshotShard(b, flat, mid, n, n).ok());
 
-  auto engine = ShardedQueryEngine::OpenMmap({a, b});
+  auto engine = QueryEngine::OpenMmap({a, b});
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().compressed());
 
@@ -572,7 +617,7 @@ TEST(CompressedFlat, QueryEngineServesCompressedWithAndWithoutCache) {
       ASSERT_EQ(engine.value().Query(s, t, w), index.Query(s, t, w))
           << "cache=" << cache_bytes << " s=" << s << " t=" << t;
     }
-    QueryEngineStats stats = engine.value().stats();
+    QueryEngineStats stats = engine.value().Stats();
     EXPECT_TRUE(stats.compressed);
     EXPECT_GT(stats.uncompressed_label_bytes, stats.label_bytes);
     if (cache_bytes > 0) {
@@ -610,8 +655,11 @@ TEST(CompressedFlat, TopKAndProfileMatchAcrossBackends) {
       candidates.push_back(static_cast<Vertex>(rng.NextBounded(n)));
     }
     Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
-    auto a = flat_engine.value().TopK(source, candidates, w, 5);
-    auto b = comp_engine.value().TopK(source, candidates, w, 5);
+    std::vector<RankedCandidate> a, b;
+    ASSERT_EQ(flat_engine.value().TopKEx(source, candidates, w, 5, &a),
+              ServeOutcome::kOk);
+    ASSERT_EQ(comp_engine.value().TopKEx(source, candidates, w, 5, &b),
+              ServeOutcome::kOk);
     ASSERT_EQ(a.size(), b.size());
     for (size_t j = 0; j < a.size(); ++j) {
       ASSERT_EQ(a[j].vertex, b[j].vertex);
@@ -620,8 +668,11 @@ TEST(CompressedFlat, TopKAndProfileMatchAcrossBackends) {
     Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     std::vector<Quality> thresholds = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
-    auto pa = flat_engine.value().Profile(s, t, thresholds);
-    auto pb = comp_engine.value().Profile(s, t, thresholds);
+    std::vector<ProfilePoint> pa, pb;
+    ASSERT_EQ(flat_engine.value().ProfileEx(s, t, thresholds, &pa),
+              ServeOutcome::kOk);
+    ASSERT_EQ(comp_engine.value().ProfileEx(s, t, thresholds, &pb),
+              ServeOutcome::kOk);
     ASSERT_EQ(pa.size(), pb.size());
     for (size_t j = 0; j < pa.size(); ++j) {
       ASSERT_EQ(pa[j].dist, pb[j].dist);

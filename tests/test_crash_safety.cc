@@ -31,7 +31,7 @@
 #include "labeling/shard_plan.h"
 #include "labeling/snapshot.h"
 #include "paper_fixtures.h"
-#include "serve/sharded_engine.h"
+#include "serve/query_engine.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
 
@@ -215,7 +215,7 @@ TEST_F(CrashSafetyTest, ManifestWriteFaultLeavesTheOldManifest) {
   EXPECT_FALSE(rewritten.ok());
   EXPECT_EQ(ReadAll(written.value().manifest_path), good);
   // The intact set still opens and serves.
-  auto engine = ShardedQueryEngine::OpenManifest(
+  auto engine = QueryEngine::OpenManifest(
       written.value().manifest_path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine.value().Query(2, 5, 2.0f), 2u);

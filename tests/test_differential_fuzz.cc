@@ -14,10 +14,10 @@
 //   * a cold-tier QueryEngine: the compressed mmap behind a tiny
 //     decoded-label cache, queried twice per case so decode-miss and
 //     decode-hit both get checked,
-//   * a ShardedQueryEngine stitching vertex-range shard snapshots,
-//   * a second ShardedQueryEngine over a label-mass-planned shard set
+//   * a QueryEngine stitching vertex-range shard snapshots,
+//   * a second QueryEngine over a label-mass-planned shard set
 //     opened through its manifest (labeling/shard_manifest.h),
-//   * a third, mixed-backend ShardedQueryEngine: one compressed shard
+//   * a third, mixed-backend QueryEngine: one compressed shard
 //     stitched next to one flat shard,
 //   * a WcServer + WcClient round trip over the wire protocol (the
 //     networked path serves the same mmap engine through a real socket),
@@ -40,6 +40,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/batch.h"
@@ -56,7 +57,6 @@
 #include "search/constrained_dijkstra.h"
 #include "search/pareto_enumerator.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -127,10 +127,10 @@ struct Stack {
   /// Cold tier: the compressed mmap behind a deliberately tiny
   /// decoded-label cache, so admission and eviction churn during the run.
   std::shared_ptr<const QueryEngine> cold;
-  std::unique_ptr<ShardedQueryEngine> sharded;
-  std::unique_ptr<ShardedQueryEngine> planned;  // manifest-opened shard set
+  std::unique_ptr<QueryEngine> sharded;
+  std::unique_ptr<QueryEngine> planned;  // manifest-opened shard set
   /// Mixed-backend shard set: one compressed shard, one flat.
-  std::unique_ptr<ShardedQueryEngine> csharded;
+  std::unique_ptr<QueryEngine> csharded;
   std::unique_ptr<WcServer> server;  // serves `engine` over the wire
   std::unique_ptr<WcClient> client;
   std::unique_ptr<WcServer> cold_server;  // serves `cold` over the wire
@@ -218,9 +218,9 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
                     .ok());
     shard_paths.push_back(path);
   }
-  auto sharded = ShardedQueryEngine::OpenMmap(shard_paths, serve);
+  auto sharded = QueryEngine::OpenMmap(shard_paths, serve);
   EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
-  auto sharded_ptr = std::make_unique<ShardedQueryEngine>(
+  auto sharded_ptr = std::make_unique<QueryEngine>(
       std::move(sharded).value());
 
   // Mixed-backend shard set: the low range compressed, the high range
@@ -236,11 +236,11 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
                     .ok());
     cshard_paths.push_back(path);
   }
-  auto csharded = ShardedQueryEngine::OpenMmap(cshard_paths, cold_serve);
+  auto csharded = QueryEngine::OpenMmap(cshard_paths, cold_serve);
   EXPECT_TRUE(csharded.ok()) << csharded.status().ToString();
   EXPECT_TRUE(csharded.value().compressed());
   auto csharded_ptr =
-      std::make_unique<ShardedQueryEngine>(std::move(csharded).value());
+      std::make_unique<QueryEngine>(std::move(csharded).value());
 
   // The planned path: a label-mass-balanced shard set round-tripped
   // through its manifest, fingerprint verification included.
@@ -255,11 +255,11 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
   EXPECT_TRUE(written.ok()) << written.status().ToString();
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  auto planned = ShardedQueryEngine::OpenManifest(
+  auto planned = QueryEngine::OpenManifest(
       written.value().manifest_path, serve, verify);
   EXPECT_TRUE(planned.ok()) << planned.status().ToString();
   auto planned_ptr =
-      std::make_unique<ShardedQueryEngine>(std::move(planned).value());
+      std::make_unique<QueryEngine>(std::move(planned).value());
   std::remove(written.value().manifest_path.c_str());
   for (const std::string& p : written.value().shard_paths) {
     std::remove(p.c_str());
@@ -324,6 +324,19 @@ std::string CheckOne(const QualityGraph& g, const Stack& stack, Vertex s,
   return out.str();
 }
 
+// The engine layers the query families run through, by name. They differ
+// only in tiling: one WcIndex (flat mmap, or compressed behind the decode
+// cache), two even flat shards, a planned manifest set, and a mixed
+// compressed/flat pair.
+std::vector<std::pair<const char*, const QueryEngine*>> EngineLayers(
+    const Stack& stack) {
+  return {{"engine", stack.engine.get()},
+          {"cold", stack.cold.get()},
+          {"sharded", stack.sharded.get()},
+          {"planned", stack.planned.get()},
+          {"csharded", stack.csharded.get()}};
+}
+
 // The three richer query families, checked across the same spread of
 // layers: top-k against a per-candidate Dijkstra oracle, profiles
 // against a per-threshold Dijkstra oracle cross-checked with the Pareto
@@ -372,28 +385,13 @@ std::string CheckFamilies(const QualityGraph& g, const Stack& stack,
   expect_topk("flat", TopKClosest(stack.flat, s, candidates, w, k));
   expect_topk("mmap", TopKClosest(stack.mm, s, candidates, w, k));
   expect_topk("compressed", TopKClosest(stack.cmm, s, candidates, w, k));
-  expect_topk("engine", stack.engine->TopK(s, candidates, w, k));
-  expect_topk("cold", stack.cold->TopK(s, candidates, w, k));
-  std::vector<RankedCandidate> ranked;
-  if (stack.sharded->TopKEx(s, candidates, w, k, &ranked) !=
-      ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "sharded topk refused a healthy request";
-  } else {
-    expect_topk("sharded", ranked);
-  }
-  ranked.clear();
-  if (stack.planned->TopKEx(s, candidates, w, k, &ranked) !=
-      ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "planned topk refused a healthy request";
-  } else {
-    expect_topk("planned", ranked);
-  }
-  ranked.clear();
-  if (stack.csharded->TopKEx(s, candidates, w, k, &ranked) !=
-      ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "csharded topk refused a healthy request";
-  } else {
-    expect_topk("csharded", ranked);
+  for (const auto& [what, engine] : EngineLayers(stack)) {
+    std::vector<RankedCandidate> ranked;
+    if (engine->TopKEx(s, candidates, w, k, &ranked) != ServeOutcome::kOk) {
+      if (out.tellp() == 0) out << what << " topk refused a healthy request";
+    } else {
+      expect_topk(what, ranked);
+    }
   }
   auto net_topk =
       stack.client->TopK(s, candidates, w, static_cast<uint32_t>(k));
@@ -453,28 +451,15 @@ std::string CheckFamilies(const QualityGraph& g, const Stack& stack,
   expect_profile("flat", QualityProfile(stack.flat, s, t, thresholds));
   expect_profile("mmap", QualityProfile(stack.mm, s, t, thresholds));
   expect_profile("compressed", QualityProfile(stack.cmm, s, t, thresholds));
-  expect_profile("engine", stack.engine->Profile(s, t, thresholds));
-  expect_profile("cold", stack.cold->Profile(s, t, thresholds));
-  std::vector<ProfilePoint> profile;
-  if (stack.sharded->ProfileEx(s, t, thresholds, &profile) !=
-      ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "sharded profile refused a healthy request";
-  } else {
-    expect_profile("sharded", profile);
-  }
-  profile.clear();
-  if (stack.planned->ProfileEx(s, t, thresholds, &profile) !=
-      ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "planned profile refused a healthy request";
-  } else {
-    expect_profile("planned", profile);
-  }
-  profile.clear();
-  if (stack.csharded->ProfileEx(s, t, thresholds, &profile) !=
-      ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "csharded profile refused a healthy request";
-  } else {
-    expect_profile("csharded", profile);
+  for (const auto& [what, engine] : EngineLayers(stack)) {
+    std::vector<ProfilePoint> profile;
+    if (engine->ProfileEx(s, t, thresholds, &profile) != ServeOutcome::kOk) {
+      if (out.tellp() == 0) {
+        out << what << " profile refused a healthy request";
+      }
+    } else {
+      expect_profile(what, profile);
+    }
   }
   auto net_profile = stack.client->Profile(s, t, thresholds);
   if (!net_profile.ok()) {
@@ -508,39 +493,13 @@ std::string CheckFamilies(const QualityGraph& g, const Stack& stack,
   // Compressed snapshots carry no parent quads: this layer always runs
   // the index-guided fallback, which must still produce optimal w-paths.
   expect_path("compressed", QueryConstrainedPath(stack.cmm, g, s, t, w));
-  auto engine_path = stack.engine->Path(s, t, w);
-  if (!engine_path.ok()) {
-    if (out.tellp() == 0) {
-      out << "engine path error: " << engine_path.status().ToString();
+  for (const auto& [what, engine] : EngineLayers(stack)) {
+    std::vector<Vertex> route;
+    if (engine->PathEx(s, t, w, &route) != ServeOutcome::kOk) {
+      if (out.tellp() == 0) out << what << " path refused a healthy request";
+    } else {
+      expect_path(what, route);
     }
-  } else {
-    expect_path("engine", engine_path.value());
-  }
-  auto cold_path = stack.cold->Path(s, t, w);
-  if (!cold_path.ok()) {
-    if (out.tellp() == 0) {
-      out << "cold path error: " << cold_path.status().ToString();
-    }
-  } else {
-    expect_path("cold", cold_path.value());
-  }
-  std::vector<Vertex> route;
-  if (stack.sharded->PathEx(s, t, w, &route) != ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "sharded path refused a healthy request";
-  } else {
-    expect_path("sharded", route);
-  }
-  route.clear();
-  if (stack.planned->PathEx(s, t, w, &route) != ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "planned path refused a healthy request";
-  } else {
-    expect_path("planned", route);
-  }
-  route.clear();
-  if (stack.csharded->PathEx(s, t, w, &route) != ServeOutcome::kOk) {
-    if (out.tellp() == 0) out << "csharded path refused a healthy request";
-  } else {
-    expect_path("csharded", route);
   }
   auto net_path = stack.client->Path(s, t, w);
   if (!net_path.ok()) {
@@ -716,10 +675,10 @@ TEST(DifferentialFuzz, QuarantinedShardsRefuseFamiliesCleanly) {
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
   degraded.fallback_graph = serve.graph.get();
-  auto opened = ShardedQueryEngine::OpenManifest(
+  auto opened = QueryEngine::OpenManifest(
       written.value().manifest_path, serve, verify, degraded);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  auto engine = std::make_shared<const ShardedQueryEngine>(
+  auto engine = std::make_shared<const QueryEngine>(
       std::move(opened).value());
 
   auto started = WcServer::Start(MakeQueryService(engine));

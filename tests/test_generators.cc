@@ -169,14 +169,6 @@ TEST(WattsStrogatz, RingWithRewiring) {
   EXPECT_LE(g.NumEdges(), 1200u);
 }
 
-TEST(RandomDirected, ArcCountsAndDeterminism) {
-  QualityModel quality;
-  DirectedQualityGraph g = GenerateRandomDirected(100, 500, quality, 37);
-  EXPECT_EQ(g.NumVertices(), 100u);
-  EXPECT_GT(g.NumArcs(), 400u);
-  EXPECT_LE(g.NumArcs(), 500u);
-}
-
 TEST(RandomWeighted, LengthsInRange) {
   QualityModel quality;
   WeightedQualityGraph g = GenerateRandomWeighted(100, 300, 9, quality, 41);

@@ -1,12 +1,11 @@
 // Unit tests for the CSR graph, builder, subgraph filtering, and the
-// directed / weighted graph variants.
+// weighted graph variant.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "graph/builder.h"
-#include "graph/directed_graph.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
 #include "graph/weighted_graph.h"
@@ -142,34 +141,6 @@ TEST(QualityPartition, MemoryCoversAllLevels) {
   QualityGraph g = MakeFigure3Graph();
   QualityPartition partition(g);
   EXPECT_GE(partition.MemoryBytes(), g.MemoryBytes());
-}
-
-TEST(DirectedGraph, OutAndInAdjacency) {
-  DirectedQualityGraph g = DirectedQualityGraph::FromEdges(
-      3, {{0, 1, 2.0f}, {1, 2, 3.0f}, {2, 0, 4.0f}});
-  EXPECT_EQ(g.NumVertices(), 3u);
-  EXPECT_EQ(g.NumArcs(), 3u);
-  ASSERT_EQ(g.OutNeighbors(0).size(), 1u);
-  EXPECT_EQ(g.OutNeighbors(0)[0].to, 1u);
-  ASSERT_EQ(g.InNeighbors(0).size(), 1u);
-  EXPECT_EQ(g.InNeighbors(0)[0].to, 2u);
-  EXPECT_EQ(g.OutDegree(1), 1u);
-  EXPECT_EQ(g.InDegree(1), 1u);
-}
-
-TEST(DirectedGraph, DuplicateArcsKeepMaxQuality) {
-  DirectedQualityGraph g = DirectedQualityGraph::FromEdges(
-      2, {{0, 1, 2.0f}, {0, 1, 9.0f}});
-  ASSERT_EQ(g.OutNeighbors(0).size(), 1u);
-  EXPECT_FLOAT_EQ(g.OutNeighbors(0)[0].quality, 9.0f);
-}
-
-TEST(DirectedGraph, AsUndirectedMergesDirections) {
-  DirectedQualityGraph g = DirectedQualityGraph::FromEdges(
-      2, {{0, 1, 2.0f}, {1, 0, 5.0f}});
-  QualityGraph u = g.AsUndirected();
-  EXPECT_EQ(u.NumEdges(), 1u);
-  EXPECT_FLOAT_EQ(u.EdgeQuality(0, 1), 5.0f);
 }
 
 TEST(WeightedGraph, LengthsAndQualities) {

@@ -12,7 +12,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/subgraph.h"
-#include "labeling/compressed_labels.h"
+#include "labeling/compressed_flat.h"
 #include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
 #include "paper_fixtures.h"
@@ -159,11 +159,16 @@ TEST(CompressedCorners, FractionalQualityDictionary) {
   b.AddEdge(0, 3, 99.5f);
   QualityGraph g = b.Build();
   WcIndex index = WcIndex::Build(g);
-  CompressedLabelSet compressed =
-      CompressedLabelSet::Compress(index.labels());
-  EXPECT_EQ(compressed.Decompress(), index.labels());
-  EXPECT_EQ(compressed.Query(0, 2, 0.125f), index.Query(0, 2, 0.125f));
-  EXPECT_EQ(compressed.Query(0, 2, 2.8f), index.Query(0, 2, 2.8f));
+  index.Finalize();
+  CompressedFlatLabelSet compressed =
+      CompressedFlatLabelSet::FromFlat(index.flat_labels());
+  Result<FlatLabelSet> decompressed = compressed.Decompress();
+  ASSERT_TRUE(decompressed.ok()) << decompressed.status().ToString();
+  EXPECT_EQ(decompressed.value(), index.flat_labels());
+  EXPECT_EQ(QueryCompressedMerge(compressed, 0, 2, 0.125f),
+            index.Query(0, 2, 0.125f));
+  EXPECT_EQ(QueryCompressedMerge(compressed, 0, 2, 2.8f),
+            index.Query(0, 2, 2.8f));
 }
 
 TEST(TreeDecompositionCorners, OrderWithCapIsStillPermutation) {

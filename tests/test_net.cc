@@ -117,7 +117,7 @@ TEST(WcServer, ReportsCacheCountersOverTheWire) {
   EXPECT_GT(stats.value().cache_misses, 0u);
   EXPECT_GT(stats.value().cache_inserts, 0u);
   EXPECT_EQ(stats.value().cache_hits + stats.value().cache_misses,
-            engine->stats().cache_hits + engine->stats().cache_misses);
+            engine->Stats().cache_hits + engine->Stats().cache_misses);
 }
 
 // Every QueryImpl, every call shape: the networked answers must equal the
@@ -167,10 +167,10 @@ TEST(WcServer, ServesShardedBackendIdentically) {
   }
   QueryEngineOptions options;
   options.num_threads = 2;
-  auto sharded = ShardedQueryEngine::OpenMmap(paths, options);
+  auto sharded = QueryEngine::OpenMmap(paths, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   WcServer server = StartServer(MakeQueryService(
-      std::make_shared<const ShardedQueryEngine>(std::move(sharded).value())));
+      std::make_shared<const QueryEngine>(std::move(sharded).value())));
   WcClient client = ConnectTo(server);
 
   auto health = client.Health();
@@ -297,7 +297,7 @@ TEST(WcServer, SoakManyConcurrentPipelinedConnections) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
 
-  QueryEngineStats engine_stats = engine->stats();
+  QueryEngineStats engine_stats = engine->Stats();
   EXPECT_EQ(engine_stats.queries, kConnections * kRounds * kSlice * 2);
   EXPECT_EQ(engine_stats.batches, kConnections * kRounds);
   WcServerStats stats = server.stats();

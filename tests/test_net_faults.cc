@@ -45,7 +45,6 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -87,7 +86,7 @@ Fixture MakeFixture(size_t n, size_t m, size_t num_queries, uint64_t seed) {
   return f;
 }
 
-std::shared_ptr<QueryService> MakeService(const Fixture& f) {
+std::shared_ptr<const QueryService> MakeService(const Fixture& f) {
   QueryEngineOptions options;
   options.num_threads = 1;
   return MakeQueryService(
@@ -500,13 +499,13 @@ bool Touches(const DegradedSet& set, const BatchQueryInput& q) {
 TEST_F(NetFaultsTest, QuarantineIsOptIn) {
   DegradedSet set = MakeDegradedSet(41, "optin");
   // Default: a corrupt shard fails the whole open.
-  auto strict = ShardedQueryEngine::OpenManifest(set.manifest_path);
+  auto strict = QueryEngine::OpenManifest(set.manifest_path);
   EXPECT_FALSE(strict.ok());
 
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().degraded());
   EXPECT_EQ(engine.value().num_quarantined(), 1u);
@@ -517,8 +516,8 @@ TEST_F(NetFaultsTest, DegradedServesHealthyRangesBitIdentically) {
   DegradedSet set = MakeDegradedSet(42, "healthy");
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   size_t healthy = 0;
@@ -543,7 +542,7 @@ TEST_F(NetFaultsTest, DegradedServesHealthyRangesBitIdentically) {
   // The workload must genuinely exercise both sides.
   EXPECT_GT(healthy, 0u);
   EXPECT_GT(refused, 0u);
-  EXPECT_GE(engine.value().stats().shard_unavailable, refused);
+  EXPECT_GE(engine.value().Stats().shard_unavailable, refused);
 
   // Whole-batch refusal: one touching query poisons the batch (no
   // per-query error channel in a u32 result array).
@@ -570,8 +569,8 @@ TEST_F(NetFaultsTest, FallbackGraphAnswersQuarantinedRangeExactly) {
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
   degraded.fallback_graph = &set.fixture.graph;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // With the fallback, EVERY query answers exactly — quarantined ranges
@@ -594,8 +593,8 @@ TEST_F(NetFaultsTest, MissingShardFileQuarantinesToo) {
   std::remove(set.shard_paths[2].c_str());
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine.value().num_quarantined(), 2u);
 
@@ -617,8 +616,8 @@ TEST_F(NetFaultsTest, AllShardsFailedRefusesToOpen) {
   }
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kUnavailable);
 }
@@ -633,11 +632,11 @@ TEST_F(NetFaultsTest, DegradedShardSetServesOverTheWire) {
   degraded.quarantine_failed_shards = true;
   QueryEngineOptions eopts;
   eopts.num_threads = 1;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, eopts,
-                                                 {}, degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, eopts,
+                                          {}, degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   WcServer server = StartServer(MakeQueryService(
-      std::make_shared<const ShardedQueryEngine>(std::move(engine).value())));
+      std::make_shared<const QueryEngine>(std::move(engine).value())));
   WcClient client = ConnectTo(server);
 
   size_t refused = 0;

@@ -1,7 +1,7 @@
 // The dominance-aware result cache (serve/result_cache.h): interval
 // semantics, undirected key normalization, replacement under a fixed
-// budget, fingerprint invalidation, engine wiring (QueryEngine and
-// ShardedQueryEngine answer bit-identically with the cache on), and a
+// budget, fingerprint invalidation, engine wiring (one-index and sharded
+// engines answer bit-identically with the cache on), and a
 // concurrent hit/insert/invalidate hammer for the TSan CI job.
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "labeling/snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -376,7 +375,7 @@ TEST(ResultCache, CachedQueryEngineAnswersBitIdentically) {
                                                              << pass;
     }
 
-    QueryEngineStats stats = cached.stats();
+    QueryEngineStats stats = cached.Stats();
     EXPECT_GT(stats.cache_hits, 0u);
     EXPECT_GT(stats.cache_misses, 0u);
     EXPECT_GT(stats.cache_inserts, 0u);
@@ -385,11 +384,11 @@ TEST(ResultCache, CachedQueryEngineAnswersBitIdentically) {
     Distance oob = cached.Query(0, static_cast<Vertex>(n + 7), 1.0f);
     EXPECT_EQ(self, 0u);
     EXPECT_EQ(oob, kInfDistance);
-    EXPECT_EQ(cached.stats().cache_hits + cached.stats().cache_misses,
+    EXPECT_EQ(cached.Stats().cache_hits + cached.Stats().cache_misses,
               stats.cache_hits + stats.cache_misses);
     // An uncached engine reports zero cache counters.
-    EXPECT_EQ(plain.stats().cache_hits, 0u);
-    EXPECT_EQ(plain.stats().cache_misses, 0u);
+    EXPECT_EQ(plain.Stats().cache_hits, 0u);
+    EXPECT_EQ(plain.Stats().cache_misses, 0u);
   }
 }
 
@@ -411,12 +410,12 @@ TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
 
   QueryEngineOptions plain_options;
   plain_options.num_threads = 1;
-  auto plain = ShardedQueryEngine::OpenMmap(paths, plain_options);
+  auto plain = QueryEngine::OpenMmap(paths, plain_options);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   QueryEngineOptions cached_options = plain_options;
   cached_options.cache_bytes = 64 << 10;
-  auto cached = ShardedQueryEngine::OpenMmap(paths, cached_options);
+  auto cached = QueryEngine::OpenMmap(paths, cached_options);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   ASSERT_NE(cached.value().cache(), nullptr);
   // The sharded fingerprint is tiling-invariant: it must equal the
@@ -433,7 +432,7 @@ TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
     }
     ASSERT_EQ(cached.value().Batch(queries), plain.value().Batch(queries));
   }
-  EXPECT_GT(cached.value().stats().cache_hits, 0u);
+  EXPECT_GT(cached.value().Stats().cache_hits, 0u);
 
   for (const std::string& path : paths) std::remove(path.c_str());
 }
@@ -576,7 +575,7 @@ TEST(ResultCache, ConcurrentCachedBatchesStayCorrect) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_GT(cached.stats().cache_hits, 0u);
+  EXPECT_GT(cached.Stats().cache_hits, 0u);
 }
 
 // The full live-update handoff: one shared cache is filled by generation

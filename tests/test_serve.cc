@@ -1,6 +1,6 @@
-// Serving-layer tests: QueryEngine and ShardedQueryEngine correctness
-// against the raw index, and multi-threaded hammering of one engine from
-// many caller threads (the configuration the TSan CI job runs).
+// Serving-layer tests: QueryEngine correctness over one index and over
+// shard tilings against the raw index, and multi-threaded hammering of one
+// engine from many caller threads (the configuration the TSan CI job runs).
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 #include "core/batch.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "paper_fixtures.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -95,6 +95,46 @@ TEST(QueryEngine, OpenServesSnapshotIdentically) {
   std::remove(path.c_str());
 }
 
+// One full snapshot with an order is a one-shard tiling of an index:
+// OpenMmap serves it exactly like Open — §V parents reported, and kPath on
+// the parent unwind, never the greedy stepping of order-less tilings.
+TEST(QueryEngine, OpenMmapOfFullSnapshotServesLikeOpen) {
+  QualityGraph g = MakeFigure3Graph();
+  WcIndexOptions build;
+  build.record_parents = true;
+  WcIndex built = WcIndex::Build(g, build);
+  built.Finalize();
+  std::string path = TempPath("engine_open_mmap.wcsnap");
+  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.graph = std::make_shared<const QualityGraph>(g);
+  auto opened = QueryEngine::Open(path, options);
+  auto mapped = QueryEngine::OpenMmap({path}, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_TRUE(mapped.value().has_index());
+  EXPECT_TRUE(mapped.value().ShardBalance().empty());
+  for (Vertex s = 0; s < g.NumVertices(); ++s) {
+    for (Vertex t = 0; t < g.NumVertices(); ++t) {
+      for (Quality w : {1.0f, 3.0f, 5.0f}) {
+        std::vector<Vertex> a, b;
+        ASSERT_EQ(opened.value().PathEx(s, t, w, &a), ServeOutcome::kOk);
+        ASSERT_EQ(mapped.value().PathEx(s, t, w, &b), ServeOutcome::kOk);
+        EXPECT_EQ(a, b) << s << "->" << t << " w=" << w;
+      }
+    }
+  }
+  const QueryEngineStats open_stats = opened.value().Stats();
+  const QueryEngineStats mmap_stats = mapped.value().Stats();
+  EXPECT_EQ(open_stats.has_parents, 1u);
+  EXPECT_EQ(mmap_stats.has_parents, 1u);
+  EXPECT_EQ(open_stats.path_fallbacks, 0u);
+  EXPECT_EQ(mmap_stats.path_fallbacks, 0u);
+  EXPECT_EQ(mmap_stats.label_bytes, open_stats.label_bytes);
+  std::remove(path.c_str());
+}
+
 TEST(QueryEngine, StatsCountServedQueries) {
   ServeFixture f = MakeFixture(80, 200, 400, 31);
   QueryEngineOptions options;
@@ -107,7 +147,7 @@ TEST(QueryEngine, StatsCountServedQueries) {
     const BatchQueryInput& q = f.workload[i];
     engine.Query(q.s, q.t, q.w);
   }
-  QueryEngineStats stats = engine.stats();
+  QueryEngineStats stats = engine.Stats();
   EXPECT_EQ(stats.queries, 2 * f.workload.size() + 25);
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_GT(stats.reachable, 0u);
@@ -156,7 +196,7 @@ TEST(QueryEngine, ConcurrentHammer) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  QueryEngineStats stats = engine.stats();
+  QueryEngineStats stats = engine.Stats();
   EXPECT_EQ(stats.queries, kCallers * kRoundsPerCaller * (500 + 50));
   EXPECT_EQ(stats.batches, kCallers * kRoundsPerCaller);
 }
@@ -184,7 +224,7 @@ TEST(ShardedEngine, MatchesUnshardedAcrossShardCounts) {
     QueryEngineOptions options;
     options.num_threads = 2;
     options.min_chunk = 32;
-    auto engine = ShardedQueryEngine::OpenMmap(paths, options);
+    auto engine = QueryEngine::OpenMmap(paths, options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     EXPECT_EQ(engine.value().num_shards(), shards);
     EXPECT_EQ(engine.value().NumVertices(), f.index->NumVertices());
@@ -208,7 +248,7 @@ TEST(ShardedEngine, EmptyShardsAcceptedInAnyOrder) {
   std::vector<std::string> paths = WriteShards(index, 5, "tiny");
   std::vector<std::string> reversed(paths.rbegin(), paths.rend());
   for (const auto& order : {paths, reversed}) {
-    auto engine = ShardedQueryEngine::OpenMmap(order);
+    auto engine = QueryEngine::OpenMmap(order);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     EXPECT_EQ(engine.value().NumVertices(), 3u);
     for (Vertex s = 0; s < 3; ++s) {
@@ -226,12 +266,12 @@ TEST(ShardedEngine, RejectsIncompleteOrInconsistentShardSets) {
   std::vector<std::string> paths = WriteShards(*f.index, 3, "reject");
 
   // Missing middle shard: gap detected.
-  auto gap = ShardedQueryEngine::OpenMmap({paths[0], paths[2]});
+  auto gap = QueryEngine::OpenMmap({paths[0], paths[2]});
   EXPECT_FALSE(gap.ok());
   EXPECT_EQ(gap.status().code(), StatusCode::kInvalidArgument);
 
   // Duplicate shard: overlap detected.
-  auto dup = ShardedQueryEngine::OpenMmap(
+  auto dup = QueryEngine::OpenMmap(
       {paths[0], paths[1], paths[1], paths[2]});
   EXPECT_FALSE(dup.ok());
 
@@ -241,11 +281,11 @@ TEST(ShardedEngine, RejectsIncompleteOrInconsistentShardSets) {
   ASSERT_TRUE(WriteSnapshotShard(foreign, other.index->flat_labels(), 0, 60,
                                  60)
                   .ok());
-  auto mixed = ShardedQueryEngine::OpenMmap({paths[0], paths[1], foreign});
+  auto mixed = QueryEngine::OpenMmap({paths[0], paths[1], foreign});
   EXPECT_FALSE(mixed.ok());
 
   // No shards at all.
-  EXPECT_FALSE(ShardedQueryEngine::OpenMmap({}).ok());
+  EXPECT_FALSE(QueryEngine::OpenMmap({}).ok());
 
   for (const std::string& p : paths) std::remove(p.c_str());
   std::remove(foreign.c_str());
@@ -257,9 +297,9 @@ TEST(ShardedEngine, ConcurrentHammer) {
   QueryEngineOptions options;
   options.num_threads = 3;
   options.min_chunk = 16;
-  auto opened = ShardedQueryEngine::OpenMmap(paths, options);
+  auto opened = QueryEngine::OpenMmap(paths, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const ShardedQueryEngine& engine = opened.value();
+  const QueryEngine& engine = opened.value();
 
   std::atomic<size_t> mismatches{0};
   std::vector<std::thread> callers;

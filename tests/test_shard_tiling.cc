@@ -5,7 +5,7 @@
 //
 // For ~50 seeded graphs across four generator families, this suite
 // generates random valid tilings (1..8 shards, uneven cuts, singleton and
-// even empty shards), serves each through ShardedQueryEngine (shard files
+// even empty shards), serves each through QueryEngine (shard files
 // via OpenMmap, plus the planner + manifest path via OpenManifest), and
 // asserts every answer matches the unsharded QueryEngine across all four
 // QueryImpls, single and batch.
@@ -25,7 +25,6 @@
 #include "labeling/shard_plan.h"
 #include "labeling/snapshot.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -137,7 +136,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
           QueryEngineOptions options;
           options.num_threads = 1;
           options.impl = kImpls[impl_i];
-          auto sharded = ShardedQueryEngine::OpenMmap(paths, options);
+          auto sharded = QueryEngine::OpenMmap(paths, options);
           ASSERT_TRUE(sharded.ok())
               << sharded.status().ToString() << " seed=" << seed
               << " round=" << round;
@@ -173,7 +172,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
         options.impl = kImpls[impl_i];
         SnapshotLoadOptions verify;
         verify.verify_checksums = true;  // exercise the fingerprint path
-        auto sharded = ShardedQueryEngine::OpenManifest(
+        auto sharded = QueryEngine::OpenManifest(
             written.value().manifest_path, options, verify);
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
         for (const BatchQueryInput& q : queries) {
@@ -189,7 +188,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
         QueryEngineOptions options;
         options.num_threads = 1;
         options.cache_bytes = 16 << 10;
-        auto cached = ShardedQueryEngine::OpenManifest(
+        auto cached = QueryEngine::OpenManifest(
             written.value().manifest_path, options);
         ASSERT_TRUE(cached.ok()) << cached.status().ToString();
         ASSERT_NE(cached.value().cache(), nullptr);
@@ -203,7 +202,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
                 << "cached pass=" << pass << " seed=" << seed;
           }
         }
-        EXPECT_GT(cached.value().stats().cache_hits, 0u);
+        EXPECT_GT(cached.value().Stats().cache_hits, 0u);
       }
       std::remove(written.value().manifest_path.c_str());
       for (const std::string& path : written.value().shard_paths) {

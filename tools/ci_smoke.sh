@@ -68,10 +68,10 @@ make_fixtures() {
 section_cli() {
   banner "CLI round trips"
   make_fixtures
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2 --flat
-  "$CLI" query --index=ci.wcx --s=1 --w=2 --topk=5 --flat
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --profile --thresholds=1,2,3,4,5 --flat
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2 --path --graph=ci.edges --flat
+  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2
+  "$CLI" query --index=ci.wcx --s=1 --w=2 --topk=5
+  "$CLI" query --index=ci.wcx --s=1 --t=42 --profile --thresholds=1,2,3,4,5
+  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2 --path --graph=ci.edges
   "$CLI" verify --graph=ci.edges --index=ci.wcx
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --verify
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --cache-mb=8

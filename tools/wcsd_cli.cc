@@ -6,17 +6,18 @@
 //             build and save a WC-INDEX; --threads=0 uses all cores via the
 //             rank-batched parallel pipeline (identical output), --batch
 //             overrides the auto batch schedule
-//   query     --index=<file> --s=<v> --t=<v> --w=<q> [--flat]
-//             [--path --graph=<file>]
+//   query     (--index=<file> | --manifest=<file>) --s=<v> --t=<v> --w=<q>
+//             [--cache-mb=M] [--path --graph=<file>]
 //             [--topk=K [--candidates=v1,v2,...]]
 //             [--profile --thresholds=w1,w2,...]
-//             answer one query (optionally with the route); --flat serves
-//             it from the finalized CSR label backend. --topk ranks the
-//             candidates (default: every vertex) by constrained distance
-//             from --s and keeps the K closest; --profile sweeps the
-//             (w, d) trade-off curve for (--s, --t) at the given
-//             thresholds via the interval kernel (one label merge per
-//             distinct certified interval, not per threshold)
+//             answer one query through the serving engine, over a saved
+//             index or a mapped shard set (see `shard`); --cache-mb enables
+//             the dominance-aware result cache. --path prints the route.
+//             --topk ranks the candidates (default: every vertex) by
+//             constrained distance from --s and keeps the K closest;
+//             --profile sweeps the (w, d) trade-off curve for (--s, --t) at
+//             the given thresholds via the interval kernel (one label merge
+//             per distinct certified interval, not per threshold)
 //   query     --connect=<host:port> --s=<v> --t=<v> --w=<q>
 //             [--timeout-ms=5000] [--deadline-ms=D] [--retries=R]
 //             [--topk=K [--candidates=...]]
@@ -29,11 +30,6 @@
 //             kTopK/kProfile/kPath frames (--path needs the server started
 //             with `serve --graph`; servers without one refuse with
 //             kNotSupported, surfaced as an Unimplemented status)
-//   query     --manifest=<file> --s=<v> --t=<v> --w=<q> [--cache-mb=M]
-//             [--topk=K [--candidates=...]]
-//             [--profile --thresholds=...] [--path --graph=<file>]
-//             answer one query from a mapped shard set (see `shard`);
-//             --cache-mb enables the dominance-aware result cache
 //   stats     --index=<file>                 label statistics
 //   verify    --graph=<file> --index=<file>  brute-force Theorem 1 checks
 //   generate  --out=<file> --kind=road|social [--n=...] [--levels=...]
@@ -166,7 +162,6 @@
 #include "net/swap_service.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/checksum.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -485,13 +480,34 @@ bool ParseCacheBytes(const Flags& flags, size_t* bytes) {
   return true;
 }
 
-/// `query --manifest`: answer one query from a mapped shard set.
-int CmdManifestQuery(const Flags& flags, const std::string& manifest) {
+/// Opens the engine a local `query` runs on: a saved index (--index) or a
+/// mapped shard set (--manifest).
+Result<QueryEngine> OpenQueryEngine(const Flags& flags,
+                                    const QueryEngineOptions& options) {
+  std::string manifest = flags.GetString("manifest", "");
+  if (!manifest.empty()) return QueryEngine::OpenManifest(manifest, options);
+  auto index = WcIndex::Load(flags.GetString("index", ""));
+  if (!index.ok()) return index.status();
+  return QueryEngine(std::make_shared<const WcIndex>(std::move(index).value()),
+                     options);
+}
+
+/// True (after printing why) when the engine refused a request.
+bool Refused(ServeOutcome outcome) {
+  if (outcome == ServeOutcome::kOk) return false;
+  std::fprintf(stderr, "error: %s\n",
+               outcome == ServeOutcome::kNotSupported ? "not supported"
+                                                      : "shard unavailable");
+  return true;
+}
+
+int CmdQuery(const Flags& flags) {
+  std::string connect = flags.GetString("connect", "");
+  if (!connect.empty()) return CmdRemoteQuery(flags, connect);
   QueryEngineOptions options;
   options.num_threads = 1;
   if (!ParseCacheBytes(flags, &options.cache_bytes)) return 1;
-  // --path over a shard set steps greedily through the graph, so the graph
-  // is required (shard mappings carry labels only, never parent quads).
+  // Path reconstruction walks the edges, so --path needs the graph.
   if (flags.GetBool("path", false)) {
     auto graph = LoadGraph(flags);
     if (!graph.ok()) {
@@ -502,40 +518,32 @@ int CmdManifestQuery(const Flags& flags, const std::string& manifest) {
     options.graph =
         std::make_shared<const QualityGraph>(std::move(graph).value());
   }
-  auto engine = ShardedQueryEngine::OpenManifest(manifest, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
+  auto opened = OpenQueryEngine(flags, options);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
     return 1;
   }
+  const QueryEngine& engine = opened.value();
+  const std::string via = flags.GetString("manifest", "");
+  const size_t n = engine.NumVertices();
   Vertex s = static_cast<Vertex>(flags.GetInt("s", 0));
   Vertex t = static_cast<Vertex>(flags.GetInt("t", 0));
   Quality w = static_cast<Quality>(flags.GetDouble("w", 1.0));
-  if (s >= engine.value().NumVertices() ||
-      t >= engine.value().NumVertices()) {
-    std::fprintf(stderr, "error: vertex out of range (n=%zu)\n",
-                 engine.value().NumVertices());
+  if (s >= n || t >= n) {
+    std::fprintf(stderr, "error: vertex out of range (n=%zu)\n", n);
     return 1;
   }
   int64_t topk = flags.GetInt("topk", 0);
   if (topk > 0) {
     std::vector<Vertex> candidates;
-    if (!ResolveCandidates(flags, s, engine.value().NumVertices(),
-                           &candidates)) {
-      return 1;
-    }
+    if (!ResolveCandidates(flags, s, n, &candidates)) return 1;
     std::vector<RankedCandidate> ranked;
     Timer timer;
-    ServeOutcome outcome = engine.value().TopKEx(
-        s, candidates, w, static_cast<size_t>(topk), &ranked);
-    if (outcome != ServeOutcome::kOk) {
-      std::fprintf(stderr, "error: %s\n",
-                   outcome == ServeOutcome::kNotSupported
-                       ? "not supported by this shard set"
-                       : "shard unavailable");
+    if (Refused(engine.TopKEx(s, candidates, w, static_cast<size_t>(topk),
+                              &ranked))) {
       return 1;
     }
-    PrintTopK(s, w, static_cast<size_t>(topk), ranked, timer.Micros(),
-              manifest);
+    PrintTopK(s, w, static_cast<size_t>(topk), ranked, timer.Micros(), via);
     return 0;
   }
   if (flags.GetBool("profile", false)) {
@@ -543,108 +551,28 @@ int CmdManifestQuery(const Flags& flags, const std::string& manifest) {
     if (!ResolveThresholds(flags, &thresholds)) return 1;
     std::vector<ProfilePoint> profile;
     Timer timer;
-    ServeOutcome outcome = engine.value().ProfileEx(s, t, thresholds,
-                                                    &profile);
-    if (outcome != ServeOutcome::kOk) {
-      std::fprintf(stderr, "error: shard unavailable\n");
-      return 1;
-    }
-    PrintProfile(s, t, profile, timer.Micros(), manifest);
+    if (Refused(engine.ProfileEx(s, t, thresholds, &profile))) return 1;
+    PrintProfile(s, t, profile, timer.Micros(), via);
     return 0;
   }
   if (flags.GetBool("path", false)) {
     std::vector<Vertex> path;
     Timer timer;
-    ServeOutcome outcome = engine.value().PathEx(s, t, w, &path);
-    if (outcome != ServeOutcome::kOk) {
-      std::fprintf(stderr, "error: %s\n",
-                   outcome == ServeOutcome::kNotSupported
-                       ? "path needs --graph"
-                       : "shard unavailable");
-      return 1;
-    }
-    PrintPath(s, t, w, path, timer.Micros(), manifest);
+    if (Refused(engine.PathEx(s, t, w, &path))) return 1;
+    PrintPath(s, t, w, path, timer.Micros(), via);
     return 0;
   }
+  Distance d = kInfDistance;
   Timer timer;
-  Distance d = engine.value().Query(s, t, w);
+  if (Refused(engine.QueryEx(s, t, w, &d))) return 1;
   double micros = timer.Micros();
+  const size_t shards = engine.num_shards();
   if (d == kInfDistance) {
-    std::printf("dist(%u, %u | w >= %g) = INF   (%.1f us, %zu shards)\n", s,
-                t, w, micros, engine.value().num_shards());
+    std::printf("dist(%u, %u | w >= %g) = INF   (%.1f us, %zu shard%s)\n", s,
+                t, w, micros, shards, shards == 1 ? "" : "s");
   } else {
-    std::printf("dist(%u, %u | w >= %g) = %u   (%.1f us, %zu shards)\n", s,
-                t, w, d, micros, engine.value().num_shards());
-  }
-  return 0;
-}
-
-int CmdQuery(const Flags& flags) {
-  std::string connect = flags.GetString("connect", "");
-  if (!connect.empty()) return CmdRemoteQuery(flags, connect);
-  std::string manifest = flags.GetString("manifest", "");
-  if (!manifest.empty()) return CmdManifestQuery(flags, manifest);
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  WcIndex& index = loaded.value();
-  if (flags.GetBool("flat", false)) index.Finalize();
-  Vertex s = static_cast<Vertex>(flags.GetInt("s", 0));
-  Vertex t = static_cast<Vertex>(flags.GetInt("t", 0));
-  Quality w = static_cast<Quality>(flags.GetDouble("w", 1.0));
-  if (s >= index.NumVertices() || t >= index.NumVertices()) {
-    std::fprintf(stderr, "error: vertex out of range (n=%zu)\n",
-                 index.NumVertices());
-    return 1;
-  }
-  int64_t topk = flags.GetInt("topk", 0);
-  if (topk > 0) {
-    std::vector<Vertex> candidates;
-    if (!ResolveCandidates(flags, s, index.NumVertices(), &candidates)) {
-      return 1;
-    }
-    Timer timer;
-    std::vector<RankedCandidate> ranked =
-        TopKClosest(index, s, candidates, w, static_cast<size_t>(topk));
-    PrintTopK(s, w, static_cast<size_t>(topk), ranked, timer.Micros(), "");
-    return 0;
-  }
-  if (flags.GetBool("profile", false)) {
-    std::vector<Quality> thresholds;
-    if (!ResolveThresholds(flags, &thresholds)) return 1;
-    size_t merges = 0;
-    Timer timer;
-    std::vector<ProfilePoint> profile =
-        QualityProfile(index, s, t, thresholds, &merges);
-    PrintProfile(s, t, profile, timer.Micros(), "");
-    std::printf("  (%zu label merge%s for %zu thresholds)\n", merges,
-                merges == 1 ? "" : "s", thresholds.size());
-    return 0;
-  }
-  Timer timer;
-  Distance d = index.Query(s, t, w);
-  double micros = timer.Micros();
-  if (d == kInfDistance) {
-    std::printf("dist(%u, %u | w >= %g) = INF   (%.1f us)\n", s, t, w,
-                micros);
-    return 0;
-  }
-  std::printf("dist(%u, %u | w >= %g) = %u   (%.1f us)\n", s, t, w, d,
-              micros);
-  if (flags.GetBool("path", false)) {
-    auto graph = LoadGraph(flags);
-    if (!graph.ok()) {
-      std::fprintf(stderr, "error (need --graph for --path): %s\n",
-                   graph.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("path:");
-    for (Vertex v : QueryConstrainedPath(index, graph.value(), s, t, w)) {
-      std::printf(" %u", v);
-    }
-    std::printf("\n");
+    std::printf("dist(%u, %u | w >= %g) = %u   (%.1f us, %zu shard%s)\n", s,
+                t, w, d, micros, shards, shards == 1 ? "" : "s");
   }
   return 0;
 }
@@ -1181,62 +1109,18 @@ int RunWireServer(std::shared_ptr<const QueryService> service,
   return 0;
 }
 
-/// One opened serving generation: the service plus what the serve loop
-/// needs to describe and (under --watch) invalidate-and-swap it.
-struct OpenedService {
-  std::shared_ptr<const QueryService> service;
-  size_t n = 0;
-  size_t served_threads = 1;
-  size_t mapped_files = 0;
-  size_t quarantined = 0;
-  /// True when the opened engine serves the compressed label backend.
-  bool compressed = false;
-  /// Index content fingerprint when caching, 0 otherwise.
-  uint64_t cache_fingerprint = 0;
-  /// Set for single-snapshot engines only: the reachability-coupled cache
-  /// invalidation probes the OLD generation's index through this.
-  std::shared_ptr<const QueryEngine> engine;
-};
-
 /// Opens the serving engine for `serve` (and re-opens it on --watch
-/// reloads): one full snapshot through QueryEngine, anything else through
-/// the sharded engine.
-Result<OpenedService> OpenServeService(const std::vector<std::string>& paths,
-                                       const std::string& manifest,
-                                       bool single_full,
-                                       const QueryEngineOptions& options,
-                                       const SnapshotLoadOptions& load,
-                                       const DegradedOpenOptions& degraded) {
-  OpenedService opened;
-  opened.mapped_files = paths.size();
-  if (single_full) {
-    auto engine = QueryEngine::Open(paths[0], options, load);
-    if (!engine.ok()) return engine.status();
-    auto shared =
-        std::make_shared<const QueryEngine>(std::move(engine).value());
-    opened.n = shared->index().NumVertices();
-    opened.served_threads = shared->num_threads();
-    opened.compressed = shared->index().compressed();
-    opened.cache_fingerprint = shared->cache_fingerprint();
-    opened.engine = shared;
-    opened.service = MakeQueryService(std::move(shared));
-  } else {
-    auto engine = manifest.empty()
-                      ? ShardedQueryEngine::OpenMmap(paths, options, load)
-                      : ShardedQueryEngine::OpenManifest(manifest, options,
-                                                         load, degraded);
-    if (!engine.ok()) return engine.status();
-    auto shared = std::make_shared<const ShardedQueryEngine>(
-        std::move(engine).value());
-    opened.n = shared->NumVertices();
-    opened.served_threads = shared->num_threads();
-    opened.mapped_files = shared->num_shards();
-    opened.quarantined = shared->num_quarantined();
-    opened.compressed = shared->compressed();
-    opened.cache_fingerprint = shared->cache_fingerprint();
-    opened.service = MakeQueryService(std::move(shared));
-  }
-  return opened;
+/// reloads): the snapshot file(s) as a tiling, or a manifest's shard set.
+Result<std::shared_ptr<const QueryEngine>> OpenServeEngine(
+    const std::vector<std::string>& paths, const std::string& manifest,
+    const QueryEngineOptions& options, const SnapshotLoadOptions& load,
+    const DegradedOpenOptions& degraded) {
+  auto engine = manifest.empty()
+                    ? QueryEngine::OpenMmap(paths, options, load)
+                    : QueryEngine::OpenManifest(manifest, options, load,
+                                                degraded);
+  if (!engine.ok()) return engine.status();
+  return std::make_shared<const QueryEngine>(std::move(engine).value());
 }
 
 int CmdServe(const Flags& flags) {
@@ -1328,21 +1212,6 @@ int CmdServe(const Flags& flags) {
     return 1;
   }
 
-  // One full snapshot serves through QueryEngine; anything else (shard
-  // files, label-only snapshots, manifests) goes through the sharded
-  // engine. All are served through the QueryService surface the network
-  // front end uses.
-  bool single_full = false;
-  if (manifest.empty()) {
-    auto info = ReadSnapshotInfo(paths[0]);
-    if (!info.ok()) {
-      std::fprintf(stderr, "error: %s\n", info.status().ToString().c_str());
-      return 1;
-    }
-    single_full = paths.size() == 1 && info.value().IsFullRange() &&
-                  info.value().has_order;
-  }
-
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = flags.GetBool("quarantine", false);
   // Kept alive for the whole serve: the engine holds a raw pointer to it.
@@ -1382,37 +1251,38 @@ int CmdServe(const Flags& flags) {
   }
 
   Timer load_timer;
-  auto opened =
-      OpenServeService(paths, manifest, single_full, options, load, degraded);
+  auto opened = OpenServeEngine(paths, manifest, options, load, degraded);
   if (!opened.ok()) {
     std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
     return 1;
   }
-  OpenedService current = std::move(opened).value();
+  std::shared_ptr<const QueryEngine> current = std::move(opened).value();
   double load_seconds = load_timer.Seconds();
-  if (current.n == 0) {
+  const size_t n = current->NumVertices();
+  if (n == 0) {
     std::fprintf(stderr, "error: empty snapshot\n");
     return 1;
   }
+  const size_t mapped_files = current->num_shards();
   std::printf("mapped %zu snapshot%s (%zu vertices) in %.3f ms\n",
-              current.mapped_files, current.mapped_files == 1 ? "" : "s",
-              current.n, load_seconds * 1e3);
-  if (cold_tier && !current.compressed) {
+              mapped_files, mapped_files == 1 ? "" : "s", n,
+              load_seconds * 1e3);
+  if (cold_tier && !current->compressed()) {
     std::fprintf(stderr,
                  "error: --cold-tier wants a compressed snapshot (write one "
                  "with `snapshot --compress`)\n");
     return 1;
   }
-  if (current.compressed) {
+  if (current->compressed()) {
     std::printf("compressed labels%s, decode cache %lld MiB\n",
                 cold_tier ? " (cold tier: blob stays on disk)" : "",
                 static_cast<long long>(decode_mb));
   }
-  if (current.quarantined > 0) {
+  if (current->degraded()) {
     std::printf(
         "DEGRADED: %zu of %zu shards quarantined — queries touching their "
         "ranges are %s\n",
-        current.quarantined, current.mapped_files,
+        current->num_quarantined(), mapped_files,
         degraded.fallback_graph != nullptr
             ? "answered online via the fallback graph"
             : "refused with kShardUnavailable");
@@ -1420,13 +1290,12 @@ int CmdServe(const Flags& flags) {
 
   if (flags.Has("listen")) {
     if (!watch) {
-      return RunWireServer(std::move(current.service), flags, current.n,
-                           current.served_threads);
+      const size_t threads = current->num_threads();
+      return RunWireServer(std::move(current), flags, n, threads);
     }
     // No explicit Rebind here: the engine already bound the shared cache
     // to its fingerprint at open (the unconditional-Rebind contract).
-    auto swappable =
-        std::make_shared<SwappableQueryService>(current.service);
+    auto swappable = std::make_shared<SwappableQueryService>(current);
     const std::string watch_path = manifest.empty() ? paths[0] : manifest;
     const std::string delta_path = flags.GetString("delta", "");
     int64_t last_mtime = FileMtimeNs(watch_path);
@@ -1447,22 +1316,22 @@ int CmdServe(const Flags& flags) {
           // Scoped invalidation needs a delta log authored against exactly
           // the outgoing snapshot.
           if (delta_path.empty() ||
-              next_fingerprint == current.cache_fingerprint) {
+              next_fingerprint == current->cache_fingerprint()) {
             return;
           }
           auto log = ReadDeltaLog(delta_path);
           if (!log.ok() || log.value().base_fingerprint == 0 ||
-              log.value().base_fingerprint != current.cache_fingerprint) {
+              log.value().base_fingerprint != current->cache_fingerprint()) {
             return;
           }
           std::vector<DeltaImpact> impacts = DeltaImpacts(log.value());
           ResultCache::CoupledFn coupled;
-          if (current.engine != nullptr) {
+          if (current->has_index()) {
             // Pair (s, t) can only be affected if it reaches the changed
             // edge from both sides in the OLD index at the lowest
             // affected constraint (probed uncached: this runs under the
             // cache's shard mutexes).
-            auto old_engine = current.engine;
+            auto old_engine = current;
             coupled = [old_engine](Vertex s, Vertex t,
                                    const DeltaImpact& impact,
                                    Quality w_test) {
@@ -1480,8 +1349,8 @@ int CmdServe(const Flags& flags) {
                       dropped, dropped == 1 ? "" : "s");
         };
       }
-      auto reopened = OpenServeService(paths, manifest, single_full,
-                                       next_options, load, degraded);
+      auto reopened =
+          OpenServeEngine(paths, manifest, next_options, load, degraded);
       if (!reopened.ok()) {
         // Keep serving the old generation; the operator sees why.
         std::fprintf(stderr, "reload failed (still serving generation %llu): %s\n",
@@ -1489,11 +1358,10 @@ int CmdServe(const Flags& flags) {
                      reopened.status().ToString().c_str());
         return;
       }
-      OpenedService next = std::move(reopened).value();
-      uint64_t generation = swappable->Swap(next.service);
-      current = std::move(next);
+      current = std::move(reopened).value();
+      uint64_t generation = swappable->Swap(current);
       std::printf("reloaded %s: %zu vertices, now serving generation %llu\n",
-                  watch_path.c_str(), current.n,
+                  watch_path.c_str(), current->NumVertices(),
                   static_cast<unsigned long long>(generation));
       std::fflush(stdout);
     };
@@ -1511,7 +1379,7 @@ int CmdServe(const Flags& flags) {
       if (want) reload();
     };
     std::signal(SIGHUP, HandleReloadSignal);
-    return RunWireServer(swappable, flags, current.n, current.served_threads,
+    return RunWireServer(swappable, flags, n, current->num_threads(),
                          on_tick);
   }
 
@@ -1521,13 +1389,13 @@ int CmdServe(const Flags& flags) {
   std::vector<BatchQueryInput> workload;
   workload.reserve(queries);
   for (size_t i = 0; i < queries; ++i) {
-    workload.push_back({static_cast<Vertex>(rng.NextBounded(current.n)),
-                        static_cast<Vertex>(rng.NextBounded(current.n)),
+    workload.push_back({static_cast<Vertex>(rng.NextBounded(n)),
+                        static_cast<Vertex>(rng.NextBounded(n)),
                         static_cast<Quality>(rng.NextInRange(1, levels))});
   }
   Timer batch_timer;
   size_t reachable = 0;
-  std::vector<Distance> answers = current.service->Batch(workload);
+  std::vector<Distance> answers = current->Batch(workload);
   double serve_seconds = batch_timer.Seconds();
   for (Distance d : answers) {
     if (d != kInfDistance) ++reachable;
@@ -1540,14 +1408,14 @@ int CmdServe(const Flags& flags) {
   std::printf(
       "served %zu queries on %zu thread%s in %.3f s (%.0f q/s), "
       "%zu reachable, answers crc32c=%08x\n",
-      workload.size(), current.served_threads,
-      current.served_threads == 1 ? "" : "s",
+      workload.size(), current->num_threads(),
+      current->num_threads() == 1 ? "" : "s",
       serve_seconds,
       serve_seconds > 0 ? static_cast<double>(workload.size()) / serve_seconds
                         : 0.0,
       reachable, answers_crc);
   if (options.cache_bytes > 0) {
-    QueryEngineStats stats = current.service->Stats();
+    QueryEngineStats stats = current->Stats();
     uint64_t lookups = stats.cache_hits + stats.cache_misses;
     std::printf(
         "cache: %llu hits / %llu lookups (%.1f%%), %llu inserts, "
@@ -1560,8 +1428,8 @@ int CmdServe(const Flags& flags) {
         static_cast<unsigned long long>(stats.cache_inserts),
         static_cast<unsigned long long>(stats.cache_evictions));
   }
-  if (options.decode_cache_bytes > 0 && current.compressed) {
-    QueryEngineStats stats = current.service->Stats();
+  if (options.decode_cache_bytes > 0 && current->compressed()) {
+    QueryEngineStats stats = current->Stats();
     uint64_t decodes = stats.decode_hits + stats.decode_misses;
     std::printf(
         "decode cache: %llu hits / %llu lookups (%.1f%%), %llu cold "
