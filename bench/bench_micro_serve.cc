@@ -3,8 +3,9 @@
 // to show mmap load time is independent of label count — plus QueryEngine
 // batch throughput at 1/2/4/8 threads, the sharded engine over even and
 // label-mass-planned shard sets (with the planned-vs-even byte skew as
-// counters), per-shard query throughput over the planned set, and the
-// compressed-backend latency-penalty sweep across decode-cache budgets.
+// counters), per-shard query throughput over the planned set, the
+// compressed-backend latency penalty on distance batches, and the
+// decode-cache budget sweep over compressed top-k.
 // Emits BENCH_micro_serve.json for cross-PR tracking.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -339,35 +341,13 @@ BENCHMARK(BM_ShardLocalThroughput)
 
 // ------------------------------------------- compressed-backend benchmarks
 
-// The latency penalty of serving delta/varint-compressed labels, swept
-// across decode-cache budgets. compressed:0 is the flat-backend baseline;
-// compressed:1 cache_mb:0 decodes every touched hub group per query (the
-// worst case); growing budgets keep hot groups decoded and claw the
-// penalty back. The engine is opened fresh per run so the
-// compression_ratio / decode_cache_hit_rate / cold_pageins counters in
+// Records the compressed-backend counters of an engine opened fresh for
+// one run, so compression_ratio / decode_cache_hit_rate / cold_pageins in
 // BENCH_micro_serve.json describe exactly the timed workload (the tier-1
 // bench-smoke asserts their presence and sanity).
-void BM_CompressedServeThroughput(benchmark::State& state) {
-  const ServeFixture& f = FixtureForSize(1);
-  const bool compressed = state.range(0) != 0;
-  const int cache_mb = static_cast<int>(state.range(1));
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.decode_cache_bytes = static_cast<size_t>(cache_mb) << 20;
-  auto opened =
-      QueryEngine::Open(compressed ? f.csnap_path : f.snap_path, options);
-  if (!opened.ok()) {
-    state.SkipWithError("engine open failed");
-    return;
-  }
-  QueryEngine engine = std::move(opened).value();
-  const auto& workload = ServeWorkload();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Batch(workload));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(workload.size()));
-  QueryEngineStats stats = engine.Stats();
+void RecordCompressedCounters(const QueryEngine& engine,
+                              benchmark::State& state) {
+  const QueryEngineStats stats = engine.Stats();
   state.counters["compression_ratio"] =
       stats.label_bytes > 0
           ? static_cast<double>(stats.uncompressed_label_bytes) /
@@ -381,13 +361,77 @@ void BM_CompressedServeThroughput(benchmark::State& state) {
           : 0.0;
   state.counters["cold_pageins"] = static_cast<double>(stats.cold_pageins);
 }
+
+// The latency penalty of serving delta/varint-compressed labels to
+// distance batches. compressed:0 is the flat-backend baseline;
+// compressed:1 streams both varint labels of every query (the engine
+// never consults a decode cache for distance queries, so there is no
+// budget to sweep; cache_mb stays in the name for cross-PR tracking).
+void BM_CompressedServeThroughput(benchmark::State& state) {
+  const ServeFixture& f = FixtureForSize(1);
+  const bool compressed = state.range(0) != 0;
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  auto opened =
+      QueryEngine::Open(compressed ? f.csnap_path : f.snap_path, options);
+  if (!opened.ok()) {
+    state.SkipWithError("engine open failed");
+    return;
+  }
+  QueryEngine engine = std::move(opened).value();
+  const auto& workload = ServeWorkload();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Batch(workload));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(workload.size()));
+  RecordCompressedCounters(engine, state);
+}
 BENCHMARK(BM_CompressedServeThroughput)
-    // {compressed, decode cache MiB}: flat baseline, then the compressed
-    // penalty sweep from uncached decode to a budget that holds the whole
-    // working set.
-    ->Args({0, 0})
-    ->Args({1, 0})->Args({1, 1})->Args({1, 8})->Args({1, 64})
+    ->Args({0, 0})->Args({1, 0})
     ->ArgNames({"compressed", "cache_mb"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The decode-cache sweep, on the request family that still decodes:
+// top-k over the compressed snapshot. The 8192 distance-workload pairs
+// become 64 requests of 128 candidates, so each iteration reads 8192
+// candidate labels; cache_mb:0 decodes every one of them, growing budgets
+// keep the hot ones decoded.
+void BM_CompressedTopKDecodeCache(benchmark::State& state) {
+  const ServeFixture& f = FixtureForSize(1);
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.decode_cache_bytes = static_cast<size_t>(state.range(0)) << 20;
+  auto opened = QueryEngine::Open(f.csnap_path, options);
+  if (!opened.ok()) {
+    state.SkipWithError("engine open failed");
+    return;
+  }
+  QueryEngine engine = std::move(opened).value();
+  constexpr size_t kCandidates = 128;
+  const auto& workload = ServeWorkload();
+  std::vector<Vertex> targets;
+  for (const BatchQueryInput& q : workload) targets.push_back(q.t);
+  std::vector<RankedCandidate> ranked;
+  for (auto _ : state) {
+    for (size_t begin = 0; begin + kCandidates <= workload.size();
+         begin += kCandidates) {
+      const BatchQueryInput& first = workload[begin];
+      engine.TopKEx(first.s,
+                    std::span<const Vertex>(targets).subspan(begin,
+                                                             kCandidates),
+                    first.w, 8, &ranked);
+      benchmark::DoNotOptimize(ranked.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(workload.size()));
+  RecordCompressedCounters(engine, state);
+}
+BENCHMARK(BM_CompressedTopKDecodeCache)
+    ->Arg(0)->Arg(1)->Arg(8)->Arg(64)
+    ->ArgNames({"cache_mb"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 
 #include "util/checksum.h"
+#include "util/endian.h"
 
 namespace wcsd {
 
@@ -36,13 +38,55 @@ bool GetVarint(const uint8_t** p, const uint8_t* end, uint64_t* out) {
   return false;
 }
 
+/// Two varints read by GetVarintPairSlow; `next` is null on truncation
+/// or overflow.
+struct VarintPair {
+  const uint8_t* next = nullptr;
+  uint64_t a = 0;
+  uint64_t b = 0;
+};
+
+/// GetVarintPair's per-byte path, kept out of line so the two-byte fast
+/// path stays small enough to inline into the kernels' loops. It takes and
+/// returns values, so no caller's cursor has its address taken.
+[[gnu::noinline]] VarintPair GetVarintPairSlow(const uint8_t* p,
+                                               const uint8_t* end) {
+  VarintPair pair;
+  if (GetVarint(&p, end, &pair.a) && GetVarint(&p, end, &pair.b)) {
+    pair.next = p;
+  }
+  return pair;
+}
+
+/// Reads two consecutive varints — a group header (hub delta, entry count)
+/// or an entry (distance delta, quality code). Nearly every such pair is
+/// two single bytes, which are read directly when both lie inside the
+/// slice; anything else takes the bounds-checked per-byte path, so the
+/// values and where *p stops on success are exactly GetVarint's. False
+/// (with *p unchanged) on truncation or overflow.
+inline bool GetVarintPair(const uint8_t** p, const uint8_t* end, uint64_t* a,
+                          uint64_t* b) {
+  const uint8_t* q = *p;
+  if (end - q >= 2 && ((q[0] | q[1]) & 0x80) == 0) {
+    *a = q[0];
+    *b = q[1];
+    *p = q + 2;
+    return true;
+  }
+  const VarintPair pair = GetVarintPairSlow(q, end);
+  if (pair.next == nullptr) return false;
+  *a = pair.a;
+  *b = pair.b;
+  *p = pair.next;
+  return true;
+}
+
 /// Skips the 2 varints/entry payload of a group whose header was already
 /// consumed. False on truncation.
 bool SkipGroupEntries(const uint8_t** p, const uint8_t* end, uint64_t count) {
   uint64_t scratch;
   for (uint64_t i = 0; i < count; ++i) {
-    if (!GetVarint(p, end, &scratch)) return false;
-    if (!GetVarint(p, end, &scratch)) return false;
+    if (!GetVarintPair(p, end, &scratch, &scratch)) return false;
   }
   return true;
 }
@@ -166,7 +210,7 @@ Status CompressedFlatLabelSet::DecodeVertex(Vertex v, DecodedLabel* out) const {
   uint64_t hub = 0;
   for (uint64_t g = 0; g < group_count; ++g) {
     uint64_t delta = 0, count = 0;
-    if (!GetVarint(&p, end, &delta) || !GetVarint(&p, end, &count)) {
+    if (!GetVarintPair(&p, end, &delta, &count)) {
       out->Clear();
       return CorruptVertex(v, "truncated group header");
     }
@@ -185,7 +229,7 @@ Status CompressedFlatLabelSet::DecodeVertex(Vertex v, DecodedLabel* out) const {
     uint64_t dist = 0;
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t dist_delta = 0, qcode = 0;
-      if (!GetVarint(&p, end, &dist_delta) || !GetVarint(&p, end, &qcode)) {
+      if (!GetVarintPair(&p, end, &dist_delta, &qcode)) {
         out->Clear();
         return CorruptVertex(v, "truncated entry");
       }
@@ -354,7 +398,7 @@ struct GroupCursor {
     if (groups_left == 0) return false;
     --groups_left;
     uint64_t delta = 0;
-    if (!GetVarint(&p, end, &delta) || !GetVarint(&p, end, &count)) {
+    if (!GetVarintPair(&p, end, &delta, &count)) {
       groups_left = 0;
       return false;
     }
@@ -362,7 +406,40 @@ struct GroupCursor {
     return true;
   }
 
+  /// True when the current group is short: it holds at most three
+  /// entries, a next group follows, 8 bytes from p lie inside the slice,
+  /// and none of the 2 * count + 2 bytes holding the entries and the next
+  /// header has a continuation bit. Then every one of those varints is one
+  /// byte, readable from `*word` (the 8 bytes, loaded on little-endian
+  /// hosts, where its low byte is the first).
+  bool LoadShortGroup(uint64_t* word) const {
+    if constexpr (kLittleEndianHost) {
+      if (count <= 3 && groups_left > 0 && end - p >= 8) {
+        std::memcpy(word, p, sizeof(*word));
+        const uint64_t used =
+            count == 3 ? ~uint64_t{0} : (uint64_t{1} << (16 * count + 16)) - 1;
+        return (*word & used & 0x8080808080808080ULL) == 0;
+      }
+    }
+    return false;
+  }
+
+  /// Moves past a short group, reading the next header from its word:
+  /// the state NextHeader(false) reaches after the entries.
+  void AdvancePastShortGroup(uint64_t word) {
+    const uint64_t header = word >> (16 * count);
+    --groups_left;
+    hub += header & 0xFF;
+    p += 2 * count + 2;
+    count = (header >> 8) & 0xFF;
+  }
+
   bool SkipEntriesAndAdvance() {
+    uint64_t word = 0;
+    if (LoadShortGroup(&word)) {
+      AdvancePastShortGroup(word);
+      return true;
+    }
     if (!SkipGroupEntries(&p, end, count)) {
       groups_left = 0;
       return false;
@@ -370,27 +447,51 @@ struct GroupCursor {
     return NextHeader(false);
   }
 
-  /// Consumes the current group's entries, returning the distance of the
-  /// first entry with quality >= w (kInfDistance if none) — the Theorem 3
-  /// choice, exactly what FirstWithQuality picks on the decoded group.
-  Distance FirstDistWithQuality(std::span<const Quality> dict, Quality w) {
-    Distance found = kInfDistance;
+  /// Consumes the current group's entries and parses the next header.
+  /// `*found` is the distance of the first entry with quality >= w
+  /// (kInfDistance if none) — the Theorem 3 choice, exactly what
+  /// FirstWithQuality picks on the decoded group. A malformed entry
+  /// (truncated, or a quality code past the dictionary) exhausts the
+  /// cursor, `*found` covering the entries before it.
+  bool ScanEntriesAndAdvance(std::span<const Quality> dict, Quality w,
+                             Distance* found) {
+    *found = kInfDistance;
     uint64_t dist = 0;
+    uint64_t word = 0;
+    if (LoadShortGroup(&word)) {
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t qcode = (word >> (16 * i + 8)) & 0xFF;
+        if (qcode > dict.size()) {
+          groups_left = 0;
+          return false;
+        }
+        TakeEntry(i, (word >> (16 * i)) & 0xFF, qcode, dict, w, &dist, found);
+      }
+      AdvancePastShortGroup(word);
+      return true;
+    }
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t dist_delta = 0, qcode = 0;
-      if (!GetVarint(&p, end, &dist_delta) || !GetVarint(&p, end, &qcode) ||
+      if (!GetVarintPair(&p, end, &dist_delta, &qcode) ||
           qcode > dict.size()) {
         groups_left = 0;
-        count = i;  // entries consumed so far
-        return found;
+        return false;
       }
-      dist = i == 0 ? dist_delta : dist + dist_delta;
-      if (found == kInfDistance) {
-        const Quality quality = qcode == 0 ? kInfQuality : dict[qcode - 1];
-        if (quality >= w) found = static_cast<Distance>(dist);
-      }
+      TakeEntry(i, dist_delta, qcode, dict, w, &dist, found);
     }
-    return found;
+    return NextHeader(false);
+  }
+
+  /// Entry i of a group (qcode already range-checked): extends the running
+  /// distance and keeps the first one whose quality meets w.
+  static void TakeEntry(uint64_t i, uint64_t dist_delta, uint64_t qcode,
+                        std::span<const Quality> dict, Quality w,
+                        uint64_t* dist, Distance* found) {
+    *dist = i == 0 ? dist_delta : *dist + dist_delta;
+    if (*found == kInfDistance) {
+      const Quality quality = qcode == 0 ? kInfQuality : dict[qcode - 1];
+      if (quality >= w) *found = static_cast<Distance>(*dist);
+    }
   }
 };
 
@@ -415,14 +516,13 @@ Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
     } else if (ct.hub < cs.hub) {
       t_ok = ct.SkipEntriesAndAdvance();
     } else {
-      const Distance ds = cs.FirstDistWithQuality(s_dict, w);
-      const Distance dt = ct.FirstDistWithQuality(t_dict, w);
+      Distance ds = kInfDistance, dt = kInfDistance;
+      s_ok = cs.ScanEntriesAndAdvance(s_dict, w, &ds);
+      t_ok = ct.ScanEntriesAndAdvance(t_dict, w, &dt);
       if (ds != kInfDistance && dt != kInfDistance) {
         const Distance sum = ds + dt;
         if (sum < best) best = sum;
       }
-      s_ok = cs.NextHeader(false);
-      t_ok = ct.NextHeader(false);
     }
   }
   return best;

@@ -73,8 +73,10 @@ struct WireStats {
   /// True when the engine serves the compressed label backend (a v3
   /// compressed snapshot, or any compressed shard).
   bool compressed = false;
-  /// Decoded-label cache counters (zero without a decode cache);
-  /// cold_pageins counts decode misses that walked mmap-backed bytes.
+  /// Decoded-label cache counters (zero without a decode cache; distance
+  /// queries never consult it). cold_pageins counts label reads that
+  /// walked mmap-backed compressed bytes: each streamed side of a distance
+  /// query, each decode-cache miss, each decode without a cache.
   uint64_t decode_hits = 0;
   uint64_t decode_misses = 0;
   uint64_t cold_pageins = 0;

@@ -44,9 +44,10 @@
 //                      path_fallbacks (path unwind steps served through
 //                      the graph fallback), u64 compressed (1 when the
 //                      engine serves the compressed label backend), u64
-//                      decode_hits, decode_misses, cold_pageins
-//                      (decoded-label cache counters; zero without a
-//                      decode cache), u64 label_bytes,
+//                      decode_hits, decode_misses (decoded-label cache
+//                      counters; zero without a decode cache),
+//                      cold_pageins (label reads that walked mmap-backed
+//                      compressed bytes), u64 label_bytes,
 //                      uncompressed_label_bytes (served vs. flat label
 //                      mass; their ratio is the compression ratio), then
 //                      u32 shard_count, u32 reserved, then shard_count
@@ -264,7 +265,7 @@ struct StatsReplyPayload {
   uint64_t compressed;            // v7: 1 = compressed label backend
   uint64_t decode_hits;           // v7: decoded-label cache hits
   uint64_t decode_misses;         // v7: decoded-label cache misses
-  uint64_t cold_pageins;          // v7: decode misses over mmap'd bytes
+  uint64_t cold_pageins;          // v7: label reads of mmap'd varint bytes
   uint64_t label_bytes;           // v7: label mass actually served
   uint64_t uncompressed_label_bytes;  // v7: the same labels' flat mass
 };

@@ -59,11 +59,16 @@ struct QueryEngineStats {
   /// the flat backend.
   uint64_t compressed = 0;
   /// Decoded-label cache counters (serve/decode_cache.h); zero when no
-  /// decode cache is configured. cold_pageins counts cache misses whose
-  /// decode walked mmap-backed label bytes — the reads that can fault
-  /// cold-tier pages in from disk.
+  /// decode cache is configured. Distance queries over two compressed
+  /// labels stream them and never consult the cache.
   uint64_t decode_hits = 0;
   uint64_t decode_misses = 0;
+  /// Label reads that walked mmap-backed compressed bytes — the reads that
+  /// can fault cold-tier pages in from disk: one per streamed side of a
+  /// distance query, per decode-cache miss, and per decode on an engine
+  /// without a decode cache. Decode-cache hits read no label bytes; the
+  /// §V path walker over a whole index reads through the index and is not
+  /// counted.
   uint64_t cold_pageins = 0;
   /// Bytes of the label backend actually resident/served (compressed
   /// bytes on the compressed backend) vs. what the same labels cost flat.
@@ -116,6 +121,7 @@ inline void RunChunked(
 struct alignas(64) ServeWorkerSlot {
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> reachable{0};
+  std::atomic<uint64_t> cold_pageins{0};
 };
 
 /// The stats state an engine heap-holds (atomics are unmovable; the engine
@@ -144,6 +150,14 @@ struct ServeStatsBlock {
     slots[0].reachable.fetch_add(reachable_count, std::memory_order_relaxed);
   }
 
+  /// Records label reads of mmap-backed compressed bytes made outside a
+  /// batch (QueryEngineStats::cold_pageins).
+  void RecordColdPageins(uint64_t count) {
+    if (count != 0) {
+      slots[0].cold_pageins.fetch_add(count, std::memory_order_relaxed);
+    }
+  }
+
   /// Records path-unwind steps served through the graph fallback.
   void RecordPathFallbacks(uint64_t count) {
     if (count != 0) {
@@ -156,6 +170,8 @@ struct ServeStatsBlock {
     for (const ServeWorkerSlot& slot : slots) {
       total.queries += slot.queries.load(std::memory_order_relaxed);
       total.reachable += slot.reachable.load(std::memory_order_relaxed);
+      total.cold_pageins +=
+          slot.cold_pageins.load(std::memory_order_relaxed);
     }
     total.batches = batches.load(std::memory_order_relaxed);
     total.shard_unavailable =

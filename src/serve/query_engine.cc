@@ -334,21 +334,27 @@ const QueryEngine::LabelSource& QueryEngine::SourceOf(Vertex v) const {
 }
 
 FlatLabelView QueryEngine::ViewOf(const LabelSource& source, Vertex v,
-                                  DecodedLabel* scratch) const {
+                                  DecodedLabel* scratch,
+                                  uint64_t* cold_pageins) const {
   const Vertex local = static_cast<Vertex>(v - source.begin);
   if (source.kind == LabelSource::Kind::kFlat) return source.flat.View(local);
   if (decode_cache_ != nullptr) {
-    // Keyed by GLOBAL vertex id, so one cache serves every shard.
+    // Keyed by GLOBAL vertex id, so one cache serves every shard. The
+    // cache counts its own misses' page-ins.
     if (!decode_cache_->GetOrDecode(source.compressed, local, v, scratch)) {
       scratch->Clear();
     }
-  } else if (!source.compressed.DecodeVertex(local, scratch).ok()) {
-    scratch->Clear();
+  } else {
+    if (source.compressed.external()) ++*cold_pageins;
+    if (!source.compressed.DecodeVertex(local, scratch).ok()) {
+      scratch->Clear();
+    }
   }
   return scratch->View();
 }
 
-Distance QueryEngine::DirectQuery(Vertex s, Vertex t, Quality w) const {
+Distance QueryEngine::DirectQuery(Vertex s, Vertex t, Quality w,
+                                  uint64_t* cold_pageins) const {
   using Kind = LabelSource::Kind;
   const LabelSource& a = SourceOf(s);
   const LabelSource& b = SourceOf(t);
@@ -358,9 +364,12 @@ Distance QueryEngine::DirectQuery(Vertex s, Vertex t, Quality w) const {
                      options_.impl);
   }
   if (a.kind == Kind::kCompressed && b.kind == Kind::kCompressed &&
-      decode_cache_ == nullptr && options_.impl == QueryImpl::kMerge) {
-    // Stream both varint labels, each through its own shard's dictionary:
-    // cheaper than decoding them for the flat merge.
+      options_.impl == QueryImpl::kMerge) {
+    // Stream both varint labels, each through its own shard's dictionary,
+    // and never through the decode cache: one merge over the bytes costs
+    // less than a cache hit's copy-out, let alone a miss's full decode.
+    *cold_pageins += (a.compressed.external() ? 1 : 0) +
+                     (b.compressed.external() ? 1 : 0);
     return QueryCompressedMerge(a.compressed, static_cast<Vertex>(s - a.begin),
                                 b.compressed, static_cast<Vertex>(t - b.begin),
                                 w);
@@ -368,30 +377,35 @@ Distance QueryEngine::DirectQuery(Vertex s, Vertex t, Quality w) const {
   // Two scratch labels per thread: each endpoint's view must survive the
   // other's decode.
   thread_local DecodedLabel ls, lt;
-  return QueryFlat(ViewOf(a, s, &ls), ViewOf(b, t, &lt), w, options_.impl);
+  return QueryFlat(ViewOf(a, s, &ls, cold_pageins),
+                   ViewOf(b, t, &lt, cold_pageins), w, options_.impl);
 }
 
-IntervalQueryResult QueryEngine::DirectInterval(Vertex s, Vertex t,
-                                                Quality w) const {
+IntervalQueryResult QueryEngine::DirectInterval(Vertex s, Vertex t, Quality w,
+                                                uint64_t* cold_pageins) const {
   thread_local DecodedLabel ls, lt;
-  return QueryFlatMergeWithInterval(ViewOf(SourceOf(s), s, &ls),
-                                    ViewOf(SourceOf(t), t, &lt), w);
+  return QueryFlatMergeWithInterval(
+      ViewOf(SourceOf(s), s, &ls, cold_pageins),
+      ViewOf(SourceOf(t), t, &lt, cold_pageins), w);
 }
 
-Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w) const {
+Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w,
+                                   uint64_t* cold_pageins) const {
   // Degenerate queries never reach the cache (their answers are free to
   // recompute).
   if (s >= num_vertices_ || t >= num_vertices_) return kInfDistance;
   if (s == t) return 0;
   if (cache_) {
-    return cache_->GetOrCompute(s, t, w, cache_fingerprint_,
-                                [&] { return DirectInterval(s, t, w); });
+    return cache_->GetOrCompute(s, t, w, cache_fingerprint_, [&] {
+      return DirectInterval(s, t, w, cold_pageins);
+    });
   }
-  return DirectQuery(s, t, w);
+  return DirectQuery(s, t, w, cold_pageins);
 }
 
 ServeOutcome QueryEngine::QueryExNoStats(Vertex s, Vertex t, Quality w,
-                                         Distance* out) const {
+                                         Distance* out,
+                                         uint64_t* cold_pageins) const {
   // Healthy engines never branch into the degraded path: the 2-hop query
   // stays exactly the pre-quarantine code, bit for bit.
   if (num_quarantined_ > 0 && s < num_vertices_ && t < num_vertices_ &&
@@ -407,13 +421,15 @@ ServeOutcome QueryEngine::QueryExNoStats(Vertex s, Vertex t, Quality w,
     *out = ConstrainedDijkstraUnit(*fallback_graph_, s, t, w);
     return ServeOutcome::kOk;
   }
-  *out = QueryNoStats(s, t, w);
+  *out = QueryNoStats(s, t, w, cold_pageins);
   return ServeOutcome::kOk;
 }
 
 ServeOutcome QueryEngine::QueryEx(Vertex s, Vertex t, Quality w,
                                   Distance* out) const {
-  ServeOutcome outcome = QueryExNoStats(s, t, w, out);
+  uint64_t cold_pageins = 0;
+  ServeOutcome outcome = QueryExNoStats(s, t, w, out, &cold_pageins);
+  stats_->RecordColdPageins(cold_pageins);
   if (outcome == ServeOutcome::kOk) {
     stats_->RecordSingle(*out);
   } else {
@@ -440,9 +456,10 @@ std::vector<Distance> QueryEngine::RunBatch(
   RunChunked(pool_.get(), queries.size(), chunk,
              [&](size_t begin, size_t end, size_t worker) {
                uint64_t reachable = 0;
+               uint64_t cold_pageins = 0;
                for (size_t i = begin; i < end; ++i) {
                  const BatchQueryInput& q = queries[i];
-                 QueryExNoStats(q.s, q.t, q.w, &results[i]);
+                 QueryExNoStats(q.s, q.t, q.w, &results[i], &cold_pageins);
                  if (results[i] != kInfDistance) ++reachable;
                }
                ServeWorkerSlot& slot = stats_->slots[worker];
@@ -450,6 +467,10 @@ std::vector<Distance> QueryEngine::RunBatch(
                                       std::memory_order_relaxed);
                slot.reachable.fetch_add(reachable,
                                         std::memory_order_relaxed);
+               if (cold_pageins != 0) {
+                 slot.cold_pageins.fetch_add(cold_pageins,
+                                             std::memory_order_relaxed);
+               }
              });
   return results;
 }
@@ -506,11 +527,14 @@ ServeOutcome QueryEngine::TopKEx(Vertex source,
   // candidate's span alongside the source scan.
   thread_local DecodedLabel ring[2];
   thread_local unsigned next = 0;
+  uint64_t cold_pageins = 0;
   *out = TopKClosestOverLabels(
       num_vertices_, source, candidates, w, k, [&](Vertex v) {
-        return ViewOf(SourceOf(v), v, &ring[next++ & 1]).entries;
+        return ViewOf(SourceOf(v), v, &ring[next++ & 1], &cold_pageins)
+            .entries;
       });
   stats_->RecordMany(candidates.size(), out->size());
+  stats_->RecordColdPageins(cold_pageins);
   return ServeOutcome::kOk;
 }
 
@@ -523,19 +547,21 @@ ServeOutcome QueryEngine::ProfileEx(Vertex s, Vertex t,
     stats_->RecordUnavailable(thresholds.size());
     return ServeOutcome::kShardUnavailable;
   }
+  uint64_t cold_pageins = 0;
   *out = QualityProfileOverIntervals(
       thresholds, [&](Quality w) -> IntervalQueryResult {
         // Degenerate pairs answer with the everywhere-constant interval,
         // the same guards WcIndex::QueryWithInterval applies.
         if (!in_range) return IntervalQueryResult{};
         if (s == t) return IntervalQueryResult{0, -kInfQuality, kInfQuality};
-        return DirectInterval(s, t, w);
+        return DirectInterval(s, t, w, &cold_pageins);
       });
   uint64_t reachable = 0;
   for (const ProfilePoint& p : *out) {
     if (p.dist != kInfDistance) ++reachable;
   }
   stats_->RecordMany(thresholds.size(), reachable);
+  stats_->RecordColdPageins(cold_pageins);
   return ServeOutcome::kOk;
 }
 
@@ -547,7 +573,12 @@ ServeOutcome QueryEngine::PathEx(Vertex s, Vertex t, Quality w,
     stats_->RecordSingle(kInfDistance);
     return ServeOutcome::kOk;
   }
-  if (index_ == nullptr) return GreedyPath(s, t, w, out);
+  if (index_ == nullptr) {
+    uint64_t cold_pageins = 0;
+    const ServeOutcome outcome = GreedyPath(s, t, w, out, &cold_pageins);
+    stats_->RecordColdPageins(cold_pageins);
+    return outcome;
+  }
   PathQueryStats path_stats;
   *out = QueryConstrainedPath(*index_, *options_.graph, s, t, w, &path_stats);
   stats_->RecordSingle(out->empty() ? kInfDistance : 0);
@@ -556,7 +587,8 @@ ServeOutcome QueryEngine::PathEx(Vertex s, Vertex t, Quality w,
 }
 
 ServeOutcome QueryEngine::GreedyPath(Vertex s, Vertex t, Quality w,
-                                     std::vector<Vertex>* out) const {
+                                     std::vector<Vertex>* out,
+                                     uint64_t* cold_pageins) const {
   if (Unavailable(s) || Unavailable(t)) {
     stats_->RecordUnavailable(1);
     return ServeOutcome::kShardUnavailable;
@@ -566,7 +598,7 @@ ServeOutcome QueryEngine::GreedyPath(Vertex s, Vertex t, Quality w,
     stats_->RecordSingle(0);
     return ServeOutcome::kOk;
   }
-  const Distance total = QueryNoStats(s, t, w);
+  const Distance total = QueryNoStats(s, t, w, cold_pageins);
   stats_->RecordSingle(total);
   if (total == kInfDistance) return ServeOutcome::kOk;
   // At each vertex take any constraint-satisfying neighbor exactly one
@@ -586,7 +618,7 @@ ServeOutcome QueryEngine::GreedyPath(Vertex s, Vertex t, Quality w,
         skipped_quarantined = true;
         continue;
       }
-      if (QueryNoStats(a.to, t, w) == remaining - 1) {
+      if (QueryNoStats(a.to, t, w, cold_pageins) == remaining - 1) {
         next = a.to;
         break;
       }
@@ -625,7 +657,7 @@ QueryEngineStats QueryEngine::Stats() const {
     const DecodeCacheStats d = decode_cache_->stats();
     stats.decode_hits = d.hits;
     stats.decode_misses = d.misses;
-    stats.cold_pageins = d.cold_pageins;
+    stats.cold_pageins += d.cold_pageins;
   }
   stats.has_parents = index_ != nullptr && index_->has_parents() ? 1 : 0;
   stats.compressed = num_compressed_ > 0 ? 1 : 0;

@@ -8,8 +8,9 @@
 // each backed by one label source:
 //   * a flat mapping (an mmap'd snapshot or shard file, or the flat labels
 //     of an in-memory index);
-//   * a compressed mapping (v3 files), streamed by the varint merge kernel
-//     or decoded through the one optional decoded-label cache;
+//   * a compressed mapping (v3 files): distance queries stream it with the
+//     varint merge kernel; requests that need a decoded view decode it,
+//     through the one optional decoded-label cache;
 //   * a quarantined range (degraded manifest open: its labels never
 //     loaded).
 // An unsharded snapshot is a one-shard tiling. Engines over a whole WcIndex
@@ -97,11 +98,14 @@ struct QueryEngineOptions {
   /// the hook (or if it does not rebind), the Rebind wipes as usual.
   std::function<void(uint64_t fingerprint)> pre_bind_invalidate;
   /// Byte budget for the decoded-label cache (serve/decode_cache.h), used
-  /// only when some label source is compressed: hot vertices' decoded
-  /// labels stay resident so repeat queries skip the varint walk (and the
-  /// cold-tier page-in). 0 (the default) streams kMerge straight off the
-  /// varint bytes and decodes per query into thread-local scratch
-  /// otherwise.
+  /// only when some label source is compressed. It serves the requests
+  /// that need a decoded label view: top-k, profiles, result-cache
+  /// interval misses, paths, non-kMerge impls and mixed flat/compressed
+  /// pairs — hot vertices' decoded labels stay resident so repeats skip
+  /// the varint walk (and the cold-tier page-in). A kMerge distance query
+  /// over two compressed labels always streams the varint bytes
+  /// (QueryCompressedMerge) and never consults it. 0 (the default)
+  /// decodes per request into thread-local scratch.
   size_t decode_cache_bytes = 0;
   /// Graph backing constrained-path reconstruction (§V). Path endpoints
   /// need the graph even when the index carries parent quads: a mid-chain
@@ -373,27 +377,37 @@ class QueryEngine final : public QueryService {
   /// lives as long as the scratch. A failed decode (corrupt bytes below the
   /// deep-validation tiers) yields an empty view, which answers like an
   /// unreachable vertex.
+  ///
+  /// Every kernel below adds its reads of mmap-backed compressed bytes
+  /// that the decode cache does not count to `*cold_pageins`; the caller
+  /// records the sum in a stats slot (QueryEngineStats::cold_pageins).
   FlatLabelView ViewOf(const LabelSource& source, Vertex v,
-                       DecodedLabel* scratch) const;
+                       DecodedLabel* scratch, uint64_t* cold_pageins) const;
   /// True when v's labels live in a quarantined shard.
   bool Unavailable(Vertex v) const {
     return num_quarantined_ > 0 &&
            SourceOf(v).kind == LabelSource::Kind::kQuarantined;
   }
   /// The uncached two-label kernels (both endpoints in range, s != t).
-  Distance DirectQuery(Vertex s, Vertex t, Quality w) const;
-  IntervalQueryResult DirectInterval(Vertex s, Vertex t, Quality w) const;
+  /// DirectQuery streams a kMerge query over two compressed labels
+  /// (QueryCompressedMerge) and merges decoded views otherwise.
+  Distance DirectQuery(Vertex s, Vertex t, Quality w,
+                       uint64_t* cold_pageins) const;
+  IntervalQueryResult DirectInterval(Vertex s, Vertex t, Quality w,
+                                     uint64_t* cold_pageins) const;
   /// The query path without stats: guards, then the cache or DirectQuery.
-  Distance QueryNoStats(Vertex s, Vertex t, Quality w) const;
+  Distance QueryNoStats(Vertex s, Vertex t, Quality w,
+                        uint64_t* cold_pageins) const;
   /// QueryEx without the per-query stats update (batches record per
   /// chunk).
-  ServeOutcome QueryExNoStats(Vertex s, Vertex t, Quality w,
-                              Distance* out) const;
+  ServeOutcome QueryExNoStats(Vertex s, Vertex t, Quality w, Distance* out,
+                              uint64_t* cold_pageins) const;
   std::vector<Distance> RunBatch(
       const std::vector<BatchQueryInput>& queries) const;
   /// Greedy index-guided path stepping for tilings without an order.
   ServeOutcome GreedyPath(Vertex s, Vertex t, Quality w,
-                          std::vector<Vertex>* out) const;
+                          std::vector<Vertex>* out,
+                          uint64_t* cold_pageins) const;
 
   /// The tiling-invariant content fingerprint of `sources` (sorted, no
   /// quarantined range): identical to IndexContentFingerprint of the

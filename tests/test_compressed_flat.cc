@@ -150,6 +150,46 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     }
   }
   for (const std::string& p : shard_paths) std::remove(p.c_str());
+
+  // Mixed varint widths: 200 quality levels push dictionary codes past
+  // 127, and a 2 x 160 grid under a random vertex order pushes hub-rank
+  // deltas and first-entry distances past it too, so groups mix one- and
+  // two-byte varints in every field the kernel reads or skips. (The first
+  // group's absolute hub is rank 0 in every label of a connected graph.)
+  RoadOptions thin;
+  thin.rows = 2;
+  thin.cols = 160;
+  thin.extra_edge_keep_prob = 1.0;
+  thin.diagonal_prob = 0.0;
+  thin.quality.num_levels = 200;
+  WcIndexOptions random_order = WcIndexOptions::Plus();
+  random_order.ordering = WcIndexOptions::Ordering::kRandom;
+  WcIndex grid =
+      WcIndex::Build(GenerateRoadNetwork(thin, 17), random_order);
+  grid.Finalize();
+  const FlatLabelSet& gflat = grid.flat_labels();
+  CompressedFlatLabelSet gcomp = CompressedFlatLabelSet::FromFlat(gflat);
+  ASSERT_GT(gcomp.raw_dictionary().size(), 127u);
+  bool wide_hub_delta = false, wide_dist = false;
+  for (Vertex v = 0; v < gflat.NumVertices(); ++v) {
+    const FlatLabelView view = gflat.View(v);
+    for (size_t g = 0; g < view.groups.size(); ++g) {
+      if (g > 0 && view.groups[g].hub - view.groups[g - 1].hub > 127) {
+        wide_hub_delta = true;
+      }
+      if (view.entries[view.groups[g].begin].dist > 127) wide_dist = true;
+    }
+  }
+  ASSERT_TRUE(wide_hub_delta && wide_dist);
+  const size_t gn = gflat.NumVertices();
+  for (int i = 0; i < 20000; ++i) {
+    Vertex s = static_cast<Vertex>(rng.NextBounded(gn));
+    Vertex t = static_cast<Vertex>(rng.NextBounded(gn));
+    Quality w = static_cast<Quality>(rng.NextInRange(1, 200));
+    ASSERT_EQ(QueryCompressedMerge(gcomp, s, t, w),
+              QueryFlatMerge(gflat.View(s), gflat.View(t), w))
+        << "s=" << s << " t=" << t << " w=" << w;
+  }
 }
 
 TEST(CompressedFlat, MeaningfulCompressionRatio) {
@@ -203,8 +243,13 @@ TEST(CompressedFlat, BlobCorruptionIsBoundsCheckedAndValidatable) {
 
   Rng rng(99);
   DecodedLabel scratch;
-  for (int trial = 0; trial < 200; ++trial) {
-    size_t at = rng.NextBounded(blob.size());
+  ASSERT_GE(blob.size(), 8u);
+  // 200 flips anywhere, then 32 in the blob's last 8 bytes: the last
+  // vertex's slice ends at the end of the allocation, so an 8-byte load
+  // that crossed a slice end would show up under ASan there.
+  for (int trial = 0; trial < 232; ++trial) {
+    size_t at = trial < 200 ? rng.NextBounded(blob.size())
+                            : blob.size() - 8 + rng.NextBounded(8);
     uint8_t old = blob[at];
     blob[at] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
     CompressedFlatLabelSet corrupt = CompressedFlatLabelSet::FromExternal(
@@ -226,8 +271,16 @@ TEST(CompressedFlat, BlobCorruptionIsBoundsCheckedAndValidatable) {
       EXPECT_EQ(deep.code(), StatusCode::kCorruption);
     }
     // The streaming kernel walks the same bytes; it must stay in bounds
-    // whatever it answers.
-    (void)QueryCompressedMerge(corrupt, 0, 1, 1.0f);
+    // whatever it answers, on either side of the merge.
+    const Vertex hit = static_cast<Vertex>(
+        std::upper_bound(comp_offsets.begin(), comp_offsets.end(), at) -
+        comp_offsets.begin() - 1);
+    for (Vertex u = 0; u < corrupt.NumVertices(); ++u) {
+      for (Quality w : {1.0f, 3.0f}) {
+        (void)QueryCompressedMerge(corrupt, hit, corrupt, u, w);
+        (void)QueryCompressedMerge(corrupt, u, corrupt, hit, w);
+      }
+    }
     blob[at] = old;
   }
 }
@@ -609,22 +662,57 @@ TEST(CompressedFlat, QueryEngineServesCompressedWithAndWithoutCache) {
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     EXPECT_EQ(engine.value().decode_cache() != nullptr, cache_bytes > 0);
 
+    // Distance queries stream both varint labels with or without a decode
+    // cache: answers match the flat index, the cache is never consulted,
+    // and each non-degenerate query walks two mmap-backed labels.
     Rng rng(6);
+    std::vector<BatchQueryInput> batch;
+    uint64_t streamed = 0;
     for (int i = 0; i < 800; ++i) {
       Vertex s = static_cast<Vertex>(rng.NextBounded(index.NumVertices()));
       Vertex t = static_cast<Vertex>(rng.NextBounded(index.NumVertices()));
       Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
       ASSERT_EQ(engine.value().Query(s, t, w), index.Query(s, t, w))
           << "cache=" << cache_bytes << " s=" << s << " t=" << t;
+      batch.push_back({s, t, w});
+      if (s != t) ++streamed;
+    }
+    ASSERT_GT(streamed, 0u);
+    const std::vector<Distance> answers = engine.value().Batch(batch);
+    ASSERT_EQ(answers.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(answers[i], index.Query(batch[i].s, batch[i].t, batch[i].w))
+          << "cache=" << cache_bytes << " batch query " << i;
     }
     QueryEngineStats stats = engine.value().Stats();
     EXPECT_TRUE(stats.compressed);
     EXPECT_GT(stats.uncompressed_label_bytes, stats.label_bytes);
+    EXPECT_EQ(stats.decode_hits + stats.decode_misses, 0u)
+        << "cache=" << cache_bytes;
+    // Query and Batch each streamed every non-degenerate pair once.
+    EXPECT_EQ(stats.cold_pageins, 2 * 2 * streamed) << "cache=" << cache_bytes;
+
+    // Top-k and profiles need decoded views: they go through the cache
+    // when one is configured, and every decode that walks the mapping
+    // (a cache miss, or any decode without a cache) is a cold page-in.
+    const std::vector<Vertex> candidates = {1, 2, 3, 5, 8, 13, 21, 34};
+    const std::vector<Quality> thresholds = {1.0f, 3.0f, 5.0f};
+    std::vector<RankedCandidate> ranked;
+    std::vector<ProfilePoint> profile;
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_EQ(engine.value().TopKEx(0, candidates, 2.0f, 3, &ranked),
+                ServeOutcome::kOk);
+      ASSERT_EQ(engine.value().ProfileEx(4, 9, thresholds, &profile),
+                ServeOutcome::kOk);
+    }
+    const QueryEngineStats after = engine.value().Stats();
+    EXPECT_GT(after.cold_pageins, stats.cold_pageins);
     if (cache_bytes > 0) {
-      EXPECT_GT(stats.decode_hits + stats.decode_misses, 0u);
-      EXPECT_GT(stats.cold_pageins, 0u);  // mmap-backed decodes
+      EXPECT_GT(after.decode_hits, 0u);  // the second round hits
+      EXPECT_GT(after.decode_misses, 0u);
+      EXPECT_EQ(after.cold_pageins - stats.cold_pageins, after.decode_misses);
     } else {
-      EXPECT_EQ(stats.decode_hits + stats.decode_misses, 0u);
+      EXPECT_EQ(after.decode_hits + after.decode_misses, 0u);
     }
   }
   std::remove(path.c_str());

@@ -113,10 +113,10 @@
 //             snapshot (only entries the delta can touch are dropped),
 //             wholesale otherwise; --cold-tier serves a compressed
 //             snapshot straight off its mapping — the blob pages in from
-//             disk on demand — with a decoded-label cache in front of the
-//             varint decode (--decode-cache-mb=M budgets it, default 64;
-//             M > 0 on its own enables the cache without requiring the
-//             cold tier)
+//             disk on demand; distance queries stream the varint bytes,
+//             and a decoded-label cache fronts the requests that decode
+//             (--decode-cache-mb=M budgets it, default 64; M > 0 on its
+//             own enables the cache without requiring the cold tier)
 //
 // Examples:
 //   wcsd_cli generate --out=g.edges --kind=road --n=10000 --levels=5
@@ -1148,8 +1148,9 @@ int CmdServe(const Flags& flags) {
     options.num_threads = 1;
   }
   if (!ParseCacheBytes(flags, &options.cache_bytes)) return 1;
-  // Cold tier: serve a compressed snapshot straight off its mapping, with
-  // a bounded decoded-label cache in front of the varint decode. --cold-tier
+  // Cold tier: serve a compressed snapshot straight off its mapping,
+  // distance queries streaming the varint bytes and a bounded decoded-label
+  // cache in front of the requests that decode. --cold-tier
   // alone budgets a 64 MiB default; --decode-cache-mb picks the budget
   // explicitly (and implies cold tier on a compressed index).
   const bool cold_tier = flags.GetBool("cold-tier", false);
