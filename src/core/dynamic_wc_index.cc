@@ -121,7 +121,7 @@ void DynamicWcIndex::Rebuild() {
 
 Distance DynamicWcIndex::Query(Vertex s, Vertex t, Quality w) const {
   if (s == t) return 0;
-  return QueryLabelsMerge(labels_.For(s), labels_.For(t), w);
+  return QueryLabels(labels_.For(s), labels_.For(t), w);
 }
 
 void DynamicWcIndex::InsertEdge(Vertex u, Vertex v, Quality q) {
@@ -237,8 +237,8 @@ void DynamicWcIndex::ResumeBfs(Rank h, Vertex seed, Distance d, Quality w) {
     queue.pop();
     if (c.quality <= max_popped(c.vertex)) continue;  // Dominated locally.
     popped.emplace_back(c.vertex, c.quality);
-    if (QueryLabelsMerge(labels_.For(hub_vertex), labels_.For(c.vertex),
-                         c.quality) <= c.dist) {
+    if (QueryLabels(labels_.For(hub_vertex), labels_.For(c.vertex),
+                    c.quality) <= c.dist) {
       continue;  // Covered by the current index.
     }
     InsertEntry(c.vertex, LabelEntry{h, c.dist, c.quality});

@@ -99,8 +99,8 @@ VerificationReport VerifyMinimality(const WcIndex& index) {
       // must no longer be answerable within e.dist.
       std::vector<LabelEntry> without(lv.begin(), lv.end());
       without.erase(without.begin() + static_cast<ptrdiff_t>(i));
-      Distance covered = QueryLabelsMerge(
-          {without.data(), without.size()}, labels.For(hub_vertex), e.quality);
+      Distance covered = QueryLabels({without.data(), without.size()},
+                                     labels.For(hub_vertex), e.quality);
       if (covered <= e.dist) ++report.unnecessary_entries;
     }
   }

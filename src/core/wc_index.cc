@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "labeling/shard_manifest.h"
 #include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
 #include "util/endian.h"
@@ -27,6 +26,15 @@ size_t ResolveThreads(size_t num_threads) {
   if (num_threads != 0) return num_threads;
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+// Decode scratch for views of a compressed store. Two slots rotate per
+// thread, so at most two returned views are valid at once — exactly the
+// shape every query kernel needs (s and t).
+DecodedLabel* NextScratch() {
+  thread_local DecodedLabel scratch[2];
+  thread_local unsigned next = 0;
+  return &scratch[next++ & 1];
 }
 
 }  // namespace
@@ -338,7 +346,8 @@ class WcIndexBuilder {
   // Basic cover check (plain WC-INDEX): re-resolve hub groups with binary
   // search over L(root) for every query — Algorithm 4 shape.
   bool CoveredBasic(Vertex root, Vertex u, Distance d, Quality w) {
-    return QueryLabelsHubGrouped(labels_.For(root), labels_.For(u), w) <= d;
+    return QueryLabels(labels_.For(root), labels_.For(u), w,
+                       QueryImpl::kHubGrouped) <= d;
   }
 
   void AccumulateStats(const BuildWorkspace& ws) {
@@ -369,41 +378,31 @@ WcIndex WcIndex::BuildWithOrder(const QualityGraph& g, VertexOrder order,
 
 void WcIndex::Finalize() {
   if (finalized_) return;
-  flat_ = FlatLabelSet::FromLabelSet(labels_);
+  store_ = LabelStore(FlatLabelSet::FromLabelSet(labels_));
   finalized_ = true;
 }
 
-FlatLabelView WcIndex::DecodedView(Vertex v) const {
-  // Two rotating scratch slots per thread: a kernel holding the views of
-  // both endpoints never sees its first decode clobbered by the second.
-  thread_local DecodedLabel scratch[2];
-  thread_local unsigned next = 0;
-  DecodedLabel* slot = &scratch[next++ & 1];
-  if (!compressed_.DecodeVertex(v, slot).ok()) slot->Clear();
-  return slot->View();
+std::span<const LabelEntry> WcIndex::EntriesFor(Vertex v) const {
+  return finalized_ ? store_.View(v, NextScratch()).entries : labels_.For(v);
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w) const {
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (compressed_backend_) return QueryCompressedMerge(compressed_, s, t, w);
-  if (finalized_) return QueryFlatMerge(flat_.View(s), flat_.View(t), w);
-  return QueryLabelsMerge(labels_.For(s), labels_.For(t), w);
+  if (finalized_) return QueryStores(store_, s, store_, t, w);
+  return QueryLabels(labels_.For(s), labels_.For(t), w);
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w, QueryImpl impl) const {
+  // kMerge streams compressed labels; the other impls (ablation paths) run
+  // over per-vertex views — bit-identical either way.
+  if (impl == QueryImpl::kMerge) return Query(s, t, w);
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (compressed_backend_) {
-    // kMerge streams the varint blobs directly; the other impls (ablation
-    // paths) run the flat kernels over per-vertex decodes — bit-identical
-    // either way.
-    if (impl == QueryImpl::kMerge) {
-      return QueryCompressedMerge(compressed_, s, t, w);
-    }
-    return QueryFlat(DecodedView(s), DecodedView(t), w, impl);
+  if (finalized_) {
+    return QueryLabels(store_.View(s, NextScratch()),
+                       store_.View(t, NextScratch()), w, impl);
   }
-  if (finalized_) return QueryFlat(flat_.View(s), flat_.View(t), w, impl);
   return QueryLabels(labels_.For(s), labels_.For(t), w, impl);
 }
 
@@ -415,13 +414,11 @@ IntervalQueryResult WcIndex::QueryWithInterval(Vertex s, Vertex t,
     r.dist = 0;
     return r;  // 0 under every constraint
   }
-  if (compressed_backend_) {
-    return QueryFlatMergeWithInterval(DecodedView(s), DecodedView(t), w);
-  }
   if (finalized_) {
-    return QueryFlatMergeWithInterval(flat_.View(s), flat_.View(t), w);
+    return QueryLabelsWithInterval(store_.View(s, NextScratch()),
+                                   store_.View(t, NextScratch()), w);
   }
-  return QueryLabelsMergeWithInterval(labels_.For(s), labels_.For(t), w);
+  return QueryLabelsWithInterval(labels_.For(s), labels_.For(t), w);
 }
 
 HubQueryResult WcIndex::QueryWithHub(Vertex s, Vertex t, Quality w) const {
@@ -434,16 +431,8 @@ HubQueryResult WcIndex::QueryWithHub(Vertex s, Vertex t, Quality w) const {
     r.dist_to_t = 0;
     return r;
   }
-  if (compressed_backend_) {
-    return QueryFlatMergeWithHub(DecodedView(s), DecodedView(t), w);
-  }
-  if (finalized_) return QueryFlatMergeWithHub(flat_.View(s), flat_.View(t), w);
-  return QueryLabelsMergeWithHub(labels_.For(s), labels_.For(t), w);
-}
-
-uint64_t WcIndex::ContentFingerprint() const {
-  if (compressed_backend_) return compressed_.ContentFingerprint();
-  return IndexContentFingerprint(flat_);
+  if (finalized_) return QueryStoresWithHub(store_, s, store_, t, w);
+  return QueryLabelsWithHub(labels_.For(s), labels_.For(t), w);
 }
 
 namespace {
@@ -547,35 +536,33 @@ Status WcIndex::SaveSnapshot(const std::string& path,
     return Status::InvalidArgument(
         "SaveSnapshot requires a finalized index (call Finalize first)");
   }
-  if (compressed_backend_) {
+  if (store_.compressed()) {
     // Re-materialize the flat arrays, the snapshot writer's input form.
     // This is the migration path both ways: --compress re-encodes (fresh
     // dictionary), without it the snapshot comes out uncompressed.
-    Result<FlatLabelSet> flat = compressed_.Decompress();
+    Result<FlatLabelSet> flat = store_.compressed_labels().Decompress();
     if (!flat.ok()) return flat.status();
     return WriteSnapshot(path, flat.value(), &order_, /*parents=*/{},
                          write_options);
   }
+  const FlatLabelSet& flat = store_.flat();
   if (!parents_.empty()) {
     // Flatten the per-vertex parent vectors in vertex order — the same
     // order Finalize packs entries — so parents align index-for-index with
     // the flat entry array the snapshot carries.
     std::vector<Vertex> flat_parents;
-    flat_parents.reserve(flat_.TotalEntries());
+    flat_parents.reserve(flat.TotalEntries());
     for (const std::vector<Vertex>& pv : parents_) {
       flat_parents.insert(flat_parents.end(), pv.begin(), pv.end());
     }
-    if (flat_parents.size() != flat_.raw_entries().size()) {
+    if (flat_parents.size() != flat.raw_entries().size()) {
       return Status::InvalidArgument(
           "parent quads out of sync with the flat labels; refusing to "
           "snapshot misaligned parents");
     }
-    return WriteSnapshot(path, flat_, &order_, flat_parents, write_options);
+    return WriteSnapshot(path, flat, &order_, flat_parents, write_options);
   }
-  if (!flat_parents_.empty()) {
-    return WriteSnapshot(path, flat_, &order_, flat_parents_, write_options);
-  }
-  return WriteSnapshot(path, flat_, &order_, /*parents=*/{}, write_options);
+  return WriteSnapshot(path, flat, &order_, flat_parents_, write_options);
 }
 
 Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
@@ -596,13 +583,8 @@ Result<WcIndex> WcIndex::FromSnapshot(MappedSnapshot mapped,
   if (!index.order_.IsValid()) {
     return Status::Corruption("order is not a permutation in " + path);
   }
-  if (mapped.info.compressed) {
-    index.compressed_ = std::move(mapped.compressed);
-    index.compressed_backend_ = true;
-  } else {
-    index.flat_ = std::move(mapped.labels);
-    index.flat_parents_ = mapped.parents;  // kept alive by flat_'s mapping
-  }
+  index.flat_parents_ = mapped.parents;  // kept alive by the store's mapping
+  index.store_ = LabelStore::FromSnapshot(&mapped);
   index.finalized_ = true;
   return index;
 }

@@ -24,8 +24,9 @@
 #include "labeling/compressed_flat.h"
 #include "labeling/flat_label_set.h"
 #include "labeling/label_set.h"
-#include "labeling/snapshot.h"
+#include "labeling/label_store.h"
 #include "labeling/query.h"
+#include "labeling/snapshot.h"
 #include "order/vertex_order.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -152,39 +153,40 @@ class WcIndex {
   /// available (the dynamic-update subsystem needs them mutable).
   void Finalize();
 
-  /// True once Finalize() has run.
+  /// True once Finalize() has run (or the index was mmap-loaded).
   bool finalized() const { return finalized_; }
+
+  /// The store queries route through once finalized(); empty before.
+  const LabelStore& store() const { return store_; }
 
   /// The flat backend; only meaningful when finalized() and not
   /// compressed() (a compressed-snapshot load leaves it empty).
-  const FlatLabelSet& flat_labels() const { return flat_; }
+  const FlatLabelSet& flat_labels() const { return store_.flat(); }
 
   /// True when queries route through the compressed backend — the index
   /// was mmap-loaded from a v3 compressed snapshot. The flat backend is
-  /// empty; labels decode per vertex on demand.
-  bool compressed() const { return compressed_backend_; }
+  /// empty; distance and hub queries stream the varint labels, and
+  /// everything else decodes per vertex on demand.
+  bool compressed() const { return store_.compressed(); }
 
   /// The compressed backend; only meaningful when compressed().
   const CompressedFlatLabelSet& compressed_labels() const {
-    return compressed_;
+    return store_.compressed_labels();
   }
 
   /// Content fingerprint of the served labels, identical across storage
   /// backends (IndexContentFingerprint of the flat arrays; the compressed
   /// backend reproduces it through a decode pass). Requires finalized().
-  uint64_t ContentFingerprint() const;
+  uint64_t ContentFingerprint() const { return store_.ContentFingerprint(); }
 
-  /// Entries of L(v) from whichever backend queries route through — the
-  /// flat CSR once finalized (mmap-loaded indexes have empty
-  /// append-oriented labels), the heap vectors before that. On the
-  /// compressed backend the label is decoded into thread-local scratch:
-  /// the span stays valid until the SAME thread's second-next EntriesFor
-  /// call (two scratch slots rotate, so holding s's and t's entries at
-  /// once — the query-kernel shape — is safe).
-  std::span<const LabelEntry> EntriesFor(Vertex v) const {
-    if (compressed_backend_) return DecodedView(v).entries;
-    return finalized_ ? flat_.For(v) : labels_.For(v);
-  }
+  /// Entries of L(v) from whichever labels queries route through — the
+  /// store once finalized (mmap-loaded indexes have empty append-oriented
+  /// labels), the heap vectors before that. On the compressed backend the
+  /// label is decoded into thread-local scratch: the span stays valid until
+  /// the SAME thread's second-next decode through this index (two scratch
+  /// slots rotate, so holding s's and t's entries at once — the
+  /// query-kernel shape — is safe).
+  std::span<const LabelEntry> EntriesFor(Vertex v) const;
 
   /// True if §V quad labels (BFS parents) are available — recorded at
   /// build time, or loaded from a v2 snapshot's parents section.
@@ -203,39 +205,30 @@ class WcIndex {
       return {pv.data(), pv.size()};
     }
     if (!flat_parents_.empty()) {
-      auto offsets = flat_.raw_offsets();
+      auto offsets = flat_labels().raw_offsets();
       return flat_parents_.subspan(
           offsets[v], offsets[v + 1] - offsets[v]);
     }
     return {};
   }
 
-  /// The whole per-entry parent array in flat-entry order; empty unless
-  /// the index was mmap-loaded from a snapshot with a parents section.
-  /// (Heap-built indexes keep parents per vertex; SaveSnapshot flattens
-  /// them on write.)
-  std::span<const Vertex> flat_parents() const { return flat_parents_; }
-
-  /// Number of vertices indexed. Routed through the serving backend once
-  /// finalized so mmap-loaded indexes (whose append-oriented labels() are
-  /// empty) report correctly.
+  /// Number of vertices indexed. Routed through the store once finalized
+  /// so mmap-loaded indexes (whose append-oriented labels() are empty)
+  /// report correctly.
   size_t NumVertices() const {
-    if (compressed_backend_) return compressed_.NumVertices();
-    return finalized_ ? flat_.NumVertices() : labels_.NumVertices();
+    return finalized_ ? store_.NumVertices() : labels_.NumVertices();
   }
 
   /// Index size in bytes (Figures 6/9/11 report this). A finalized index
   /// reports the backend it serves queries from — the compressed bytes
   /// for a compressed-snapshot load.
   size_t MemoryBytes() const {
-    if (compressed_backend_) return compressed_.MemoryBytes();
-    return finalized_ ? flat_.MemoryBytes() : labels_.MemoryBytes();
+    return finalized_ ? store_.MemoryBytes() : labels_.MemoryBytes();
   }
 
   /// Total number of label entries.
   size_t TotalEntries() const {
-    if (compressed_backend_) return compressed_.TotalEntries();
-    return finalized_ ? flat_.TotalEntries() : labels_.TotalEntries();
+    return finalized_ ? store_.TotalEntries() : labels_.TotalEntries();
   }
 
   /// Serialization of the append-oriented labels (little-endian,
@@ -280,22 +273,14 @@ class WcIndex {
         order_(std::move(order)),
         stats_(stats) {}
 
-  /// Decodes L(v) of the compressed backend into thread-local scratch and
-  /// returns a view over it. Two scratch slots rotate per thread, so at
-  /// most two returned views are simultaneously valid — exactly the shape
-  /// every query kernel needs (s and t).
-  FlatLabelView DecodedView(Vertex v) const;
-
   LabelSet labels_;
-  FlatLabelSet flat_;
-  CompressedFlatLabelSet compressed_;
-  bool compressed_backend_ = false;
+  LabelStore store_;
   bool finalized_ = false;
   VertexOrder order_;
   WcIndexBuildStats stats_;
   std::vector<std::vector<Vertex>> parents_;
   /// Per-entry parents in flat-entry order, pointing into an mmap'd
-  /// snapshot (kept alive by flat_'s mapping). Mutually exclusive with
+  /// snapshot (kept alive by the store's mapping). Mutually exclusive with
   /// parents_ in practice: set only by LoadMmap.
   std::span<const Vertex> flat_parents_;
 };

@@ -251,32 +251,4 @@ QualityGraph GenerateWattsStrogatz(size_t num_vertices, size_t k, double beta,
   return builder.Build();
 }
 
-WeightedQualityGraph GenerateRandomWeighted(size_t num_vertices,
-                                            size_t num_edges,
-                                            Distance max_length,
-                                            const QualityModel& quality,
-                                            uint64_t seed) {
-  assert(max_length >= 1);
-  Rng rng(seed);
-  std::vector<std::tuple<Vertex, Vertex, Distance, Quality>> edges;
-  // Spanning tree plus extras, like GenerateRandomConnected.
-  for (size_t i = 1; i < num_vertices; ++i) {
-    Vertex parent = static_cast<Vertex>(rng.NextBounded(i));
-    edges.emplace_back(static_cast<Vertex>(i), parent,
-                       static_cast<Distance>(rng.NextInRange(1, max_length)),
-                       SampleQuality(quality, &rng));
-  }
-  size_t extras =
-      num_edges > num_vertices - 1 ? num_edges - (num_vertices - 1) : 0;
-  for (size_t i = 0; i < extras; ++i) {
-    Vertex u = static_cast<Vertex>(rng.NextBounded(num_vertices));
-    Vertex v = static_cast<Vertex>(rng.NextBounded(num_vertices));
-    if (u == v) continue;
-    edges.emplace_back(u, v,
-                       static_cast<Distance>(rng.NextInRange(1, max_length)),
-                       SampleQuality(quality, &rng));
-  }
-  return WeightedQualityGraph::FromEdges(num_vertices, edges);
-}
-
 }  // namespace wcsd

@@ -17,11 +17,9 @@
 #define WCSD_GRAPH_GENERATORS_H_
 
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/weighted_graph.h"
 #include "util/random.h"
 #include "util/types.h"
 
@@ -92,14 +90,6 @@ QualityGraph GenerateRandomTree(size_t num_vertices,
 /// neighbors per side, each edge rewired with probability `beta`.
 QualityGraph GenerateWattsStrogatz(size_t num_vertices, size_t k, double beta,
                                    const QualityModel& quality, uint64_t seed);
-
-/// Generates a connected random weighted graph with integer edge lengths in
-/// [1, max_length] (§V extension).
-WeightedQualityGraph GenerateRandomWeighted(size_t num_vertices,
-                                            size_t num_edges,
-                                            Distance max_length,
-                                            const QualityModel& quality,
-                                            uint64_t seed);
 
 }  // namespace wcsd
 

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 
 #include "util/checksum.h"
-#include "util/endian.h"
 
 namespace wcsd {
 
 namespace {
+
+using varint_internal::GetVarint;
+using varint_internal::GetVarintPair;
 
 void PutVarint(std::vector<uint8_t>* out, uint64_t value) {
   while (value >= 0x80) {
@@ -19,76 +20,6 @@ void PutVarint(std::vector<uint8_t>* out, uint64_t value) {
     value >>= 7;
   }
   out->push_back(static_cast<uint8_t>(value));
-}
-
-/// Bounds-checked varint read: advances *p past the value, never past
-/// `end`. False on truncation or a value that would overflow 64 bits.
-bool GetVarint(const uint8_t** p, const uint8_t* end, uint64_t* out) {
-  uint64_t value = 0;
-  int shift = 0;
-  while (*p < end && shift < 64) {
-    const uint8_t b = *(*p)++;
-    value |= static_cast<uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) {
-      *out = value;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-/// Two varints read by GetVarintPairSlow; `next` is null on truncation
-/// or overflow.
-struct VarintPair {
-  const uint8_t* next = nullptr;
-  uint64_t a = 0;
-  uint64_t b = 0;
-};
-
-/// GetVarintPair's per-byte path, kept out of line so the two-byte fast
-/// path stays small enough to inline into the kernels' loops. It takes and
-/// returns values, so no caller's cursor has its address taken.
-[[gnu::noinline]] VarintPair GetVarintPairSlow(const uint8_t* p,
-                                               const uint8_t* end) {
-  VarintPair pair;
-  if (GetVarint(&p, end, &pair.a) && GetVarint(&p, end, &pair.b)) {
-    pair.next = p;
-  }
-  return pair;
-}
-
-/// Reads two consecutive varints — a group header (hub delta, entry count)
-/// or an entry (distance delta, quality code). Nearly every such pair is
-/// two single bytes, which are read directly when both lie inside the
-/// slice; anything else takes the bounds-checked per-byte path, so the
-/// values and where *p stops on success are exactly GetVarint's. False
-/// (with *p unchanged) on truncation or overflow.
-inline bool GetVarintPair(const uint8_t** p, const uint8_t* end, uint64_t* a,
-                          uint64_t* b) {
-  const uint8_t* q = *p;
-  if (end - q >= 2 && ((q[0] | q[1]) & 0x80) == 0) {
-    *a = q[0];
-    *b = q[1];
-    *p = q + 2;
-    return true;
-  }
-  const VarintPair pair = GetVarintPairSlow(q, end);
-  if (pair.next == nullptr) return false;
-  *a = pair.a;
-  *b = pair.b;
-  *p = pair.next;
-  return true;
-}
-
-/// Skips the 2 varints/entry payload of a group whose header was already
-/// consumed. False on truncation.
-bool SkipGroupEntries(const uint8_t** p, const uint8_t* end, uint64_t count) {
-  uint64_t scratch;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!GetVarintPair(p, end, &scratch, &scratch)) return false;
-  }
-  return true;
 }
 
 Status CorruptVertex(Vertex v, const char* what) {
@@ -366,137 +297,6 @@ bool operator==(const CompressedFlatLabelSet& a,
          span_eq(a.blob_, b.blob_) && span_eq(a.dictionary_, b.dictionary_);
 }
 
-namespace {
-
-/// One side of the streaming merge: a cursor over a vertex's varint
-/// stream positioned at successive group headers. Any malformed read
-/// flips the cursor to "exhausted" — corrupt bytes end the merge early
-/// instead of reading out of bounds (same trust model as the flat
-/// kernels, minus their crash classes).
-struct GroupCursor {
-  const uint8_t* p = nullptr;
-  const uint8_t* end = nullptr;
-  uint64_t groups_left = 0;
-  uint64_t hub = 0;
-  uint64_t count = 0;  // entries in the current group (header consumed)
-
-  bool Init(const CompressedFlatLabelSet& labels, Vertex v) {
-    const auto comp = labels.raw_comp_offsets();
-    const auto blob = labels.raw_blob();
-    const uint64_t lo = std::min<uint64_t>(comp[v], blob.size());
-    const uint64_t hi = std::min<uint64_t>(comp[v + 1], blob.size());
-    if (lo > hi) return false;
-    p = blob.data() + lo;
-    end = blob.data() + hi;
-    if (!GetVarint(&p, end, &groups_left)) return false;
-    return NextHeader(true);
-  }
-
-  /// Parses the next group header; the previous group's entries must
-  /// already be consumed. False when the stream is exhausted.
-  bool NextHeader(bool first) {
-    if (groups_left == 0) return false;
-    --groups_left;
-    uint64_t delta = 0;
-    if (!GetVarintPair(&p, end, &delta, &count)) {
-      groups_left = 0;
-      return false;
-    }
-    hub = first ? delta : hub + delta;
-    return true;
-  }
-
-  /// True when the current group is short: it holds at most three
-  /// entries, a next group follows, 8 bytes from p lie inside the slice,
-  /// and none of the 2 * count + 2 bytes holding the entries and the next
-  /// header has a continuation bit. Then every one of those varints is one
-  /// byte, readable from `*word` (the 8 bytes, loaded on little-endian
-  /// hosts, where its low byte is the first).
-  bool LoadShortGroup(uint64_t* word) const {
-    if constexpr (kLittleEndianHost) {
-      if (count <= 3 && groups_left > 0 && end - p >= 8) {
-        std::memcpy(word, p, sizeof(*word));
-        const uint64_t used =
-            count == 3 ? ~uint64_t{0} : (uint64_t{1} << (16 * count + 16)) - 1;
-        return (*word & used & 0x8080808080808080ULL) == 0;
-      }
-    }
-    return false;
-  }
-
-  /// Moves past a short group, reading the next header from its word:
-  /// the state NextHeader(false) reaches after the entries.
-  void AdvancePastShortGroup(uint64_t word) {
-    const uint64_t header = word >> (16 * count);
-    --groups_left;
-    hub += header & 0xFF;
-    p += 2 * count + 2;
-    count = (header >> 8) & 0xFF;
-  }
-
-  bool SkipEntriesAndAdvance() {
-    uint64_t word = 0;
-    if (LoadShortGroup(&word)) {
-      AdvancePastShortGroup(word);
-      return true;
-    }
-    if (!SkipGroupEntries(&p, end, count)) {
-      groups_left = 0;
-      return false;
-    }
-    return NextHeader(false);
-  }
-
-  /// Consumes the current group's entries and parses the next header.
-  /// `*found` is the distance of the first entry with quality >= w
-  /// (kInfDistance if none) — the Theorem 3 choice, exactly what
-  /// FirstWithQuality picks on the decoded group. A malformed entry
-  /// (truncated, or a quality code past the dictionary) exhausts the
-  /// cursor, `*found` covering the entries before it.
-  bool ScanEntriesAndAdvance(std::span<const Quality> dict, Quality w,
-                             Distance* found) {
-    *found = kInfDistance;
-    uint64_t dist = 0;
-    uint64_t word = 0;
-    if (LoadShortGroup(&word)) {
-      for (uint64_t i = 0; i < count; ++i) {
-        const uint64_t qcode = (word >> (16 * i + 8)) & 0xFF;
-        if (qcode > dict.size()) {
-          groups_left = 0;
-          return false;
-        }
-        TakeEntry(i, (word >> (16 * i)) & 0xFF, qcode, dict, w, &dist, found);
-      }
-      AdvancePastShortGroup(word);
-      return true;
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t dist_delta = 0, qcode = 0;
-      if (!GetVarintPair(&p, end, &dist_delta, &qcode) ||
-          qcode > dict.size()) {
-        groups_left = 0;
-        return false;
-      }
-      TakeEntry(i, dist_delta, qcode, dict, w, &dist, found);
-    }
-    return NextHeader(false);
-  }
-
-  /// Entry i of a group (qcode already range-checked): extends the running
-  /// distance and keeps the first one whose quality meets w.
-  static void TakeEntry(uint64_t i, uint64_t dist_delta, uint64_t qcode,
-                        std::span<const Quality> dict, Quality w,
-                        uint64_t* dist, Distance* found) {
-    *dist = i == 0 ? dist_delta : *dist + dist_delta;
-    if (*found == kInfDistance) {
-      const Quality quality = qcode == 0 ? kInfQuality : dict[qcode - 1];
-      if (quality >= w) *found = static_cast<Distance>(*dist);
-    }
-  }
-};
-
-}  // namespace
-
 Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
                               Vertex s,
                               const CompressedFlatLabelSet& t_labels,
@@ -504,28 +304,9 @@ Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
   if (s >= s_labels.NumVertices() || t >= t_labels.NumVertices()) {
     return kInfDistance;
   }
-  GroupCursor cs, ct;
-  bool s_ok = cs.Init(s_labels, s);
-  bool t_ok = ct.Init(t_labels, t);
-  const std::span<const Quality> s_dict = s_labels.raw_dictionary();
-  const std::span<const Quality> t_dict = t_labels.raw_dictionary();
-  Distance best = kInfDistance;
-  while (s_ok && t_ok) {
-    if (cs.hub < ct.hub) {
-      s_ok = cs.SkipEntriesAndAdvance();
-    } else if (ct.hub < cs.hub) {
-      t_ok = ct.SkipEntriesAndAdvance();
-    } else {
-      Distance ds = kInfDistance, dt = kInfDistance;
-      s_ok = cs.ScanEntriesAndAdvance(s_dict, w, &ds);
-      t_ok = ct.ScanEntriesAndAdvance(t_dict, w, &dt);
-      if (ds != kInfDistance && dt != kInfDistance) {
-        const Distance sum = ds + dt;
-        if (sum < best) best = sum;
-      }
-    }
-  }
-  return best;
+  return MergeHubGroups(VarintCursor(s_labels, s), VarintCursor(t_labels, t),
+                        DistanceStep(w))
+      .best;
 }
 
 }  // namespace wcsd

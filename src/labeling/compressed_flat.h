@@ -8,8 +8,8 @@
 // graph's few distinct values (a dictionary index). Measured ratio on the
 // benchmark fixtures is ~3-4x (see README "Storage tiers").
 //
-// The layout is GROUP-oriented so query kernels can stream it without
-// materializing the label:
+// The layout is GROUP-oriented so the query skeleton's VarintCursor
+// (below) can stream it without materializing the label:
 //
 //   per vertex: varint group_count
 //     per group: varint hub_delta   (first group: absolute rank;
@@ -36,12 +36,16 @@
 #ifndef WCSD_LABELING_COMPRESSED_FLAT_H_
 #define WCSD_LABELING_COMPRESSED_FLAT_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "labeling/flat_label_set.h"
+#include "labeling/query.h"
+#include "util/endian.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -175,15 +179,228 @@ class CompressedFlatLabelSet {
   bool external_ = false;
 };
 
-/// Streaming kMerge kernel over two compressed labels: two group cursors
-/// walk the varint streams directly — matched groups are scanned for the
-/// first entry with quality >= w (Theorem 3), unmatched groups are skipped
-/// without building a single LabelEntry. L(s) is vertex s of `s_labels`
-/// and L(t) vertex t of `t_labels` (two shards, each decoding through its
-/// own quality dictionary, or one set twice). Bit-identical to
-/// QueryFlatMerge on the decoded labels (tested); bounds-checked, so
-/// corrupt bytes degrade to "stream ends early" instead of reading out of
-/// range.
+// Bounds-checked varint readers shared by DecodeVertex and VarintCursor.
+namespace varint_internal {
+
+/// Advances *p past one varint, never past `end`. False on truncation or a
+/// value that would overflow 64 bits.
+inline bool GetVarint(const uint8_t** p, const uint8_t* end, uint64_t* out) {
+  uint64_t value = 0;
+  int shift = 0;
+  while (*p < end && shift < 64) {
+    const uint8_t b = *(*p)++;
+    value |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) {
+      *out = value;
+      return true;
+    }
+    shift += 7;
+  }
+  return false;
+}
+
+/// Two varints read by GetVarintPairSlow; `next` is null on truncation
+/// or overflow.
+struct VarintPair {
+  const uint8_t* next = nullptr;
+  uint64_t a = 0;
+  uint64_t b = 0;
+};
+
+/// GetVarintPair's per-byte path, kept out of line so the two-byte fast
+/// path stays small enough to inline into the kernels' loops. It takes and
+/// returns values, so no caller's cursor has its address taken. Internal
+/// linkage gives every translation unit that runs a merge its own copy:
+/// GCC then knows which registers the call clobbers and keeps the cursors
+/// in the others across it, where an external definition measured ~40%
+/// more stack traffic in the varint merge and 6-9% slower queries.
+[[gnu::noinline]] static inline VarintPair GetVarintPairSlow(
+    const uint8_t* p, const uint8_t* end) {
+  VarintPair pair;
+  if (GetVarint(&p, end, &pair.a) && GetVarint(&p, end, &pair.b)) {
+    pair.next = p;
+  }
+  return pair;
+}
+
+/// Reads two consecutive varints — a group header (hub delta, entry count)
+/// or an entry (distance delta, quality code). Nearly every such pair is
+/// two single bytes, which are read directly when both lie inside the
+/// slice; anything else takes the bounds-checked per-byte path, so the
+/// values and where *p stops on success are exactly GetVarint's. False
+/// (with *p unchanged) on truncation or overflow.
+inline bool GetVarintPair(const uint8_t** p, const uint8_t* end, uint64_t* a,
+                          uint64_t* b) {
+  const uint8_t* q = *p;
+  if (end - q >= 2 && ((q[0] | q[1]) & 0x80) == 0) {
+    *a = q[0];
+    *b = q[1];
+    *p = q + 2;
+    return true;
+  }
+  const VarintPair pair = GetVarintPairSlow(q, end);
+  if (pair.next == nullptr) return false;
+  *a = pair.a;
+  *b = pair.b;
+  *p = pair.next;
+  return true;
+}
+
+/// Skips the 2 varints/entry payload of a group whose header was already
+/// consumed. False on truncation.
+inline bool SkipGroupEntries(const uint8_t** p, const uint8_t* end,
+                             uint64_t count) {
+  uint64_t scratch;
+  for (uint64_t i = 0; i < count; ++i) {
+    if (!GetVarintPair(p, end, &scratch, &scratch)) return false;
+  }
+  return true;
+}
+
+}  // namespace varint_internal
+
+/// The group cursor over one compressed label (see labeling/query.h): it
+/// walks the vertex's varint stream in place, positioned at successive
+/// group headers, decoding qualities through the set's own dictionary.
+/// Unmatched groups are skipped without building a single LabelEntry. Any
+/// malformed read flips the cursor to "exhausted" — corrupt bytes end the
+/// merge early instead of reading out of bounds (same trust model as the
+/// flat kernels, minus their crash classes).
+struct VarintCursor {
+  const uint8_t* p = nullptr;
+  const uint8_t* end = nullptr;
+  std::span<const Quality> dict;
+  uint64_t groups_left = 0;
+  uint64_t hub = 0;
+  uint64_t count = 0;  // entries in the current group (header consumed)
+
+  /// L(v) of `labels`; v must be in range.
+  VarintCursor(const CompressedFlatLabelSet& labels, Vertex v)
+      : dict(labels.raw_dictionary()) {
+    const auto comp = labels.raw_comp_offsets();
+    const auto blob = labels.raw_blob();
+    // The offset arrays are kShape-validated at load, but clamp anyway so a
+    // corrupt slice can never index past the blob.
+    const uint64_t lo = std::min<uint64_t>(comp[v], blob.size());
+    const uint64_t hi = std::min<uint64_t>(comp[v + 1], blob.size());
+    if (lo <= hi) {
+      p = blob.data() + lo;
+      end = blob.data() + hi;
+    }
+  }
+
+  bool Start() {
+    return varint_internal::GetVarint(&p, end, &groups_left) &&
+           NextHeader(true);
+  }
+
+  /// Parses the next group header; the previous group's entries must
+  /// already be consumed. False when the stream is exhausted.
+  bool NextHeader(bool first) {
+    if (groups_left == 0) return false;
+    --groups_left;
+    uint64_t delta = 0;
+    if (!varint_internal::GetVarintPair(&p, end, &delta, &count)) {
+      groups_left = 0;
+      return false;
+    }
+    hub = first ? delta : hub + delta;
+    return true;
+  }
+
+  /// True when the current group is short: it holds at most three
+  /// entries, a next group follows, 8 bytes from p lie inside the slice,
+  /// and none of the 2 * count + 2 bytes holding the entries and the next
+  /// header has a continuation bit. Then every one of those varints is one
+  /// byte, readable from `*word` (the 8 bytes, loaded on little-endian
+  /// hosts, where its low byte is the first).
+  bool LoadShortGroup(uint64_t* word) const {
+    if constexpr (kLittleEndianHost) {
+      if (count <= 3 && groups_left > 0 && end - p >= 8) {
+        std::memcpy(word, p, sizeof(*word));
+        const uint64_t used =
+            count == 3 ? ~uint64_t{0} : (uint64_t{1} << (16 * count + 16)) - 1;
+        return (*word & used & 0x8080808080808080ULL) == 0;
+      }
+    }
+    return false;
+  }
+
+  /// Moves past a short group, reading the next header from its word:
+  /// the state NextHeader(false) reaches after the entries.
+  void AdvancePastShortGroup(uint64_t word) {
+    const uint64_t header = word >> (16 * count);
+    --groups_left;
+    hub += header & 0xFF;
+    p += 2 * count + 2;
+    count = (header >> 8) & 0xFF;
+  }
+
+  bool SkipGroup() {
+    uint64_t word = 0;
+    if (LoadShortGroup(&word)) {
+      AdvancePastShortGroup(word);
+      return true;
+    }
+    if (!varint_internal::SkipGroupEntries(&p, end, count)) {
+      groups_left = 0;
+      return false;
+    }
+    return NextHeader(false);
+  }
+
+  /// Consumes the current group's entries and parses the next header.
+  /// `*found` is the distance of the first entry with quality >= w
+  /// (kInfDistance if none) — the Theorem 3 choice, exactly what
+  /// FirstWithQuality picks on the decoded group. A malformed entry
+  /// (truncated, or a quality code past the dictionary) exhausts the
+  /// cursor, `*found` covering the entries before it.
+  bool TakeFirst(Quality w, Distance* found) {
+    *found = kInfDistance;
+    uint64_t dist = 0;
+    uint64_t word = 0;
+    if (LoadShortGroup(&word)) {
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t qcode = (word >> (16 * i + 8)) & 0xFF;
+        if (qcode > dict.size()) {
+          groups_left = 0;
+          return false;
+        }
+        TakeEntry(i, (word >> (16 * i)) & 0xFF, qcode, w, &dist, found);
+      }
+      AdvancePastShortGroup(word);
+      return true;
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t dist_delta = 0, qcode = 0;
+      if (!varint_internal::GetVarintPair(&p, end, &dist_delta, &qcode) ||
+          qcode > dict.size()) {
+        groups_left = 0;
+        return false;
+      }
+      TakeEntry(i, dist_delta, qcode, w, &dist, found);
+    }
+    return NextHeader(false);
+  }
+
+  /// Entry i of a group (qcode already range-checked): extends the running
+  /// distance and keeps the first one whose quality meets w.
+  void TakeEntry(uint64_t i, uint64_t dist_delta, uint64_t qcode, Quality w,
+                 uint64_t* dist, Distance* found) const {
+    *dist = i == 0 ? dist_delta : *dist + dist_delta;
+    if (*found == kInfDistance) {
+      const Quality quality = qcode == 0 ? kInfQuality : dict[qcode - 1];
+      if (quality >= w) *found = static_cast<Distance>(*dist);
+    }
+  }
+};
+
+/// Algorithm 5 streamed over two compressed labels: L(s) is vertex s of
+/// `s_labels` and L(t) vertex t of `t_labels` (two shards, each decoding
+/// through its own quality dictionary, or one set twice). Out-of-range
+/// endpoints answer kInfDistance. Bit-identical to QueryLabels on the
+/// decoded labels (tested); bounds-checked, so corrupt bytes degrade to
+/// "stream ends early" instead of reading out of range.
 Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
                               Vertex s,
                               const CompressedFlatLabelSet& t_labels,

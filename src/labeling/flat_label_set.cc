@@ -1,11 +1,8 @@
 #include "labeling/flat_label_set.h"
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <utility>
-
-#include "util/endian.h"
 
 namespace wcsd {
 
@@ -127,81 +124,6 @@ Status FlatLabelSet::Validate(ValidateLevel level) const {
     }
   }
   return Status::OK();
-}
-
-namespace {
-constexpr uint64_t kFlatMagic = 0x57435344'464c4154ULL;  // "WCSDFLAT"
-
-template <typename T>
-void WriteArray(std::ofstream& out, std::span<const T> values) {
-  uint64_t count = values.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-// Reads a length-prefixed vector, validating the count against the bytes
-// actually left in the file so a corrupted header returns Corruption
-// instead of a std::bad_alloc on resize.
-template <typename T>
-bool ReadVector(std::ifstream& in, std::vector<T>* values,
-                uint64_t* bytes_left) {
-  uint64_t count = 0;
-  if (*bytes_left < sizeof(count)) return false;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in) return false;
-  *bytes_left -= sizeof(count);
-  if (count > *bytes_left / sizeof(T)) return false;
-  values->resize(count);
-  in.read(reinterpret_cast<char*>(values->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  *bytes_left -= count * sizeof(T);
-  return static_cast<bool>(in);
-}
-}  // namespace
-
-Status FlatLabelSet::Save(const std::string& path) const {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(&kFlatMagic), sizeof(kFlatMagic));
-  WriteArray(out, offsets_);
-  WriteArray(out, entries_);
-  WriteArray(out, group_offsets_);
-  WriteArray(out, groups_);
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-Result<FlatLabelSet> FlatLabelSet::Load(const std::string& path) {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  uint64_t bytes_left = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint64_t magic = 0;
-  if (bytes_left < sizeof(magic)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kFlatMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  bytes_left -= sizeof(magic);
-  auto owned = std::make_shared<OwnedArrays>();
-  if (!ReadVector(in, &owned->offsets, &bytes_left) ||
-      !ReadVector(in, &owned->entries, &bytes_left) ||
-      !ReadVector(in, &owned->group_offsets, &bytes_left) ||
-      !ReadVector(in, &owned->groups, &bytes_left)) {
-    return Status::Corruption("truncated flat labels in " + path);
-  }
-  FlatLabelSet flat;
-  flat.Adopt(std::move(owned));
-  Status valid = flat.Validate(ValidateLevel::kDeep);
-  if (!valid.ok()) {
-    return Status::Corruption(valid.message() + " in " + path);
-  }
-  return flat;
 }
 
 }  // namespace wcsd

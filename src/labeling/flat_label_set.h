@@ -11,7 +11,7 @@
 // binary search over groups instead of over entries.
 //
 // The four CSR arrays are accessed through spans and can be backed either by
-// heap vectors (FromLabelSet, Load) or by externally owned memory — in
+// heap vectors (FromLabelSet) or by externally owned memory — in
 // practice a read-only mmap of a snapshot file (labeling/snapshot.h), which
 // makes serving start-up zero-copy: no per-entry deserialization, the
 // kernel pages label data in on first touch. A shared keep-alive handle
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "labeling/label_set.h"
@@ -145,12 +144,6 @@ class FlatLabelSet {
     return group_offsets_;
   }
   std::span<const HubGroup> raw_groups() const { return groups_; }
-
-  /// Binary serialization (own magic; incompatible with LabelSet's format
-  /// on purpose — the directory is part of the file). For the mmap'able
-  /// page-aligned format see labeling/snapshot.h.
-  Status Save(const std::string& path) const;
-  static Result<FlatLabelSet> Load(const std::string& path);
 
   /// Content equality of the four arrays, regardless of backing storage.
   friend bool operator==(const FlatLabelSet& a, const FlatLabelSet& b);

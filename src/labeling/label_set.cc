@@ -1,9 +1,7 @@
 #include "labeling/label_set.h"
 
+#include <algorithm>
 #include <cassert>
-#include <fstream>
-
-#include "util/endian.h"
 
 namespace wcsd {
 
@@ -47,73 +45,6 @@ bool LabelSet::IsSorted() const {
     }
   }
   return true;
-}
-
-namespace {
-constexpr uint64_t kLabelMagic = 0x57435344'4c41424cULL;  // "WCSDLABL"
-}  // namespace
-
-Status LabelSet::Save(const std::string& path) const {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(&kLabelMagic), sizeof(kLabelMagic));
-  uint64_t n = labels_.size();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const auto& lv : labels_) {
-    uint64_t count = lv.size();
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    out.write(reinterpret_cast<const char*>(lv.data()),
-              static_cast<std::streamsize>(count * sizeof(LabelEntry)));
-  }
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-Result<LabelSet> LabelSet::Load(const std::string& path) {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  // Counts are validated against the remaining file size before any
-  // allocation, so corrupted count fields fail cleanly instead of raising
-  // std::bad_alloc.
-  uint64_t bytes_left = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint64_t magic = 0, n = 0;
-  if (bytes_left < sizeof(magic) + sizeof(n)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kLabelMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in) return Status::Corruption("truncated header in " + path);
-  bytes_left -= sizeof(magic) + sizeof(n);
-  if (n > bytes_left / sizeof(uint64_t)) {
-    return Status::Corruption("vertex count exceeds file size in " + path);
-  }
-  LabelSet set(n);
-  for (uint64_t v = 0; v < n; ++v) {
-    uint64_t count = 0;
-    if (bytes_left < sizeof(count)) {
-      return Status::Corruption("truncated label count in " + path);
-    }
-    in.read(reinterpret_cast<char*>(&count), sizeof(count));
-    if (!in) return Status::Corruption("truncated label count in " + path);
-    bytes_left -= sizeof(count);
-    if (count > bytes_left / sizeof(LabelEntry)) {
-      return Status::Corruption("truncated label entries in " + path);
-    }
-    auto* lv = set.Mutable(static_cast<Vertex>(v));
-    lv->resize(count);
-    in.read(reinterpret_cast<char*>(lv->data()),
-            static_cast<std::streamsize>(count * sizeof(LabelEntry)));
-    if (!in) return Status::Corruption("truncated label entries in " + path);
-    bytes_left -= count * sizeof(LabelEntry);
-  }
-  if (!set.IsSorted()) return Status::Corruption("unsorted labels in " + path);
-  return set;
 }
 
 }  // namespace wcsd

@@ -17,10 +17,8 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "util/status.h"
 #include "util/types.h"
 
 namespace wcsd {
@@ -70,10 +68,6 @@ class LabelSet {
 
   /// True if L(v) is sorted by (hub asc, dist asc) for every v.
   bool IsSorted() const;
-
-  /// Binary serialization.
-  Status Save(const std::string& path) const;
-  static Result<LabelSet> Load(const std::string& path);
 
   friend bool operator==(const LabelSet&, const LabelSet&) = default;
 

@@ -61,7 +61,7 @@ LcrAdaptIndex LcrAdaptIndex::Build(const QualityGraph& g) {
 
 Distance LcrAdaptIndex::Query(Vertex s, Vertex t, Quality w) const {
   if (s == t) return 0;
-  return QueryLabelsMerge(labels_.For(s), labels_.For(t), w);
+  return QueryLabels(labels_.For(s), labels_.For(t), w);
 }
 
 }  // namespace wcsd

@@ -481,9 +481,7 @@ Result<MappedSnapshot> LoadSnapshotMmap(const std::string& path,
 
   MappedSnapshot snapshot;
   snapshot.info = InfoFromHeader(header);
-  const SnapshotVerifyLevel level =
-      options.deep_validate ? SnapshotVerifyLevel::kDeep
-                            : options.verify_level;
+  const SnapshotVerifyLevel level = options.verify_level;
   const ValidateLevel validate =
       level == SnapshotVerifyLevel::kDeep        ? ValidateLevel::kDeep
       : level == SnapshotVerifyLevel::kDirectory ? ValidateLevel::kDirectory

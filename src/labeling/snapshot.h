@@ -1,6 +1,6 @@
 // Versioned, checksummed, mmap'able index snapshots.
 //
-// The serving-side counterpart of FlatLabelSet::Save: instead of
+// The serving-side counterpart of WcIndex::Save: instead of
 // length-prefixed streams that force a full deserialization pass, a
 // snapshot lays the four CSR label arrays (and optionally the vertex order)
 // out page-aligned behind a fixed-width header, so a server can mmap the
@@ -134,9 +134,6 @@ struct SnapshotLoadOptions {
   bool verify_checksums = false;
   /// Structural validation tier (see SnapshotVerifyLevel).
   SnapshotVerifyLevel verify_level = SnapshotVerifyLevel::kOffsets;
-  /// Legacy spelling of verify_level = kDeep; the effective tier is the
-  /// deeper of the two knobs.
-  bool deep_validate = false;
 };
 // Trust model: the default (everything off) validates the header page and
 // the O(vertices) offset arrays only, so query kernels trust the section

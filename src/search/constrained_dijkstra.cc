@@ -51,50 +51,4 @@ Distance PartitionedDijkstra::Query(Vertex s, Vertex t, Quality w) const {
       -std::numeric_limits<Quality>::infinity());
 }
 
-Distance ConstrainedDijkstraWeighted(const WeightedQualityGraph& g, Vertex s,
-                                     Vertex t, Quality w) {
-  if (s == t) return 0;
-  std::vector<wcsd::Distance> dist(g.NumVertices(), kInfDistance);
-  MinHeap heap;
-  dist[s] = 0;
-  heap.push({0, s});
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
-    if (u == t) return d;
-    for (const WeightedArc& a : g.Neighbors(u)) {
-      if (a.quality < w) continue;
-      Distance nd = d + a.length;
-      if (nd < dist[a.to]) {
-        dist[a.to] = nd;
-        heap.push({nd, a.to});
-      }
-    }
-  }
-  return kInfDistance;
-}
-
-std::vector<Distance> ConstrainedDijkstraWeightedAll(
-    const WeightedQualityGraph& g, Vertex s, Quality w) {
-  std::vector<wcsd::Distance> dist(g.NumVertices(), kInfDistance);
-  MinHeap heap;
-  dist[s] = 0;
-  heap.push({0, s});
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
-    for (const WeightedArc& a : g.Neighbors(u)) {
-      if (a.quality < w) continue;
-      Distance nd = d + a.length;
-      if (nd < dist[a.to]) {
-        dist[a.to] = nd;
-        heap.push({nd, a.to});
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace wcsd

@@ -1,21 +1,14 @@
-// Constrained Dijkstra.
-//
-// Two roles:
-//   * the paper's "Dijkstra" baseline (§VI): per-quality partitions searched
-//     with a priority queue — deliberately carrying Dijkstra's bookkeeping
-//     on a unit-length graph, which is why the paper observes it losing to
-//     BFS;
-//   * the weighted-graph extension substrate (§V): on graphs with integer
-//     edge lengths the constrained BFS becomes a constrained Dijkstra.
+// Constrained Dijkstra: the paper's "Dijkstra" baseline (§VI). Per-quality
+// partitions are searched with a priority queue, deliberately carrying
+// Dijkstra's bookkeeping on a unit-length graph, which is why the paper
+// observes it losing to BFS. The serving engine also answers queries on a
+// quarantined shard with it (serve/query_engine.h degraded mode).
 
 #ifndef WCSD_SEARCH_CONSTRAINED_DIJKSTRA_H_
 #define WCSD_SEARCH_CONSTRAINED_DIJKSTRA_H_
 
-#include <vector>
-
 #include "graph/graph.h"
 #include "graph/subgraph.h"
-#include "graph/weighted_graph.h"
 #include "util/types.h"
 
 namespace wcsd {
@@ -37,14 +30,6 @@ class PartitionedDijkstra {
  private:
   QualityPartition partition_;
 };
-
-/// Constrained Dijkstra on a weighted graph: shortest summed-length w-path.
-Distance ConstrainedDijkstraWeighted(const WeightedQualityGraph& g, Vertex s,
-                                     Vertex t, Quality w);
-
-/// Single-source constrained Dijkstra on a weighted graph.
-std::vector<Distance> ConstrainedDijkstraWeightedAll(
-    const WeightedQualityGraph& g, Vertex s, Quality w);
 
 }  // namespace wcsd
 

@@ -2,17 +2,17 @@
 //
 // A compressed snapshot keeps label bytes on disk: the varint blob is an
 // mmap'd section that pages in on first touch (the cold tier). Distance
-// queries never come here: the engine streams both varint labels through
-// QueryCompressedMerge, which costs less than a hit's copy-out, and the
-// page cache keeps a label's varint stream resident in about a fifth of
-// the bytes its decoded form takes. This cache serves the requests that
-// need a decoded label view — top-k, quality profiles, result-cache
-// interval misses, paths, non-kMerge impls and mixed flat/compressed
-// pairs. It bounds their decode cost for skewed workloads by keeping the
-// hot vertices' DECODED labels resident under a fixed byte budget — a hit
-// copies the decoded arrays into caller scratch instead of re-walking the
-// varint stream (and, for a genuinely cold page, instead of faulting it
-// back in).
+// queries never come here: over any pair of flat and compressed labels the
+// engine streams the varint bytes in place (labeling/label_store.h
+// QueryStores), which costs less than a hit's copy-out, and the page cache
+// keeps a label's varint stream resident in about a fifth of the bytes its
+// decoded form takes. This cache serves the requests that need a decoded
+// label view — top-k, quality profiles and result-cache interval misses
+// (a cached shard tiling's path steps among them). It bounds their decode
+// cost for skewed workloads by keeping the hot vertices' DECODED labels
+// resident under a fixed byte budget — a hit copies the decoded arrays
+// into caller scratch instead of re-walking the varint stream (and, for a
+// genuinely cold page, instead of faulting it back in).
 //
 // Layout: striped hash maps, each stripe its own mutex — the decode path
 // is heavyweight enough that a short critical section per lookup is noise,

@@ -40,21 +40,17 @@ QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
     // The one-shard tiling of an index: its own serving labels.
     LabelSource source;
     source.end = num_vertices_;
-    if (index_->compressed()) {
-      source.kind = LabelSource::Kind::kCompressed;
-      source.compressed = index_->compressed_labels();
-    } else {
-      source.flat = index_->finalized()
-                        ? index_->flat_labels()
-                        : FlatLabelSet::FromLabelSet(index_->labels());
-    }
+    source.store =
+        index_->finalized()
+            ? index_->store()
+            : LabelStore(FlatLabelSet::FromLabelSet(index_->labels()));
     sources_.push_back(std::move(source));
   }
   begins_.reserve(sources_.size());
   for (const LabelSource& source : sources_) {
     begins_.push_back(source.begin);
-    if (source.kind == LabelSource::Kind::kQuarantined) ++num_quarantined_;
-    if (source.kind == LabelSource::Kind::kCompressed) ++num_compressed_;
+    if (source.quarantined) ++num_quarantined_;
+    if (source.store.compressed()) ++num_compressed_;
   }
   const size_t threads = ResolveServeThreads(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
@@ -141,21 +137,7 @@ uint64_t QueryEngine::ContentFingerprint(
   uint32_t entries_crc = seed;
   uint32_t groups_crc = seed;
   for (const LabelSource& source : sources) {
-    if (source.kind == LabelSource::Kind::kCompressed) {
-      // Same chain through a per-vertex decode: HubGroup.begin is
-      // vertex-relative, so the decoded slices concatenate to the raw
-      // arrays byte for byte.
-      if (!source.compressed.ChainContentCrcs(&entries_crc, &groups_crc)) {
-        return 0;
-      }
-      continue;
-    }
-    auto entries = source.flat.raw_entries();
-    auto groups = source.flat.raw_groups();
-    entries_crc = Crc32c(entries.data(), entries.size() * sizeof(LabelEntry),
-                         entries_crc);
-    groups_crc =
-        Crc32c(groups.data(), groups.size() * sizeof(HubGroup), groups_crc);
+    if (!source.store.ChainContentCrcs(&entries_crc, &groups_crc)) return 0;
   }
   return (uint64_t{groups_crc} << 32) | entries_crc;
 }
@@ -190,13 +172,8 @@ Result<QueryEngine> QueryEngine::OpenMmap(
     LabelSource source;
     source.begin = mapped.info.vertex_begin;
     source.end = mapped.info.vertex_end;
+    source.store = LabelStore::FromSnapshot(&mapped);
     source.path = path;
-    if (mapped.info.compressed) {
-      source.kind = LabelSource::Kind::kCompressed;
-      source.compressed = std::move(mapped.compressed);
-    } else {
-      source.flat = std::move(mapped.labels);
-    }
     sources.push_back(std::move(source));
   }
   return Assemble(std::move(sources), num_vertices, std::move(options));
@@ -220,6 +197,10 @@ Result<QueryEngine> QueryEngine::OpenManifest(
     const std::string path = ResolveShardPath(manifest_path, entry.path);
     const std::string which =
         "shard " + std::to_string(i) + " (" + path + ")";
+    LabelSource source;
+    source.begin = entry.vertex_begin;
+    source.end = entry.vertex_end;
+    source.path = path;
     Status failure = Status::OK();
     Result<MappedSnapshot> snapshot = LoadSnapshotMmap(path, load);
     if (!snapshot.ok()) {
@@ -227,7 +208,8 @@ Result<QueryEngine> QueryEngine::OpenManifest(
                        "manifest " + manifest_path + ": " + which + ": " +
                            snapshot.status().message());
     } else {
-      const MappedSnapshot& mapped = snapshot.value();
+      MappedSnapshot& mapped = snapshot.value();
+      source.store = LabelStore::FromSnapshot(&mapped);
       if (mapped.info.num_vertices_total != manifest.num_vertices_total ||
           mapped.info.vertex_begin != entry.vertex_begin ||
           mapped.info.vertex_end != entry.vertex_end) {
@@ -243,42 +225,25 @@ Result<QueryEngine> QueryEngine::OpenManifest(
             "manifest " + manifest_path + ": " + which +
             " is not the file the manifest was written for (snapshot header "
             "checksum mismatch)");
-      } else {
+      } else if (source.store.TotalEntries() != entry.entry_count ||
+                 source.store.TotalGroups() != entry.group_count) {
         // Logical totals work for both backends: a compressed shard keeps
         // the logical offset arrays populated exactly so that counts
         // cross-check without a decode.
-        const uint64_t entries = mapped.info.compressed
-                                     ? mapped.compressed.TotalEntries()
-                                     : mapped.labels.TotalEntries();
-        const uint64_t groups = mapped.info.compressed
-                                    ? mapped.compressed.TotalGroups()
-                                    : mapped.labels.raw_groups().size();
-        if (entries != entry.entry_count || groups != entry.group_count) {
-          failure = Status::Corruption(
-              "manifest " + manifest_path + ": " + which +
-              " entry/group counts disagree with the manifest");
-        }
+        failure = Status::Corruption(
+            "manifest " + manifest_path + ": " + which +
+            " entry/group counts disagree with the manifest");
       }
     }
-    LabelSource source;
-    source.begin = entry.vertex_begin;
-    source.end = entry.vertex_end;
-    source.path = path;
     if (!failure.ok()) {
       if (!degraded.quarantine_failed_shards) return failure;
       // Degraded mode: remember the planned range so routing still works,
       // but serve nothing from it. The manifest's tiling survives, so
       // every other shard's queries are untouched.
-      source.kind = LabelSource::Kind::kQuarantined;
+      source.store = LabelStore();
+      source.quarantined = true;
       sources.push_back(std::move(source));
       continue;
-    }
-    MappedSnapshot& mapped = snapshot.value();
-    if (mapped.info.compressed) {
-      source.kind = LabelSource::Kind::kCompressed;
-      source.compressed = std::move(mapped.compressed);
-    } else {
-      source.flat = std::move(mapped.labels);
     }
     sources.push_back(std::move(source));
     ++healthy;
@@ -313,14 +278,9 @@ std::vector<ShardBalanceEntry> QueryEngine::ShardBalance() const {
   if (index_ != nullptr) return balance;
   balance.reserve(sources_.size());
   for (const LabelSource& source : sources_) {
-    const bool compressed = source.kind == LabelSource::Kind::kCompressed;
     balance.push_back(ShardBalanceEntry{
-        source.begin, source.end,
-        compressed ? source.compressed.TotalEntries()
-                   : source.flat.TotalEntries(),
-        compressed ? source.compressed.MemoryBytes()
-                   : source.flat.MemoryBytes(),
-        source.kind == LabelSource::Kind::kQuarantined});
+        source.begin, source.end, source.store.TotalEntries(),
+        source.store.MemoryBytes(), source.quarantined});
   }
   return balance;
 }
@@ -337,56 +297,39 @@ FlatLabelView QueryEngine::ViewOf(const LabelSource& source, Vertex v,
                                   DecodedLabel* scratch,
                                   uint64_t* cold_pageins) const {
   const Vertex local = static_cast<Vertex>(v - source.begin);
-  if (source.kind == LabelSource::Kind::kFlat) return source.flat.View(local);
-  if (decode_cache_ != nullptr) {
+  if (decode_cache_ != nullptr && source.store.compressed()) {
     // Keyed by GLOBAL vertex id, so one cache serves every shard. The
     // cache counts its own misses' page-ins.
-    if (!decode_cache_->GetOrDecode(source.compressed, local, v, scratch)) {
+    if (!decode_cache_->GetOrDecode(source.store.compressed_labels(), local,
+                                    v, scratch)) {
       scratch->Clear();
     }
-  } else {
-    if (source.compressed.external()) ++*cold_pageins;
-    if (!source.compressed.DecodeVertex(local, scratch).ok()) {
-      scratch->Clear();
-    }
+    return scratch->View();
   }
-  return scratch->View();
+  if (source.store.cold()) ++*cold_pageins;
+  return source.store.View(local, scratch);
 }
 
 Distance QueryEngine::DirectQuery(Vertex s, Vertex t, Quality w,
                                   uint64_t* cold_pageins) const {
-  using Kind = LabelSource::Kind;
   const LabelSource& a = SourceOf(s);
   const LabelSource& b = SourceOf(t);
-  if (a.kind == Kind::kFlat && b.kind == Kind::kFlat) {
-    return QueryFlat(a.flat.View(static_cast<Vertex>(s - a.begin)),
-                     b.flat.View(static_cast<Vertex>(t - b.begin)), w,
-                     options_.impl);
-  }
-  if (a.kind == Kind::kCompressed && b.kind == Kind::kCompressed &&
-      options_.impl == QueryImpl::kMerge) {
-    // Stream both varint labels, each through its own shard's dictionary,
-    // and never through the decode cache: one merge over the bytes costs
-    // less than a cache hit's copy-out, let alone a miss's full decode.
-    *cold_pageins += (a.compressed.external() ? 1 : 0) +
-                     (b.compressed.external() ? 1 : 0);
-    return QueryCompressedMerge(a.compressed, static_cast<Vertex>(s - a.begin),
-                                b.compressed, static_cast<Vertex>(t - b.begin),
-                                w);
-  }
-  // Two scratch labels per thread: each endpoint's view must survive the
-  // other's decode.
-  thread_local DecodedLabel ls, lt;
-  return QueryFlat(ViewOf(a, s, &ls, cold_pageins),
-                   ViewOf(b, t, &lt, cold_pageins), w, options_.impl);
+  // Both labels stream from their own storage, a compressed one through
+  // its own shard's dictionary, and never through the decode cache: one
+  // merge over the varint bytes costs less than a cache hit's copy-out,
+  // let alone a miss's full decode.
+  *cold_pageins += (a.store.cold() ? 1 : 0) + (b.store.cold() ? 1 : 0);
+  return QueryStores(a.store, static_cast<Vertex>(s - a.begin), b.store,
+                     static_cast<Vertex>(t - b.begin), w);
 }
 
 IntervalQueryResult QueryEngine::DirectInterval(Vertex s, Vertex t, Quality w,
                                                 uint64_t* cold_pageins) const {
+  // Two scratch labels per thread: each endpoint's view must survive the
+  // other's decode.
   thread_local DecodedLabel ls, lt;
-  return QueryFlatMergeWithInterval(
-      ViewOf(SourceOf(s), s, &ls, cold_pageins),
-      ViewOf(SourceOf(t), t, &lt, cold_pageins), w);
+  return QueryLabelsWithInterval(ViewOf(SourceOf(s), s, &ls, cold_pageins),
+                                 ViewOf(SourceOf(t), t, &lt, cold_pageins), w);
 }
 
 Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w,
@@ -662,15 +605,8 @@ QueryEngineStats QueryEngine::Stats() const {
   stats.has_parents = index_ != nullptr && index_->has_parents() ? 1 : 0;
   stats.compressed = num_compressed_ > 0 ? 1 : 0;
   for (const LabelSource& source : sources_) {
-    if (source.kind == LabelSource::Kind::kCompressed) {
-      stats.label_bytes += source.compressed.MemoryBytes();
-      stats.uncompressed_label_bytes += source.compressed.UncompressedBytes();
-    } else {
-      // A quarantined source's empty flat set adds nothing.
-      const size_t bytes = source.flat.MemoryBytes();
-      stats.label_bytes += bytes;
-      stats.uncompressed_label_bytes += bytes;
-    }
+    stats.label_bytes += source.store.MemoryBytes();
+    stats.uncompressed_label_bytes += source.store.UncompressedBytes();
   }
   return stats;
 }

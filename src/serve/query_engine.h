@@ -9,8 +9,9 @@
 //   * a flat mapping (an mmap'd snapshot or shard file, or the flat labels
 //     of an in-memory index);
 //   * a compressed mapping (v3 files): distance queries stream it with the
-//     varint merge kernel; requests that need a decoded view decode it,
-//     through the one optional decoded-label cache;
+//     varint cursor, paired with a flat or a compressed other side;
+//     requests that need a decoded view decode it, through the one
+//     optional decoded-label cache;
 //   * a quarantined range (degraded manifest open: its labels never
 //     loaded).
 // An unsharded snapshot is a one-shard tiling. Engines over a whole WcIndex
@@ -45,8 +46,7 @@
 
 #include "core/batch.h"
 #include "core/wc_index.h"
-#include "labeling/compressed_flat.h"
-#include "labeling/flat_label_set.h"
+#include "labeling/label_store.h"
 #include "labeling/query.h"
 #include "labeling/snapshot.h"
 #include "serve/batch_runner.h"
@@ -64,9 +64,6 @@ struct QueryEngineOptions {
   /// Worker threads for batch evaluation. 0 = hardware concurrency;
   /// 1 = no pool, batches run on the calling thread.
   size_t num_threads = 0;
-  /// Query implementation used for every query (kMerge is the paper's
-  /// Query+ and the fastest on every measured workload).
-  QueryImpl impl = QueryImpl::kMerge;
   /// Smallest batch slice handed to one worker; bounds scheduling overhead
   /// on small batches.
   size_t min_chunk = 64;
@@ -74,10 +71,10 @@ struct QueryEngineOptions {
   /// (serve/result_cache.h). 0 (the default) disables caching and leaves
   /// the query path exactly as before. When enabled, misses are answered
   /// by the interval-returning merge kernel — answers stay bit-identical
-  /// for every `impl` (all four return the same distances) — and the
-  /// engine binds the cache to the served labels' content fingerprint
-  /// (one full pass over the label bytes, which faults an mmap'd snapshot
-  /// in; a manifest open takes the fingerprint its manifest records).
+  /// to the uncached merge — and the engine binds the cache to the served
+  /// labels' content fingerprint (one full pass over the label bytes,
+  /// which faults an mmap'd snapshot in; a manifest open takes the
+  /// fingerprint its manifest records).
   size_t cache_bytes = 0;
   /// Externally owned cache shared across engine generations (the hot-swap
   /// serve path). When set the engine uses it instead of creating its own;
@@ -99,13 +96,13 @@ struct QueryEngineOptions {
   std::function<void(uint64_t fingerprint)> pre_bind_invalidate;
   /// Byte budget for the decoded-label cache (serve/decode_cache.h), used
   /// only when some label source is compressed. It serves the requests
-  /// that need a decoded label view: top-k, profiles, result-cache
-  /// interval misses, paths, non-kMerge impls and mixed flat/compressed
-  /// pairs — hot vertices' decoded labels stay resident so repeats skip
-  /// the varint walk (and the cold-tier page-in). A kMerge distance query
-  /// over two compressed labels always streams the varint bytes
-  /// (QueryCompressedMerge) and never consults it. 0 (the default)
-  /// decodes per request into thread-local scratch.
+  /// that need a decoded label view: top-k, profiles and result-cache
+  /// interval misses (a cached shard tiling's path steps among them) —
+  /// hot vertices' decoded labels stay resident so repeats skip the varint
+  /// walk (and the cold-tier page-in). Distance queries never consult it:
+  /// over any pair of flat and compressed labels they stream the varint
+  /// bytes (QueryStores). 0 (the default) decodes per request into
+  /// thread-local scratch.
   size_t decode_cache_bytes = 0;
   /// Graph backing constrained-path reconstruction (§V). Path endpoints
   /// need the graph even when the index carries parent quads: a mid-chain
@@ -344,12 +341,10 @@ class QueryEngine final : public QueryService {
  private:
   /// One range of the tiling and the storage it is served from.
   struct LabelSource {
-    enum class Kind : uint8_t { kFlat, kCompressed, kQuarantined };
     uint64_t begin = 0;
     uint64_t end = 0;
-    Kind kind = Kind::kFlat;
-    FlatLabelSet flat;                  // kFlat; keeps its mapping alive
-    CompressedFlatLabelSet compressed;  // kCompressed; likewise
+    LabelStore store;  // keeps its mapping alive; empty when quarantined
+    bool quarantined = false;
     std::string path;  // where the mapping came from, for diagnostics
   };
 
@@ -371,12 +366,10 @@ class QueryEngine final : public QueryService {
       std::optional<uint64_t> known_fingerprint = std::nullopt);
 
   const LabelSource& SourceOf(Vertex v) const;
-  /// Label view of v (which `source` holds; not quarantined). A flat
-  /// source returns a view into its mapping; a compressed one decodes into
-  /// `scratch` — through the decode cache when configured — so the view
-  /// lives as long as the scratch. A failed decode (corrupt bytes below the
-  /// deep-validation tiers) yields an empty view, which answers like an
-  /// unreachable vertex.
+  /// Label view of v (which `source` holds; not quarantined): the store's
+  /// View (labeling/label_store.h), with the decode cache in front of it
+  /// for compressed sources when configured. The view lives as long as
+  /// `scratch`.
   ///
   /// Every kernel below adds its reads of mmap-backed compressed bytes
   /// that the decode cache does not count to `*cold_pageins`; the caller
@@ -385,12 +378,11 @@ class QueryEngine final : public QueryService {
                        DecodedLabel* scratch, uint64_t* cold_pageins) const;
   /// True when v's labels live in a quarantined shard.
   bool Unavailable(Vertex v) const {
-    return num_quarantined_ > 0 &&
-           SourceOf(v).kind == LabelSource::Kind::kQuarantined;
+    return num_quarantined_ > 0 && SourceOf(v).quarantined;
   }
   /// The uncached two-label kernels (both endpoints in range, s != t).
-  /// DirectQuery streams a kMerge query over two compressed labels
-  /// (QueryCompressedMerge) and merges decoded views otherwise.
+  /// DirectQuery streams both labels whatever their backends
+  /// (QueryStores); DirectInterval merges label views.
   Distance DirectQuery(Vertex s, Vertex t, Quality w,
                        uint64_t* cold_pageins) const;
   IntervalQueryResult DirectInterval(Vertex s, Vertex t, Quality w,

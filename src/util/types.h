@@ -18,8 +18,7 @@ namespace wcsd {
 /// compact (12 bytes each).
 using Vertex = uint32_t;
 
-/// Path length. Unweighted paths fit easily in 32 bits; the weighted-graph
-/// extension (§V) reuses the same width for summed integer edge lengths.
+/// Path length (hop count). Unweighted paths fit easily in 32 bits.
 using Distance = uint32_t;
 
 /// Edge quality (the paper's w / delta(e)). Real-valued per the problem

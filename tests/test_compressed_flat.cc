@@ -101,7 +101,7 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
     Distance expected =
-        QueryFlat(flat.View(s), flat.View(t), w, QueryImpl::kMerge);
+        QueryLabels(flat.View(s), flat.View(t), w, QueryImpl::kMerge);
     ASSERT_EQ(QueryCompressedMerge(compressed, s, t, w), expected)
         << "s=" << s << " t=" << t << " w=" << w;
   }
@@ -143,8 +143,8 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     for (Vertex t = 0; t < wn; ++t) {
       for (Quality w : {1.0f, 8.0f, 16.0f, 24.0f, 32.0f, 40.0f}) {
         ASSERT_EQ(sharded.value().Query(s, t, w),
-                  QueryFlat(wflat.View(s), wflat.View(t), w,
-                            QueryImpl::kMerge))
+                  QueryLabels(wflat.View(s), wflat.View(t), w,
+                              QueryImpl::kMerge))
             << "s=" << s << " t=" << t << " w=" << w;
       }
     }
@@ -187,7 +187,7 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     Vertex t = static_cast<Vertex>(rng.NextBounded(gn));
     Quality w = static_cast<Quality>(rng.NextInRange(1, 200));
     ASSERT_EQ(QueryCompressedMerge(gcomp, s, t, w),
-              QueryFlatMerge(gflat.View(s), gflat.View(t), w))
+              QueryLabels(gflat.View(s), gflat.View(t), w))
         << "s=" << s << " t=" << t << " w=" << w;
   }
 }
@@ -518,7 +518,10 @@ TEST(CompressedFlat, CompressedShardSetServesIdentically) {
 
 // Mixed sets: compressed and flat shard files stitched into one engine
 // must agree with the unsharded index (each shard serves from whatever
-// backend its file carries).
+// backend its file carries). Distance queries stream every pair of
+// backends: a compressed side is merged straight from its mmap'd varint
+// bytes — one cold page-in per such side — and the decode cache, present
+// for the requests that need decoded views, is never consulted.
 TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
   WcIndex index = BuildFinalizedIndex(160, 420, 37);
   const FlatLabelSet& flat = index.flat_labels();
@@ -531,18 +534,44 @@ TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, mid, n, {}, compress).ok());
   ASSERT_TRUE(WriteSnapshotShard(b, flat, mid, n, n).ok());
 
-  auto engine = QueryEngine::OpenMmap({a, b});
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.decode_cache_bytes = 4 << 20;
+  auto engine = QueryEngine::OpenMmap({a, b}, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().compressed());
+  ASSERT_NE(engine.value().decode_cache(), nullptr);
 
   Rng rng(12);
+  std::vector<BatchQueryInput> batch;
+  std::vector<Distance> expected;
+  uint64_t mixed_pairs = 0;
+  uint64_t compressed_sides = 0;
   for (int i = 0; i < 1000; ++i) {
     Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
-    ASSERT_EQ(engine.value().Query(s, t, w), index.Query(s, t, w))
+    expected.push_back(index.Query(s, t, w));
+    ASSERT_EQ(engine.value().Query(s, t, w), expected.back())
         << "s=" << s << " t=" << t << " w=" << w;
+    batch.push_back({s, t, w});
+    if (s == t) continue;
+    if ((s < mid) != (t < mid)) ++mixed_pairs;
+    compressed_sides += (s < mid ? 1 : 0) + (t < mid ? 1 : 0);
   }
+  ASSERT_GT(mixed_pairs, 0u);
+  EXPECT_EQ(engine.value().Batch(batch), expected);
+  const QueryEngineStats stats = engine.value().Stats();
+  EXPECT_EQ(stats.decode_hits + stats.decode_misses, 0u);
+  // Query and Batch each walked every compressed side once.
+  EXPECT_EQ(stats.cold_pageins, 2 * compressed_sides);
+
+  // Top-k needs decoded views, so it still goes through the cache.
+  const std::vector<Vertex> candidates = {1, 2, static_cast<Vertex>(n - 1)};
+  std::vector<RankedCandidate> ranked;
+  ASSERT_EQ(engine.value().TopKEx(0, candidates, 2.0f, 2, &ranked),
+            ServeOutcome::kOk);
+  EXPECT_GT(engine.value().Stats().decode_misses, 0u);
   std::remove(a.c_str());
   std::remove(b.c_str());
 }

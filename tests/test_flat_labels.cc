@@ -1,5 +1,5 @@
-// FlatLabelSet: CSR packing round-trips, serialization, query-kernel
-// equivalence with the vector backend, and the WcIndex::Finalize routing.
+// FlatLabelSet: CSR packing round-trips, query-kernel equivalence with the
+// vector backend, and the WcIndex::Finalize routing.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "labeling/flat_label_set.h"
+#include "labeling/label_store.h"
 #include "labeling/query.h"
 #include "util/random.h"
 
@@ -61,29 +62,6 @@ TEST(FlatLabelSet, HubDirectoryMatchesGroupStructure) {
   }
 }
 
-TEST(FlatLabelSet, SaveLoadRoundTrip) {
-  WcIndex index = WcIndex::Build(TestGraph(11), WcIndexOptions::Plus());
-  FlatLabelSet flat = FlatLabelSet::FromLabelSet(index.labels());
-  std::string path = TempPath("flat_roundtrip.bin");
-  ASSERT_TRUE(flat.Save(path).ok());
-  auto loaded = FlatLabelSet::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value(), flat);
-  std::remove(path.c_str());
-}
-
-TEST(FlatLabelSet, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_FALSE(FlatLabelSet::Load("/nonexistent/flat.bin").ok());
-  std::string path = TempPath("flat_corrupt.bin");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char junk[] = "definitely not a flat label file";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  EXPECT_FALSE(FlatLabelSet::Load(path).ok());
-  std::remove(path.c_str());
-}
-
 TEST(FlatLabelSet, EmptyAndSingleVertex) {
   FlatLabelSet empty = FlatLabelSet::FromLabelSet(LabelSet(0));
   EXPECT_EQ(empty.NumVertices(), 0u);
@@ -100,6 +78,7 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
   QualityGraph g = TestGraph(13);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
   FlatLabelSet flat = FlatLabelSet::FromLabelSet(index.labels());
+  const LabelStore store(flat);
   Rng rng(29);
   const size_t n = g.NumVertices();
   for (int i = 0; i < 400; ++i) {
@@ -111,13 +90,13 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
     auto lt = index.labels().For(t);
     FlatLabelView fs = flat.View(s);
     FlatLabelView ft = flat.View(t);
-    Distance expected = QueryLabelsMerge(ls, lt, w);
-    EXPECT_EQ(QueryFlatMerge(fs, ft, w), expected);
-    EXPECT_EQ(QueryFlatBinary(fs, ft, w), expected);
-    EXPECT_EQ(QueryFlatHubGrouped(fs, ft, w), expected);
-    EXPECT_EQ(QueryFlatScan(fs, ft, w), expected);
-    HubQueryResult dense_hub = QueryLabelsMergeWithHub(ls, lt, w);
-    HubQueryResult flat_hub = QueryFlatMergeWithHub(fs, ft, w);
+    Distance expected = QueryLabels(ls, lt, w);
+    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kMerge), expected);
+    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kBinary), expected);
+    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kHubGrouped), expected);
+    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kScan), expected);
+    HubQueryResult dense_hub = QueryLabelsWithHub(ls, lt, w);
+    HubQueryResult flat_hub = QueryStoresWithHub(store, s, store, t, w);
     EXPECT_EQ(flat_hub.dist, dense_hub.dist);
     EXPECT_EQ(flat_hub.via_hub, dense_hub.via_hub);
     EXPECT_EQ(flat_hub.dist_from_s, dense_hub.dist_from_s);

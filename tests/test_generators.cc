@@ -169,17 +169,5 @@ TEST(WattsStrogatz, RingWithRewiring) {
   EXPECT_LE(g.NumEdges(), 1200u);
 }
 
-TEST(RandomWeighted, LengthsInRange) {
-  QualityModel quality;
-  WeightedQualityGraph g = GenerateRandomWeighted(100, 300, 9, quality, 41);
-  EXPECT_EQ(g.NumVertices(), 100u);
-  for (Vertex u = 0; u < g.NumVertices(); ++u) {
-    for (const WeightedArc& a : g.Neighbors(u)) {
-      EXPECT_GE(a.length, 1u);
-      EXPECT_LE(a.length, 9u);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace wcsd

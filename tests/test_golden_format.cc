@@ -66,7 +66,7 @@ TEST(GoldenFormat, WcxWriterIsByteStable) {
 TEST(GoldenFormat, SnapshotLoadsAndAnswers) {
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto loaded = WcIndex::LoadMmap(GoldenPath("fig3_golden.wcsnap"), verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectPaperAnswers(loaded.value());

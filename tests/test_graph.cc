@@ -1,14 +1,10 @@
-// Unit tests for the CSR graph, builder, subgraph filtering, and the
-// weighted graph variant.
+// Unit tests for the CSR graph, builder, and subgraph filtering.
 
 #include <gtest/gtest.h>
-
-#include <tuple>
 
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
-#include "graph/weighted_graph.h"
 #include "paper_fixtures.h"
 
 namespace wcsd {
@@ -141,24 +137,6 @@ TEST(QualityPartition, MemoryCoversAllLevels) {
   QualityGraph g = MakeFigure3Graph();
   QualityPartition partition(g);
   EXPECT_GE(partition.MemoryBytes(), g.MemoryBytes());
-}
-
-TEST(WeightedGraph, LengthsAndQualities) {
-  WeightedQualityGraph g = WeightedQualityGraph::FromEdges(
-      3, {{0, 1, 4, 2.0f}, {1, 2, 1, 3.0f}});
-  EXPECT_EQ(g.NumVertices(), 3u);
-  EXPECT_EQ(g.NumEdges(), 2u);
-  ASSERT_EQ(g.Neighbors(0).size(), 1u);
-  EXPECT_EQ(g.Neighbors(0)[0].length, 4u);
-  EXPECT_FLOAT_EQ(g.Neighbors(0)[0].quality, 2.0f);
-  EXPECT_EQ(g.Degree(1), 2u);
-}
-
-TEST(WeightedGraph, DuplicatesKeepShortest) {
-  WeightedQualityGraph g = WeightedQualityGraph::FromEdges(
-      2, {{0, 1, 9, 1.0f}, {0, 1, 2, 1.0f}});
-  ASSERT_EQ(g.Neighbors(0).size(), 1u);
-  EXPECT_EQ(g.Neighbors(0)[0].length, 2u);
 }
 
 }  // namespace

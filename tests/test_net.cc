@@ -1,5 +1,5 @@
 // Network front-end tests: the WcServer must answer bit-identically to the
-// in-process engines for every QueryImpl, survive concurrent pipelined
+// in-process engines, survive concurrent pipelined
 // load from many connections (the soak/hammer configuration the sanitizer
 // CI jobs run), and never crash on the malformed-frame corpus — framing
 // errors close cleanly after one error frame, frame-local errors leave the
@@ -120,37 +120,33 @@ TEST(WcServer, ReportsCacheCountersOverTheWire) {
             engine->Stats().cache_hits + engine->Stats().cache_misses);
 }
 
-// Every QueryImpl, every call shape: the networked answers must equal the
-// in-process index bit-for-bit.
-TEST(WcServer, BitIdenticalToInProcessForEveryImpl) {
+// Every call shape: the networked answers must equal the in-process
+// index bit-for-bit.
+TEST(WcServer, BitIdenticalToInProcess) {
   NetFixture f = MakeNetFixture(120, 320, 400, 211);
-  for (QueryImpl impl : {QueryImpl::kScan, QueryImpl::kHubGrouped,
-                         QueryImpl::kBinary, QueryImpl::kMerge}) {
-    QueryEngineOptions options;
-    options.num_threads = 2;
-    options.impl = impl;
-    auto engine = std::make_shared<const QueryEngine>(f.index, options);
-    WcServer server = StartServer(MakeQueryService(engine));
-    WcClient client = ConnectTo(server);
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  auto engine = std::make_shared<const QueryEngine>(f.index, options);
+  WcServer server = StartServer(MakeQueryService(engine));
+  WcClient client = ConnectTo(server);
 
-    std::vector<Distance> expected;
-    expected.reserve(f.workload.size());
-    for (const BatchQueryInput& q : f.workload) {
-      expected.push_back(f.index->Query(q.s, q.t, q.w, impl));
-    }
-    for (size_t i = 0; i < 100; ++i) {
-      const BatchQueryInput& q = f.workload[i];
-      auto d = client.Query(q.s, q.t, q.w);
-      ASSERT_TRUE(d.ok()) << d.status().ToString();
-      ASSERT_EQ(d.value(), expected[i]) << "impl=" << static_cast<int>(impl);
-    }
-    auto batch = client.Batch(f.workload);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    EXPECT_EQ(batch.value(), expected);
-    auto pipelined = client.QueryPipelined(f.workload, /*window=*/32);
-    ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-    EXPECT_EQ(pipelined.value(), expected);
+  std::vector<Distance> expected;
+  expected.reserve(f.workload.size());
+  for (const BatchQueryInput& q : f.workload) {
+    expected.push_back(f.index->Query(q.s, q.t, q.w));
   }
+  for (size_t i = 0; i < 100; ++i) {
+    const BatchQueryInput& q = f.workload[i];
+    auto d = client.Query(q.s, q.t, q.w);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_EQ(d.value(), expected[i]);
+  }
+  auto batch = client.Batch(f.workload);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value(), expected);
+  auto pipelined = client.QueryPipelined(f.workload, /*window=*/32);
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+  EXPECT_EQ(pipelined.value(), expected);
 }
 
 TEST(WcServer, ServesShardedBackendIdentically) {

@@ -64,7 +64,7 @@ TEST(QueryImplsTest, HubGroupedPrunesHighHubs) {
   std::vector<LabelEntry> lt{{3, 2, 5.0f}, {9, 1, 9.0f}};
   std::span<const LabelEntry> s{ls.data(), ls.size()};
   std::span<const LabelEntry> t{lt.data(), lt.size()};
-  EXPECT_EQ(QueryLabelsHubGrouped(s, t, 1.0f), 2u);
+  EXPECT_EQ(QueryLabels(s, t, 1.0f, QueryImpl::kHubGrouped), 2u);
 }
 
 class QueryImplAgreementTest

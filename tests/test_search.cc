@@ -127,25 +127,6 @@ TEST(DijkstraBaselineTest, PartitionedAgreesWithBfs) {
   }
 }
 
-TEST(WeightedDijkstraTest, HandPickedWeightedPaths) {
-  // 0 -2/q5- 1 -2/q5- 2   and direct 0 -3/q1- 2.
-  WeightedQualityGraph g = WeightedQualityGraph::FromEdges(
-      3, {{0, 1, 2, 5.0f}, {1, 2, 2, 5.0f}, {0, 2, 3, 1.0f}});
-  EXPECT_EQ(ConstrainedDijkstraWeighted(g, 0, 2, 1.0f), 3u);
-  EXPECT_EQ(ConstrainedDijkstraWeighted(g, 0, 2, 2.0f), 4u);
-  EXPECT_EQ(ConstrainedDijkstraWeighted(g, 0, 2, 6.0f), kInfDistance);
-  EXPECT_EQ(ConstrainedDijkstraWeighted(g, 1, 1, 9.0f), 0u);
-}
-
-TEST(WeightedDijkstraTest, AllDistancesConsistent) {
-  QualityModel quality;
-  WeightedQualityGraph g = GenerateRandomWeighted(50, 120, 7, quality, 31);
-  auto all = ConstrainedDijkstraWeightedAll(g, 4, 2.0f);
-  for (Vertex t = 0; t < g.NumVertices(); ++t) {
-    EXPECT_EQ(all[t], ConstrainedDijkstraWeighted(g, 4, t, 2.0f));
-  }
-}
-
 TEST(ParetoOracleTest, Figure3FrontierV0V4) {
   QualityGraph g = MakeFigure3Graph();
   // Frontier for (v0, v4): (2, q1), (3, q2), (4, q3) — matches L(v4)'s

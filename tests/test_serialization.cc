@@ -1,4 +1,4 @@
-// Serialization tests: LabelSet and WcIndex round trips plus corruption
+// Serialization tests: WcIndex (.wcx) round trips plus corruption
 // handling.
 
 #include <gtest/gtest.h>
@@ -18,31 +18,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-TEST(LabelSetSerialization, RoundTrip) {
-  LabelSet labels(3);
-  labels.Append(0, {0, 0, kInfQuality});
-  labels.Append(1, {0, 2, 1.5f});
-  labels.Append(1, {0, 3, 2.5f});
-  labels.Append(1, {1, 0, kInfQuality});
-  std::string path = TempPath("labels.bin");
-  ASSERT_TRUE(labels.Save(path).ok());
-  auto loaded = LabelSet::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value(), labels);
-  std::remove(path.c_str());
-}
-
-TEST(LabelSetSerialization, BadMagicRejected) {
-  std::string path = TempPath("bad_labels.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "garbage bytes here";
-  }
-  auto loaded = LabelSet::Load(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
 }
 
 TEST(WcIndexSerialization, RoundTripPreservesQueries) {
@@ -138,21 +113,6 @@ TEST(WcIndexSerialization, AbsurdLabelCountRejectedCleanly) {
     patch.write(reinterpret_cast<const char*>(&count), sizeof(count));
   }
   auto loaded = WcIndex::Load(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(LabelSetSerialization, AbsurdCountsRejectedCleanly) {
-  std::string path = TempPath("huge_labels.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    uint64_t magic = 0x57435344'4c41424cULL;  // kLabelMagic
-    uint64_t n = uint64_t{1} << 61;
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  }
-  auto loaded = LabelSet::Load(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());

@@ -69,19 +69,6 @@ TEST(QueryEngine, SingleAndBatchMatchIndex) {
   }
 }
 
-TEST(QueryEngine, EveryImplAgrees) {
-  ServeFixture f = MakeFixture(100, 260, 300, 23);
-  for (QueryImpl impl : {QueryImpl::kScan, QueryImpl::kHubGrouped,
-                         QueryImpl::kBinary, QueryImpl::kMerge}) {
-    QueryEngineOptions options;
-    options.num_threads = 2;
-    options.impl = impl;
-    QueryEngine engine(f.index, options);
-    EXPECT_EQ(engine.Batch(f.workload), f.expected)
-        << "impl=" << static_cast<int>(impl);
-  }
-}
-
 TEST(QueryEngine, OpenServesSnapshotIdentically) {
   ServeFixture f = MakeFixture(140, 360, 500, 29);
   std::string path = TempPath("engine_open.wcsnap");

@@ -7,14 +7,13 @@
 // generates random valid tilings (1..8 shards, uneven cuts, singleton and
 // even empty shards), serves each through QueryEngine (shard files
 // via OpenMmap, plus the planner + manifest path via OpenManifest), and
-// asserts every answer matches the unsharded QueryEngine across all four
-// QueryImpls, single and batch.
+// asserts every answer matches the unsharded QueryEngine, single and
+// batch.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,9 +28,6 @@
 
 namespace wcsd {
 namespace {
-
-constexpr QueryImpl kImpls[] = {QueryImpl::kScan, QueryImpl::kHubGrouped,
-                                QueryImpl::kBinary, QueryImpl::kMerge};
 
 QualityGraph MakeTilingGraph(size_t family, uint64_t seed) {
   Rng rng(seed * 0x9e3779b9u + family);
@@ -92,20 +88,14 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
       index.Finalize();
       const FlatLabelSet& flat = index.flat_labels();
 
-      // Reference engines: the unsharded mmap-served QueryEngine, one per
-      // impl.
+      // Reference engine: the unsharded mmap-served QueryEngine.
       std::string snap = dir + "/tiling_" + std::to_string(seed) + ".wcsnap";
       ASSERT_TRUE(index.SaveSnapshot(snap).ok());
-      std::vector<std::unique_ptr<QueryEngine>> reference;
-      for (QueryImpl impl : kImpls) {
-        QueryEngineOptions options;
-        options.num_threads = 1;
-        options.impl = impl;
-        auto opened = QueryEngine::Open(snap, options);
-        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-        reference.push_back(
-            std::make_unique<QueryEngine>(std::move(opened).value()));
-      }
+      QueryEngineOptions options;
+      options.num_threads = 1;
+      auto opened = QueryEngine::Open(snap, options);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      const QueryEngine reference = std::move(opened).value();
 
       // Fixed query workload per graph, shared by every tiling.
       Rng qrng(seed ^ 0x7115u);
@@ -132,26 +122,20 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
           paths.push_back(path);
         }
         ++tilings;
-        for (size_t impl_i = 0; impl_i < std::size(kImpls); ++impl_i) {
-          QueryEngineOptions options;
-          options.num_threads = 1;
-          options.impl = kImpls[impl_i];
-          auto sharded = QueryEngine::OpenMmap(paths, options);
-          ASSERT_TRUE(sharded.ok())
-              << sharded.status().ToString() << " seed=" << seed
-              << " round=" << round;
-          std::vector<Distance> expected;
-          for (const BatchQueryInput& q : queries) {
-            Distance want = reference[impl_i]->Query(q.s, q.t, q.w);
-            expected.push_back(want);
-            EXPECT_EQ(sharded.value().Query(q.s, q.t, q.w), want)
-                << "impl=" << impl_i << " seed=" << seed
-                << " shards=" << paths.size() << " s=" << q.s
-                << " t=" << q.t << " w=" << q.w;
-          }
-          EXPECT_EQ(sharded.value().Batch(queries), expected)
-              << "impl=" << impl_i << " seed=" << seed;
+        auto sharded = QueryEngine::OpenMmap(paths, options);
+        ASSERT_TRUE(sharded.ok())
+            << sharded.status().ToString() << " seed=" << seed
+            << " round=" << round;
+        std::vector<Distance> expected;
+        for (const BatchQueryInput& q : queries) {
+          Distance want = reference.Query(q.s, q.t, q.w);
+          expected.push_back(want);
+          EXPECT_EQ(sharded.value().Query(q.s, q.t, q.w), want)
+              << "seed=" << seed << " shards=" << paths.size()
+              << " s=" << q.s << " t=" << q.t << " w=" << q.w;
         }
+        EXPECT_EQ(sharded.value().Batch(queries), expected)
+            << "seed=" << seed;
         for (const std::string& path : paths) std::remove(path.c_str());
       }
 
@@ -166,10 +150,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
                                    flat, plan.value());
       ASSERT_TRUE(written.ok()) << written.status().ToString();
       ++tilings;
-      for (size_t impl_i = 0; impl_i < std::size(kImpls); ++impl_i) {
-        QueryEngineOptions options;
-        options.num_threads = 1;
-        options.impl = kImpls[impl_i];
+      {
         SnapshotLoadOptions verify;
         verify.verify_checksums = true;  // exercise the fingerprint path
         auto sharded = QueryEngine::OpenManifest(
@@ -177,19 +158,18 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
         for (const BatchQueryInput& q : queries) {
           EXPECT_EQ(sharded.value().Query(q.s, q.t, q.w),
-                    reference[impl_i]->Query(q.s, q.t, q.w))
-              << "manifest impl=" << impl_i << " seed=" << seed;
+                    reference.Query(q.s, q.t, q.w))
+              << "manifest seed=" << seed;
         }
       }
       // A cache-enabled sharded engine over the same planned set must stay
       // bit-identical too — across the full query list twice, so repeat
       // queries go through the interval-hit path.
       {
-        QueryEngineOptions options;
-        options.num_threads = 1;
-        options.cache_bytes = 16 << 10;
+        QueryEngineOptions cached_options = options;
+        cached_options.cache_bytes = 16 << 10;
         auto cached = QueryEngine::OpenManifest(
-            written.value().manifest_path, options);
+            written.value().manifest_path, cached_options);
         ASSERT_TRUE(cached.ok()) << cached.status().ToString();
         ASSERT_NE(cached.value().cache(), nullptr);
         // The cache binds to the tiling-invariant content fingerprint.
@@ -198,7 +178,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
         for (int pass = 0; pass < 2; ++pass) {
           for (const BatchQueryInput& q : queries) {
             EXPECT_EQ(cached.value().Query(q.s, q.t, q.w),
-                      reference[3]->Query(q.s, q.t, q.w))
+                      reference.Query(q.s, q.t, q.w))
                 << "cached pass=" << pass << " seed=" << seed;
           }
         }

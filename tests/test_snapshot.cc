@@ -50,7 +50,7 @@ TEST(Snapshot, MmapRoundTripIsBitIdentical) {
 
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto loaded = WcIndex::LoadMmap(path, verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const WcIndex& mm = loaded.value();
@@ -358,7 +358,7 @@ TEST(Snapshot, ShardFilesSliceTheIndex) {
       WriteSnapshotShard(path, index.flat_labels(), 40, 110, n).ok());
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto shard = LoadSnapshotMmap(path, verify);
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   EXPECT_EQ(shard.value().info.vertex_begin, 40u);
@@ -416,7 +416,7 @@ TEST(Snapshot, ParentsRoundTripThroughSnapshot) {
 
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto loaded = WcIndex::LoadMmap(path, verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const WcIndex& mm = loaded.value();

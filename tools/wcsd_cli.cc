@@ -68,7 +68,7 @@
 //   serve     --snapshot=<file>[,<file>,...] | --manifest=<file>
 //             [--graph=<file>]
 //             [--queries=N] [--threads=T] [--cache-mb=M]
-//             [--seed=S] [--levels=L] [--impl=merge|scan|grouped|binary]
+//             [--seed=S] [--levels=L]
 //             [--verify] [--verify-level=offsets|directory|deep]
 //             [--listen=PORT [--host=ADDR] [--max-seconds=S]
 //              [--reactors=R]]
@@ -1180,19 +1180,6 @@ int CmdServe(const Flags& flags) {
     options.graph =
         std::make_shared<const QualityGraph>(std::move(graph).value());
   }
-  std::string impl = flags.GetString("impl", "merge");
-  if (impl == "merge") {
-    options.impl = QueryImpl::kMerge;
-  } else if (impl == "scan") {
-    options.impl = QueryImpl::kScan;
-  } else if (impl == "grouped") {
-    options.impl = QueryImpl::kHubGrouped;
-  } else if (impl == "binary") {
-    options.impl = QueryImpl::kBinary;
-  } else {
-    std::fprintf(stderr, "error: unknown --impl: %s\n", impl.c_str());
-    return 1;
-  }
   int64_t queries_flag = flags.GetInt("queries", 100000);
   int64_t levels = flags.GetInt("levels", 5);
   if (queries_flag < 0 || levels < 1) {
@@ -1201,7 +1188,7 @@ int CmdServe(const Flags& flags) {
     return 1;
   }
   SnapshotLoadOptions load;
-  load.verify_checksums = load.deep_validate = flags.GetBool("verify", false);
+  load.verify_checksums = flags.GetBool("verify", false);
   std::string verify_level = flags.GetString("verify-level", "offsets");
   if (verify_level == "directory") {
     load.verify_level = SnapshotVerifyLevel::kDirectory;
@@ -1212,6 +1199,8 @@ int CmdServe(const Flags& flags) {
                  verify_level.c_str());
     return 1;
   }
+  // --verify implies the deepest tier, whatever --verify-level says.
+  if (load.verify_checksums) load.verify_level = SnapshotVerifyLevel::kDeep;
 
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = flags.GetBool("quarantine", false);
