@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the query paths: per-query latency
 // of each implementation on both label backends (vector-of-vectors vs.
-// flat CSR), plus the baselines, on a mid-size social graph. Emits
-// BENCH_micro_query.json for cross-PR tracking.
+// flat CSR), of the default query (the hub-table join once flat), plus the
+// baselines, on a mid-size social graph. Emits BENCH_micro_query.json for
+// tracking across changes.
 
 #include <benchmark/benchmark.h>
 
@@ -64,6 +65,19 @@ BENCHMARK(BM_QueryImpl)
                     static_cast<int>(QueryImpl::kMerge)},
                    {0, 1}})
     ->ArgNames({"impl", "backend"});
+
+// The default Query: the hub-table join on the flat backend, Algorithm 5
+// (BM_QueryImpl's merge row) on the vector one.
+void BM_Query(benchmark::State& state) {
+  const WcIndex& index = IndexForBackend(static_cast<int>(state.range(0)));
+  const auto& workload = SharedWorkload();
+  size_t i = 0;
+  for (auto _ : state) {
+    const WcsdQuery& q = workload[i++ & 4095];
+    benchmark::DoNotOptimize(index.Query(q.s, q.t, q.w));
+  }
+}
+BENCHMARK(BM_Query)->Arg(0)->Arg(1)->ArgNames({"backend"});
 
 void BM_QueryWithHub(benchmark::State& state) {
   const WcIndex& index = IndexForBackend(static_cast<int>(state.range(0)));

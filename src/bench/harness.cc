@@ -82,7 +82,15 @@ Status BenchJsonWriter::WriteFile(std::string* out_path) const {
     char median[32];
     std::snprintf(median, sizeof(median), "%.1f", r.median_ns);
     out << "  {\"name\": \"" << JsonEscape(r.name) << "\", \"median_ns\": "
-        << median << ", \"threads\": " << r.threads << ", \"backend\": \""
+        << median;
+    if (r.repetitions > 1) {
+      char spread[96];
+      std::snprintf(spread, sizeof(spread),
+                    ", \"min_ns\": %.1f, \"cv\": %.4f, \"repetitions\": %zu",
+                    r.min_ns, r.cv, r.repetitions);
+      out << spread;
+    }
+    out << ", \"threads\": " << r.threads << ", \"backend\": \""
         << JsonEscape(r.backend) << "\"";
     if (!r.counters.empty()) {
       out << ", \"counters\": {";

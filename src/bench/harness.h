@@ -46,6 +46,11 @@ std::string InfCell();
 struct BenchRecord {
   std::string name;       // benchmark id, e.g. "BM_QueryImpl/impl:3"
   double median_ns = 0;   // median (or sole) wall time per iteration
+  /// Over repeated runs (repetitions > 1): the fastest run's time and the
+  /// coefficient of variation of all of them.
+  size_t repetitions = 1;
+  double min_ns = 0;
+  double cv = 0;
   size_t threads = 1;     // worker threads the measured code used
   std::string backend;    // label storage backend: "vector" | "flat" | other
   /// Benchmark-reported counters (google-benchmark UserCounters), emitted

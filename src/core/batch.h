@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/wc_index.h"
+#include "labeling/hub_table.h"
 #include "labeling/query.h"
 #include "util/types.h"
 
@@ -49,10 +50,10 @@ struct RankedCandidate {
 /// Returns up to k candidates closest to `source` under constraint `w`,
 /// ascending by distance (ties by vertex id); unreachable candidates are
 /// omitted. One-to-many evaluation (Zhu-style single-source): the source's
-/// labels are scanned ONCE into a rank-indexed distance table, then each
-/// candidate costs one pass over its own labels — instead of a full
-/// two-sided merge per candidate. Bit-identical to ranking per-candidate
-/// Query calls (fuzz-asserted).
+/// labels are scattered ONCE into the hub table (labeling/hub_table.h),
+/// then each candidate costs one probe over its own labels — instead of a
+/// full two-sided merge per candidate. Bit-identical to ranking
+/// per-candidate Query calls (fuzz-asserted).
 std::vector<RankedCandidate> TopKClosest(const WcIndex& index, Vertex source,
                                          const std::vector<Vertex>& candidates,
                                          Quality w, size_t k);
@@ -83,8 +84,15 @@ std::vector<ProfilePoint> QualityProfile(
 // stitches per-vertex label slices from different shards, so the cores are
 // parameterized over an entries accessor / interval kernel).
 
-/// One-to-many top-k over any label storage: `entries_of(v)` returns the
-/// label entries of vertex v (v < n). Semantics match TopKClosest.
+/// One-to-many top-k over any label storage of an index with n vertices:
+/// `entries_of(v)` returns the label entries of vertex v (v < n), valid
+/// until its next call. Semantics match TopKClosest.
+///
+/// The hoisted source side is one hub-table scatter: per hub, the minimal
+/// w-feasible distance (Theorem 3: within a hub group the first
+/// quality-feasible entry has the minimal distance). Hub ranks span the
+/// whole index, so n is the rank space, and a rank at or beyond it
+/// matches nothing.
 template <typename EntriesOf>
 std::vector<RankedCandidate> TopKClosestOverLabels(
     size_t n, Vertex source, std::span<const Vertex> candidates, Quality w,
@@ -92,28 +100,22 @@ std::vector<RankedCandidate> TopKClosestOverLabels(
   std::vector<RankedCandidate> ranked;
   if (source >= n) return ranked;  // every candidate is unreachable
   ranked.reserve(candidates.size());
-  // The hoisted source-side scan: minimal w-feasible distance per hub.
-  // (Theorem 3: within a hub group the first quality-feasible entry has
-  // the minimal distance, so a running min over all feasible entries
-  // resolves each group to exactly that entry.)
-  std::vector<Distance> source_dist(n, kInfDistance);
-  for (const LabelEntry& e : entries_of(static_cast<Vertex>(source))) {
-    if (e.quality < w) continue;
-    if (e.dist < source_dist[e.hub]) source_dist[e.hub] = e.dist;
-  }
-  for (Vertex c : candidates) {
-    Distance d = kInfDistance;
-    if (c == source) {
-      d = 0;
-    } else if (c < n) {
-      for (const LabelEntry& e : entries_of(c)) {
-        if (e.quality < w) continue;
-        const Distance ds = source_dist[e.hub];
-        if (ds == kInfDistance) continue;
-        if (ds + e.dist < d) d = ds + e.dist;
+  // A copy, because the scatter's reset reads the source's label after the
+  // candidates' have reused its storage.
+  thread_local std::vector<LabelEntry> source_label;
+  const std::span<const LabelEntry> ls = entries_of(source);
+  source_label.assign(ls.begin(), ls.end());
+  {
+    const DistanceScatter scattered(source_label, w, n);
+    for (Vertex c : candidates) {
+      Distance d = kInfDistance;
+      if (c == source) {
+        d = 0;
+      } else if (c < n) {
+        d = scattered.Probe(entries_of(c));
       }
+      if (d != kInfDistance) ranked.push_back({c, d});
     }
-    if (d != kInfDistance) ranked.push_back({c, d});
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedCandidate& a, const RankedCandidate& b) {

@@ -378,7 +378,8 @@ WcIndex WcIndex::BuildWithOrder(const QualityGraph& g, VertexOrder order,
 
 void WcIndex::Finalize() {
   if (finalized_) return;
-  store_ = LabelStore(FlatLabelSet::FromLabelSet(labels_));
+  store_ = LabelStore(FlatLabelSet::FromLabelSet(labels_),
+                      labels_.NumVertices());
   finalized_ = true;
 }
 
@@ -394,16 +395,14 @@ Distance WcIndex::Query(Vertex s, Vertex t, Quality w) const {
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w, QueryImpl impl) const {
-  // kMerge streams compressed labels; the other impls (ablation paths) run
-  // over per-vertex views — bit-identical either way.
-  if (impl == QueryImpl::kMerge) return Query(s, t, w);
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (finalized_) {
-    return QueryLabels(store_.View(s, NextScratch()),
-                       store_.View(t, NextScratch()), w, impl);
-  }
-  return QueryLabels(labels_.For(s), labels_.For(t), w, impl);
+  if (!finalized_) return QueryLabels(labels_.For(s), labels_.For(t), w, impl);
+  // kMerge streams compressed labels; the other impls (ablation paths) run
+  // over per-vertex views — bit-identical either way.
+  if (impl == QueryImpl::kMerge) return MergeStores(store_, s, store_, t, w);
+  return QueryLabels(store_.View(s, NextScratch()),
+                     store_.View(t, NextScratch()), w, impl);
 }
 
 IntervalQueryResult WcIndex::QueryWithInterval(Vertex s, Vertex t,
@@ -416,7 +415,8 @@ IntervalQueryResult WcIndex::QueryWithInterval(Vertex s, Vertex t,
   }
   if (finalized_) {
     return QueryLabelsWithInterval(store_.View(s, NextScratch()),
-                                   store_.View(t, NextScratch()), w);
+                                   store_.View(t, NextScratch()), w,
+                                   NumVertices());
   }
   return QueryLabelsWithInterval(labels_.For(s), labels_.For(t), w);
 }

@@ -124,10 +124,13 @@ class WcIndex {
   static WcIndex BuildWithOrder(const QualityGraph& g, VertexOrder order,
                                 const WcIndexOptions& options = {});
 
-  /// w-constrained distance between s and t (Query+, Algorithm 5).
+  /// w-constrained distance between s and t: Eq. (1) through the hub-table
+  /// join once finalized over flat labels (labeling/hub_table.h), Query+
+  /// (Algorithm 5) otherwise. Both answer identically.
   Distance Query(Vertex s, Vertex t, Quality w) const;
 
-  /// Same, with an explicit query implementation (ablation).
+  /// Same, with an explicit query implementation (ablation); kMerge runs
+  /// Algorithm 5 on every backend.
   Distance Query(Vertex s, Vertex t, Quality w, QueryImpl impl) const;
 
   /// Query that also reports the witnessing hub (path reconstruction).

@@ -1,5 +1,8 @@
 #include "labeling/label_store.h"
 
+#include <algorithm>
+
+#include "labeling/hub_table.h"
 #include "labeling/shard_manifest.h"
 #include "labeling/snapshot.h"
 #include "util/checksum.h"
@@ -11,8 +14,8 @@ namespace {
 // Runs a `Step` for constraint w over L(s) of `a` and L(t) of `b`, each
 // through the cursor its backend reads in place, and returns it.
 template <typename Step>
-Step MergeStores(const LabelStore& a, Vertex s, const LabelStore& b, Vertex t,
-                 Quality w) {
+Step WalkStores(const LabelStore& a, Vertex s, const LabelStore& b, Vertex t,
+                Quality w) {
   if (!a.compressed()) {
     const DirectoryCursor cs(a.flat().View(s));
     return b.compressed()
@@ -28,13 +31,35 @@ Step MergeStores(const LabelStore& a, Vertex s, const LabelStore& b, Vertex t,
              : MergeHubGroups(cs, DirectoryCursor(b.flat().View(t)), Step(w));
 }
 
+// The rank space of a pair: a rank at or beyond either store's vertex
+// total matches nothing.
+size_t RankSpace(const LabelStore& a, const LabelStore& b) {
+  return static_cast<size_t>(
+      std::min(a.num_vertices_total(), b.num_vertices_total()));
+}
+
+// The joins stay out of line: inlined into QueryStores they changed the
+// register allocation of the varint merge beside them and slowed it.
+[[gnu::noinline]] Distance JoinDistance(std::span<const LabelEntry> ls,
+                                        std::span<const LabelEntry> lt,
+                                        Quality w, size_t num_ranks) {
+  return DistanceScatter(ls, w, num_ranks).Probe(lt);
+}
+
+[[gnu::noinline]] HubQueryResult JoinWitnessHub(
+    std::span<const LabelEntry> ls, std::span<const LabelEntry> lt, Quality w,
+    size_t num_ranks) {
+  return DistanceScatter(ls, w, num_ranks).ProbeWithHub(lt);
+}
+
 }  // namespace
 
 LabelStore LabelStore::FromSnapshot(MappedSnapshot* mapped) {
+  const uint64_t total = mapped->info.num_vertices_total;
   if (mapped->info.compressed) {
-    return LabelStore(std::move(mapped->compressed));
+    return LabelStore(std::move(mapped->compressed), total);
   }
-  return LabelStore(std::move(mapped->labels));
+  return LabelStore(std::move(mapped->labels), total);
 }
 
 bool LabelStore::ChainContentCrcs(uint32_t* entries_crc,
@@ -66,12 +91,24 @@ FlatLabelView LabelStore::View(Vertex v, DecodedLabel* scratch) const {
 
 Distance QueryStores(const LabelStore& a, Vertex s, const LabelStore& b,
                      Vertex t, Quality w) {
-  return MergeStores<DistanceStep>(a, s, b, t, w).best;
+  if (!a.compressed() && !b.compressed()) {
+    return JoinDistance(a.flat().For(s), b.flat().For(t), w, RankSpace(a, b));
+  }
+  return WalkStores<DistanceStep>(a, s, b, t, w).best;
 }
 
 HubQueryResult QueryStoresWithHub(const LabelStore& a, Vertex s,
                                   const LabelStore& b, Vertex t, Quality w) {
-  return MergeStores<WitnessHubStep>(a, s, b, t, w).result;
+  if (!a.compressed() && !b.compressed()) {
+    return JoinWitnessHub(a.flat().For(s), b.flat().For(t), w,
+                          RankSpace(a, b));
+  }
+  return WalkStores<WitnessHubStep>(a, s, b, t, w).result;
+}
+
+Distance MergeStores(const LabelStore& a, Vertex s, const LabelStore& b,
+                     Vertex t, Quality w) {
+  return WalkStores<DistanceStep>(a, s, b, t, w).best;
 }
 
 }  // namespace wcsd

@@ -9,10 +9,16 @@
 //   * View(v, scratch) is the one path from a storage backend to a label
 //     view (a compressed store decodes; the engine keeps its decode cache
 //     in front of this for compressed stores);
-//   * QueryStores / QueryStoresWithHub run Algorithm 5 (labeling/query.h)
-//     between any two stores with the cursor each backend reads in place,
-//     so every pair — flat, compressed or mixed — streams without a decode.
-// A store is a cheap value: copies share the backing arrays (or mapping).
+//   * QueryStores / QueryStoresWithHub answer between any two stores
+//     without a decode. A pair of flat labels goes through the hub-table
+//     join (labeling/hub_table.h); a pair with a compressed side streams
+//     Algorithm 5 (labeling/query.h) with the cursor each backend reads in
+//     place. MergeStores runs Algorithm 5 on every pair: the kMerge
+//     ablation.
+// A store also carries the vertex total of the index it belongs to, the
+// rank space of its hubs, so the join never mistakes a shard's local
+// vertex count for it. A store is a cheap value: copies share the backing
+// arrays (or mapping).
 
 #ifndef WCSD_LABELING_LABEL_STORE_H_
 #define WCSD_LABELING_LABEL_STORE_H_
@@ -33,9 +39,14 @@ class LabelStore {
  public:
   /// No labels (a quarantined shard, or an index not yet finalized).
   LabelStore() = default;
-  explicit LabelStore(FlatLabelSet flat) : flat_(std::move(flat)) {}
-  explicit LabelStore(CompressedFlatLabelSet compressed)
-      : compressed_(std::move(compressed)), is_compressed_(true) {}
+  /// Labels of an index with `num_vertices_total` vertices: all of them,
+  /// or one shard's slice.
+  LabelStore(FlatLabelSet flat, uint64_t num_vertices_total)
+      : flat_(std::move(flat)), num_vertices_total_(num_vertices_total) {}
+  LabelStore(CompressedFlatLabelSet compressed, uint64_t num_vertices_total)
+      : compressed_(std::move(compressed)),
+        num_vertices_total_(num_vertices_total),
+        is_compressed_(true) {}
 
   /// Moves the labels out of `mapped`, in whichever backend the file
   /// carries; its info, order and parents stay. The store keeps the
@@ -52,9 +63,14 @@ class LabelStore {
     return compressed_;
   }
 
+  /// Vertices held: the index's, or one shard's.
   size_t NumVertices() const {
     return is_compressed_ ? compressed_.NumVertices() : flat_.NumVertices();
   }
+  /// Vertices of the whole index, shared by every shard of a tiling. Hub
+  /// ranks are global, so this bounds them: [0, num_vertices_total()) is
+  /// the rank space the hub-table join covers.
+  uint64_t num_vertices_total() const { return num_vertices_total_; }
   size_t TotalEntries() const {
     return is_compressed_ ? compressed_.TotalEntries() : flat_.TotalEntries();
   }
@@ -93,18 +109,26 @@ class LabelStore {
  private:
   FlatLabelSet flat_;
   CompressedFlatLabelSet compressed_;
+  uint64_t num_vertices_total_ = 0;
   bool is_compressed_ = false;
 };
 
-/// Algorithm 5 between L(s) of `a` and L(t) of `b` (two shards, or one
-/// store twice); s and t must be in range. Compressed sides are streamed
-/// through their own quality dictionaries, never decoded.
+/// Eq. (1) between L(s) of `a` and L(t) of `b` (two shards, or one store
+/// twice); s and t must be in range. Two flat labels are joined through
+/// the calling thread's hub table, over the rank space both stores share;
+/// a hub rank outside it matches nothing. A compressed side is streamed
+/// through its own quality dictionary, never decoded.
 Distance QueryStores(const LabelStore& a, Vertex s, const LabelStore& b,
                      Vertex t, Quality w);
 
-/// The same walk, reporting the best hub and split distances (§V).
+/// The same, reporting the best hub and split distances (§V).
 HubQueryResult QueryStoresWithHub(const LabelStore& a, Vertex s,
                                   const LabelStore& b, Vertex t, Quality w);
+
+/// Algorithm 5 (Query+) itself between the same two labels, whatever the
+/// backends: WcIndex's kMerge ablation.
+Distance MergeStores(const LabelStore& a, Vertex s, const LabelStore& b,
+                     Vertex t, Quality w);
 
 }  // namespace wcsd
 

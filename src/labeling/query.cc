@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
+
+#include "labeling/hub_table.h"
 
 namespace wcsd {
 
@@ -71,12 +75,17 @@ struct BreakpointStep {
   GroupsLeft operator()(Cursor& s, Cursor& t) {
     std::span<const LabelEntry> es, et;
     const GroupsLeft left{s.TakeGroup(&es), t.TakeGroup(&et)};
+    Relax(es, et);
+    return left;
+  }
+
+  void Relax(std::span<const LabelEntry> es, std::span<const LabelEntry> et) {
     if (d_star == kInfDistance) {
       // Unreachable at w: every pair is a "strictly better" pair, and the
       // best min-quality over the group is attained by the two last
       // (highest quality) entries.
       lo_q = std::max(lo_q, std::min(es.back().quality, et.back().quality));
-      return left;
+      return;
     }
     const uint64_t d = d_star;
     size_t j_eq = et.size();  // pairs with sum <= d_star
@@ -91,7 +100,6 @@ struct BreakpointStep {
         lo_q = std::max(lo_q, std::min(e.quality, et[j_lt - 1].quality));
       }
     }
-    return left;
   }
 
   // The closed maximal interval: the constant region is (lo_q, hi_q] over
@@ -122,10 +130,44 @@ Distance Query(Cursor s, Cursor t, Quality w, QueryImpl impl) {
   return kInfDistance;
 }
 
-template <typename Cursor>
-IntervalQueryResult QueryWithInterval(Cursor s, Cursor t, Quality w) {
-  const Distance d_star = MergeHubGroups(s, t, DistanceStep(w)).best;
-  return MergeHubGroups(s, t, BreakpointStep(d_star)).Finish();
+// L(s)'s hub directory scattered into the calling thread's hub table:
+// slot h holds the index of L(s)'s hub-h group, or kEmpty. The destructor
+// resets exactly those slots (labeling/hub_table.h).
+class DirectoryScatter {
+ public:
+  DirectoryScatter(std::span<const HubGroup> groups, size_t num_ranks)
+      : groups_(groups),
+        num_ranks_(num_ranks),
+        slots_(HubTable::ForThread(num_ranks).slots()) {
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      if (groups_[g].hub < num_ranks_) {
+        slots_[groups_[g].hub] = static_cast<uint32_t>(g);
+      }
+    }
+  }
+  ~DirectoryScatter() {
+    for (const HubGroup& group : groups_) {
+      if (group.hub < num_ranks_) slots_[group.hub] = HubTable::kEmpty;
+    }
+  }
+  DirectoryScatter(const DirectoryScatter&) = delete;
+  DirectoryScatter& operator=(const DirectoryScatter&) = delete;
+
+  /// L(s)'s group of `hub`, or kEmpty when L(s) has none.
+  uint32_t GroupOf(Rank hub) const {
+    return hub < num_ranks_ ? slots_[hub] : HubTable::kEmpty;
+  }
+
+ private:
+  std::span<const HubGroup> groups_;
+  size_t num_ranks_;
+  uint32_t* slots_;
+};
+
+std::span<const LabelEntry> GroupEntries(const FlatLabelView& label,
+                                         size_t g) {
+  return label.entries.subspan(label.groups[g].begin,
+                               label.GroupEnd(g) - label.groups[g].begin);
 }
 
 }  // namespace
@@ -152,13 +194,42 @@ HubQueryResult QueryLabelsWithHub(std::span<const LabelEntry> ls,
 IntervalQueryResult QueryLabelsWithInterval(std::span<const LabelEntry> ls,
                                             std::span<const LabelEntry> lt,
                                             Quality w) {
-  return QueryWithInterval(EntrySpanCursor(ls), EntrySpanCursor(lt), w);
+  const EntrySpanCursor s(ls), t(lt);
+  const Distance d_star = MergeHubGroups(s, t, DistanceStep(w)).best;
+  return MergeHubGroups(s, t, BreakpointStep(d_star)).Finish();
 }
 
 IntervalQueryResult QueryLabelsWithInterval(const FlatLabelView& ls,
                                             const FlatLabelView& lt,
-                                            Quality w) {
-  return QueryWithInterval(DirectoryCursor(ls), DirectoryCursor(lt), w);
+                                            Quality w, size_t num_ranks) {
+  // The matched (L(s) group, L(t) group) pairs, in L(t)'s rank order —
+  // the pairs Algorithm 5 would hand its steps.
+  thread_local std::vector<std::pair<uint32_t, uint32_t>> matched;
+  matched.clear();
+  {
+    const DirectoryScatter scattered(ls.groups, num_ranks);
+    for (size_t g = 0; g < lt.groups.size(); ++g) {
+      const uint32_t gs = scattered.GroupOf(lt.groups[g].hub);
+      if (gs != HubTable::kEmpty) {
+        matched.emplace_back(gs, static_cast<uint32_t>(g));
+      }
+    }
+  }
+  uint64_t best = kInfDistance;
+  for (const auto& [gs, gt] : matched) {
+    const size_t s_begin = ls.groups[gs].begin;
+    const size_t t_begin = lt.groups[gt].begin;
+    const uint64_t ds =
+        FirstFeasibleDistance(ls.entries, s_begin, ls.GroupEnd(gs), w);
+    const uint64_t dt =
+        FirstFeasibleDistance(lt.entries, t_begin, lt.GroupEnd(gt), w);
+    best = std::min(best, ds + dt);
+  }
+  BreakpointStep breakpoints(static_cast<Distance>(best));
+  for (const auto& [gs, gt] : matched) {
+    breakpoints.Relax(GroupEntries(ls, gs), GroupEntries(lt, gt));
+  }
+  return breakpoints.Finish();
 }
 
 }  // namespace wcsd

@@ -17,6 +17,15 @@
 // ascending) is what makes "first entry with quality >= w" the minimal
 // distance choice for that hub.
 //
+// What serves. A pair of FLAT labels is answered by the hub-table join
+// (labeling/hub_table.h): L(s) is scattered into a per-thread table
+// indexed by hub rank and probed with L(t), the §IV.C lookup instead of a
+// merge. It serves distance and witness-hub queries (QueryStores,
+// labeling/label_store.h), the certified interval over flat views below,
+// and top-k (core/batch.h). A pair with a compressed side keeps the
+// streaming merge, and Algorithm 5 stays as the kMerge ablation and the
+// reference the join is tested against.
+//
 // Algorithm 5 is written once, as MergeHubGroups: a walk over two GROUP
 // CURSORS that hands every matched hub-group pair to a STEP. A cursor sits
 // on one hub group of one label; each storage form has one:
@@ -29,8 +38,9 @@
 // The two sides may use different cursors, so L(s) and L(t) can come from
 // different storage backends (labeling/label_store.h). The steps are
 // DistanceStep (Eq. 1), WitnessHubStep (the minimizing hub, for §V path
-// reconstruction) and — over the two random-access cursors only — the
-// certified-interval and full-scan steps in query.cc.
+// reconstruction) and, in query.cc, the full-scan step over the two
+// random-access cursors and the certified-interval step over entry spans
+// (the reference the flat interval join is tested against).
 //
 // Cursor interface: `hub` is the current group's rank. Start() enters the
 // first group, SkipGroup() moves past the current one, and
@@ -303,17 +313,23 @@ Distance QueryLabels(const FlatLabelView& ls, const FlatLabelView& lt,
 HubQueryResult QueryLabelsWithHub(std::span<const LabelEntry> ls,
                                   std::span<const LabelEntry> lt, Quality w);
 
-/// Algorithm 5 reporting the maximal validity interval of its answer (see
+/// The answer together with the maximal validity interval of it (see
 /// IntervalQueryResult) — the dominance fact the serve-side result cache
-/// keys on. Two merges: one for the distance, one tracking the tightest
-/// quality breakpoint on either side. The breakpoint pass needs random
-/// access within groups, so compressed labels are decoded first.
+/// keys on. A distance pass over the matched hub groups, then a pass
+/// tracking the tightest quality breakpoint on either side. The
+/// breakpoint pass needs random access within groups, so compressed
+/// labels are decoded first.
+///   * Entry spans: Algorithm 5 twice, one merge per pass (the reference).
+///   * Flat views: one hub-table join over the two hub directories feeds
+///     both passes. Hub ranks are global: `num_ranks` is the vertex total
+///     of the index (not a shard's local count), and a rank at or beyond it
+///     matches nothing.
 IntervalQueryResult QueryLabelsWithInterval(std::span<const LabelEntry> ls,
                                             std::span<const LabelEntry> lt,
                                             Quality w);
 IntervalQueryResult QueryLabelsWithInterval(const FlatLabelView& ls,
                                             const FlatLabelView& lt,
-                                            Quality w);
+                                            Quality w, size_t num_ranks);
 
 }  // namespace wcsd
 

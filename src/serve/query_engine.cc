@@ -40,10 +40,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
     // The one-shard tiling of an index: its own serving labels.
     LabelSource source;
     source.end = num_vertices_;
-    source.store =
-        index_->finalized()
-            ? index_->store()
-            : LabelStore(FlatLabelSet::FromLabelSet(index_->labels()));
+    source.store = index_->finalized()
+                       ? index_->store()
+                       : LabelStore(FlatLabelSet::FromLabelSet(index_->labels()),
+                                    num_vertices_);
     sources_.push_back(std::move(source));
   }
   begins_.reserve(sources_.size());
@@ -329,7 +329,8 @@ IntervalQueryResult QueryEngine::DirectInterval(Vertex s, Vertex t, Quality w,
   // other's decode.
   thread_local DecodedLabel ls, lt;
   return QueryLabelsWithInterval(ViewOf(SourceOf(s), s, &ls, cold_pageins),
-                                 ViewOf(SourceOf(t), t, &lt, cold_pageins), w);
+                                 ViewOf(SourceOf(t), t, &lt, cold_pageins), w,
+                                 num_vertices_);
 }
 
 Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w,
@@ -466,15 +467,12 @@ ServeOutcome QueryEngine::TopKEx(Vertex source,
       return ServeOutcome::kShardUnavailable;
     }
   }
-  // Ring of two scratch labels: the top-k kernel holds at most one
-  // candidate's span alongside the source scan.
-  thread_local DecodedLabel ring[2];
-  thread_local unsigned next = 0;
+  // One scratch label: the top-k kernel holds one label's span at a time.
+  thread_local DecodedLabel scratch;
   uint64_t cold_pageins = 0;
   *out = TopKClosestOverLabels(
       num_vertices_, source, candidates, w, k, [&](Vertex v) {
-        return ViewOf(SourceOf(v), v, &ring[next++ & 1], &cold_pageins)
-            .entries;
+        return ViewOf(SourceOf(v), v, &scratch, &cold_pageins).entries;
       });
   stats_->RecordMany(candidates.size(), out->size());
   stats_->RecordColdPageins(cold_pageins);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/wc_index.h"
+
 namespace wcsd {
 
 namespace {
@@ -347,6 +349,34 @@ ResultCacheStats ResultCache::stats() const {
 
 size_t ResultCache::MemoryBytes() const {
   return num_shards_ * slots_per_shard_ * sizeof(Slot);
+}
+
+ResultCache::CoupledFn ReachabilityCoupling(
+    const WcIndex& old_index, std::span<const DeltaImpact> impacts) {
+  auto reaches = [&old_index](Vertex a, Vertex b, Quality w) {
+    return old_index.Query(a, b, w) != kInfDistance;
+  };
+  if (impacts.size() <= 1) {
+    return [reaches](Vertex s, Vertex t, const DeltaImpact& impact,
+                     Quality w_test) {
+      return (reaches(s, impact.u, w_test) && reaches(impact.v, t, w_test)) ||
+             (reaches(s, impact.v, w_test) && reaches(impact.u, t, w_test));
+    };
+  }
+  std::vector<Vertex> endpoints;
+  for (const DeltaImpact& impact : impacts) {
+    endpoints.insert(endpoints.end(), {impact.u, impact.v});
+  }
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                  endpoints.end());
+  return [reaches, endpoints = std::move(endpoints)](
+             Vertex s, Vertex t, const DeltaImpact&, Quality w_test) {
+    return std::any_of(endpoints.begin(), endpoints.end(),
+                       [&](Vertex x) { return reaches(s, x, w_test); }) &&
+           std::any_of(endpoints.begin(), endpoints.end(),
+                       [&](Vertex y) { return reaches(y, t, w_test); });
+  };
 }
 
 }  // namespace wcsd

@@ -132,9 +132,11 @@ class ResultCache {
   /// [q_lo, q_hi], and (b) the pair is reachability-coupled to {u, v} in
   /// the old index at w_test = max(w_lo, q_lo) (reachability is monotone
   /// non-increasing in w, so testing the lowest affected constraint is
-  /// conservative). `coupled` implements (b) from the OLD index; pass an
-  /// empty function to skip it and invalidate on quality overlap alone
-  /// (still sound, just coarser). Surviving entries are re-stamped with
+  /// conservative). `coupled` implements (b) from the OLD index —
+  /// ReachabilityCoupling below, which also covers deltas whose records
+  /// only together connect a pair; pass an empty function to skip it and
+  /// invalidate on quality overlap alone (still sound, just coarser).
+  /// Surviving entries are re-stamped with
   /// `new_fingerprint`: the delta argument certifies them for the new
   /// index. Returns the number of intervals dropped.
   size_t InvalidateDelta(uint64_t new_fingerprint,
@@ -299,6 +301,24 @@ class ResultCache {
   mutable std::mutex fingerprint_mu_;
   std::atomic<uint64_t> fingerprint_{0};
 };
+
+class WcIndex;
+
+/// The coupling test InvalidateDelta needs for the whole delta `impacts`,
+/// read off `old_index`, the index the cached answers came from. At
+/// w_test, pair (s, t) is coupled when
+///   * one record {u, v}: s reaches u and v reaches t, or s reaches v and
+///     u reaches t;
+///   * two or more records: s reaches SOME record endpoint and some record
+///     endpoint reaches t. Records can connect a pair only together, so
+///     testing them one by one is unsound. This is sound: on a changed
+///     path, the first changed edge has an old-graph prefix from s and the
+///     last one an old-graph suffix to t, and a deleted edge's old path
+///     lies wholly in the old graph.
+/// Reachability is probed on `old_index` uncached (InvalidateDelta calls
+/// this under the cache's shard mutexes); it must outlive the function.
+ResultCache::CoupledFn ReachabilityCoupling(
+    const WcIndex& old_index, std::span<const DeltaImpact> impacts);
 
 }  // namespace wcsd
 

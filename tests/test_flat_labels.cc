@@ -13,6 +13,7 @@
 #include "labeling/flat_label_set.h"
 #include "labeling/label_store.h"
 #include "labeling/query.h"
+#include "search/constrained_dijkstra.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -74,11 +75,40 @@ TEST(FlatLabelSet, EmptyAndSingleVertex) {
   EXPECT_EQ(flat.View(0).groups.size(), 1u);
 }
 
+// Every flat kernel on (s, t, w) against Algorithm 5 over the same labels
+// as entry spans: the four impls, the hub-table join behind QueryStores,
+// QueryStoresWithHub and the flat interval, and MergeStores.
+void ExpectKernelsAgree(const LabelSet& labels, const FlatLabelSet& flat,
+                        const LabelStore& store, Vertex s, Vertex t,
+                        Quality w) {
+  SCOPED_TRACE(testing::Message() << "s=" << s << " t=" << t << " w=" << w
+                                  << " n=" << flat.NumVertices());
+  auto ls = labels.For(s);
+  auto lt = labels.For(t);
+  FlatLabelView fs = flat.View(s);
+  FlatLabelView ft = flat.View(t);
+  Distance expected = QueryLabels(ls, lt, w);
+  EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kMerge), expected);
+  EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kBinary), expected);
+  EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kHubGrouped), expected);
+  EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kScan), expected);
+  EXPECT_EQ(QueryStores(store, s, store, t, w), expected);
+  EXPECT_EQ(MergeStores(store, s, store, t, w), expected);
+  HubQueryResult dense_hub = QueryLabelsWithHub(ls, lt, w);
+  HubQueryResult flat_hub = QueryStoresWithHub(store, s, store, t, w);
+  EXPECT_EQ(flat_hub.dist, dense_hub.dist);
+  EXPECT_EQ(flat_hub.via_hub, dense_hub.via_hub);
+  EXPECT_EQ(flat_hub.dist_from_s, dense_hub.dist_from_s);
+  EXPECT_EQ(flat_hub.dist_to_t, dense_hub.dist_to_t);
+  EXPECT_EQ(QueryLabelsWithInterval(fs, ft, w, flat.NumVertices()),
+            QueryLabelsWithInterval(ls, lt, w));
+}
+
 TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
   QualityGraph g = TestGraph(13);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
   FlatLabelSet flat = FlatLabelSet::FromLabelSet(index.labels());
-  const LabelStore store(flat);
+  const LabelStore store(flat, flat.NumVertices());
   Rng rng(29);
   const size_t n = g.NumVertices();
   for (int i = 0; i < 400; ++i) {
@@ -86,22 +116,77 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     Quality w = static_cast<Quality>(rng.NextInRange(0, 8)) +
                 (rng.NextBool(0.3) ? 0.5f : 0.0f);
-    auto ls = index.labels().For(s);
-    auto lt = index.labels().For(t);
-    FlatLabelView fs = flat.View(s);
-    FlatLabelView ft = flat.View(t);
-    Distance expected = QueryLabels(ls, lt, w);
-    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kMerge), expected);
-    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kBinary), expected);
-    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kHubGrouped), expected);
-    EXPECT_EQ(QueryLabels(fs, ft, w, QueryImpl::kScan), expected);
-    HubQueryResult dense_hub = QueryLabelsWithHub(ls, lt, w);
-    HubQueryResult flat_hub = QueryStoresWithHub(store, s, store, t, w);
-    EXPECT_EQ(flat_hub.dist, dense_hub.dist);
-    EXPECT_EQ(flat_hub.via_hub, dense_hub.via_hub);
-    EXPECT_EQ(flat_hub.dist_from_s, dense_hub.dist_from_s);
-    EXPECT_EQ(flat_hub.dist_to_t, dense_hub.dist_to_t);
+    ExpectKernelsAgree(index.labels(), flat, store, s, t, w);
   }
+
+  // One thread serving indexes of different vertex counts in turn: its hub
+  // table grows to 2,000 ranks, then serves 40 again. Half the constraints
+  // sit exactly at an entry quality of L(s) or L(t); constrained Dijkstra
+  // pins the answers too.
+  QualityModel quality;
+  quality.num_levels = 6;
+  for (size_t size : {size_t{40}, size_t{2000}, size_t{40}}) {
+    QualityGraph sized = GenerateRandomConnected(size, 3 * size, quality,
+                                                 size + 5);
+    WcIndex sized_index = WcIndex::Build(sized, WcIndexOptions::Plus());
+    FlatLabelSet sized_flat = FlatLabelSet::FromLabelSet(sized_index.labels());
+    const LabelStore sized_store(sized_flat, size);
+    for (int i = 0; i < 300; ++i) {
+      Vertex s = static_cast<Vertex>(rng.NextBounded(size));
+      Vertex t = static_cast<Vertex>(rng.NextBounded(size));
+      auto side = sized_index.labels().For(rng.NextBool(0.5) ? s : t);
+      Quality w = rng.NextBool(0.5)
+                      ? side[rng.NextBounded(side.size())].quality
+                      : static_cast<Quality>(rng.NextInRange(0, 7));
+      ExpectKernelsAgree(sized_index.labels(), sized_flat, sized_store, s, t,
+                         w);
+      EXPECT_EQ(QueryStores(sized_store, s, sized_store, t, w),
+                s == t ? 0 : ConstrainedDijkstraUnit(sized, s, t, w))
+          << "s=" << s << " t=" << t << " w=" << w << " n=" << size;
+    }
+  }
+
+  // Hand-made labels: multi-entry hub groups, an empty label (vertex 2), a
+  // pair with no common hub (0 and 3), and every constraint at, between and
+  // beyond the entry qualities.
+  LabelSet hand(5);
+  for (const LabelEntry& e : {LabelEntry{0, 1, 1.0f}, LabelEntry{0, 3, 4.0f},
+                              LabelEntry{2, 2, 2.0f}, LabelEntry{2, 5, 7.0f}}) {
+    hand.Append(0, e);
+  }
+  for (const LabelEntry& e : {LabelEntry{0, 2, 2.0f}, LabelEntry{0, 4, 5.0f},
+                              LabelEntry{2, 1, 7.0f},
+                              LabelEntry{3, 0, kInfQuality}}) {
+    hand.Append(1, e);
+  }
+  for (const LabelEntry& e : {LabelEntry{1, 1, 9.0f},
+                              LabelEntry{4, 0, kInfQuality}}) {
+    hand.Append(3, e);
+  }
+  for (const LabelEntry& e : {LabelEntry{1, 2, 3.0f}, LabelEntry{1, 6, 8.0f},
+                              LabelEntry{4, 1, 6.0f}}) {
+    hand.Append(4, e);
+  }
+  FlatLabelSet hand_flat = FlatLabelSet::FromLabelSet(hand);
+  const LabelStore hand_store(hand_flat, 5);
+  std::vector<Quality> constraints{-kInfQuality, kInfQuality};
+  for (Vertex v = 0; v < 5; ++v) {
+    for (const LabelEntry& e : hand.For(v)) {
+      constraints.insert(constraints.end(),
+                         {e.quality, e.quality - 0.5f, e.quality + 0.5f});
+    }
+  }
+  for (Vertex s = 0; s < 5; ++s) {
+    for (Vertex t = 0; t < 5; ++t) {
+      for (Quality w : constraints) {
+        ExpectKernelsAgree(hand, hand_flat, hand_store, s, t, w);
+      }
+    }
+  }
+  EXPECT_EQ(QueryStores(hand_store, 0, hand_store, 1, 2.0f), 3u);
+  EXPECT_EQ(QueryStores(hand_store, 0, hand_store, 1, 4.0f), 6u);
+  EXPECT_EQ(QueryStores(hand_store, 0, hand_store, 3, 1.0f), kInfDistance);
+  EXPECT_EQ(QueryStores(hand_store, 2, hand_store, 1, 1.0f), kInfDistance);
 }
 
 TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {

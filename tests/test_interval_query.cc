@@ -118,33 +118,43 @@ QualityGraph MakeIntervalGraph(size_t family, uint64_t seed) {
 
 TEST(IntervalQuery, ExactOnRandomGraphs) {
   size_t checked = 0;
+  auto check_graph = [&](const QualityGraph& g, uint64_t seed) {
+    const size_t n = g.NumVertices();
+    WcIndex labels = WcIndex::Build(g, WcIndexOptions::Plus());
+    WcIndex flat = labels;
+    flat.Finalize();
+    const std::vector<Quality> sweep = ProbeConstraints(g);
+
+    Rng rng(seed ^ 0x17e2a1u);
+    for (size_t qi = 0; qi < 20; ++qi) {
+      Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+      Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+      Quality w = static_cast<Quality>(rng.NextInRange(0, 6)) +
+                  (rng.NextBool(0.3) ? 0.5f : 0.0f);
+      // Distance ground truth, independently of the label kernels.
+      ASSERT_EQ(flat.QueryWithInterval(s, t, w).dist,
+                ConstrainedDijkstraUnit(g, s, t, w))
+          << "seed=" << seed << " n=" << n << " s=" << s << " t=" << t
+          << " w=" << w;
+      CheckInterval(flat, labels, sweep, s, t, w);
+      ++checked;
+    }
+  };
   for (size_t family = 0; family < 4; ++family) {
     for (uint64_t gi = 0; gi < 5; ++gi) {
       const uint64_t seed = 4200 + 10 * family + gi;
-      QualityGraph g = MakeIntervalGraph(family, seed);
-      const size_t n = g.NumVertices();
-      WcIndex labels = WcIndex::Build(g, WcIndexOptions::Plus());
-      WcIndex flat = labels;
-      flat.Finalize();
-      const std::vector<Quality> sweep = ProbeConstraints(g);
-
-      Rng rng(seed ^ 0x17e2a1u);
-      for (size_t qi = 0; qi < 20; ++qi) {
-        Vertex s = static_cast<Vertex>(rng.NextBounded(n));
-        Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-        Quality w = static_cast<Quality>(rng.NextInRange(0, 6)) +
-                    (rng.NextBool(0.3) ? 0.5f : 0.0f);
-        // Distance ground truth, independently of the label kernels.
-        ASSERT_EQ(flat.QueryWithInterval(s, t, w).dist,
-                  ConstrainedDijkstraUnit(g, s, t, w))
-            << "family=" << family << " seed=" << seed << " s=" << s
-            << " t=" << t << " w=" << w;
-        CheckInterval(flat, labels, sweep, s, t, w);
-        ++checked;
-      }
+      check_graph(MakeIntervalGraph(family, seed), seed);
     }
   }
-  EXPECT_GE(checked, 400u);
+  // The rank space changes on this thread: from at most 60 vertices above
+  // to 2,000, then back to 40.
+  QualityModel quality;
+  quality.num_levels = 5;
+  for (size_t size : {size_t{2000}, size_t{40}}) {
+    const uint64_t seed = 4300 + size;
+    check_graph(GenerateRandomConnected(size, 3 * size, quality, seed), seed);
+  }
+  EXPECT_GE(checked, 440u);
 }
 
 // The everywhere-valid answers: s == t and out-of-range queries certify

@@ -12,11 +12,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch.h"
 #include "core/dynamic_wc_index.h"
 #include "core/wc_index.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "labeling/delta.h"
 #include "labeling/shard_manifest.h"
@@ -616,16 +618,9 @@ TEST(ResultCache, CachedEngineAcrossSwapBitIdentical) {
   // Scoped invalidation with the coupled probe against A's index — the
   // exact recipe `wcsd_cli serve --watch` runs before swapping.
   DeltaImpact impact{eu, ev, q_old, q_new};
-  const WcIndex& old_index = *shared_a;
   size_t dropped = cache->InvalidateDelta(
       engine_b.cache_fingerprint(), {&impact, 1},
-      [&old_index](Vertex s, Vertex t, const DeltaImpact& im,
-                   Quality w_test) {
-        return (old_index.Query(s, im.u, w_test) != kInfDistance &&
-                old_index.Query(im.v, t, w_test) != kInfDistance) ||
-               (old_index.Query(s, im.v, w_test) != kInfDistance &&
-                old_index.Query(im.u, t, w_test) != kInfDistance);
-      });
+      ReachabilityCoupling(*shared_a, {&impact, 1}));
 
   // Generation B through the retained cache must be bit-identical to an
   // uncached engine over B.
@@ -640,6 +635,60 @@ TEST(ResultCache, CachedEngineAcrossSwapBitIdentical) {
   }
   // Retention: the replay hit entries that survived the invalidation.
   EXPECT_GT(cache->stats().hits, before.hits);
+}
+
+// Two inserted edges that connect a pair only together. The old graph has
+// edges {0-1, 2-3, 4-5}; the delta inserts {1, 2} and {3, 4}. Neither
+// record alone is reached from 0 on one side and reaches 5 on the other,
+// so testing records one by one keeps the cached INF for (0, 5); the
+// whole-delta coupling drops it, and the new generation answers 5.
+TEST(ResultCache, MultiRecordDeltaDropsPairsTheRecordsConnectTogether) {
+  auto build = [](bool with_delta) {
+    GraphBuilder builder(6);
+    builder.AddEdge(0, 1, 5.0f);
+    builder.AddEdge(2, 3, 5.0f);
+    builder.AddEdge(4, 5, 5.0f);
+    if (with_delta) {
+      builder.AddEdge(1, 2, 5.0f);
+      builder.AddEdge(3, 4, 5.0f);
+    }
+    WcIndex index = WcIndex::Build(builder.Build(), WcIndexOptions::Plus());
+    index.Finalize();
+    return std::make_shared<const WcIndex>(std::move(index));
+  };
+  auto old_index = build(false);
+  auto new_index = build(true);
+  DeltaLog log;
+  DeltaBatch batch;
+  for (const auto& [u, v] : {std::pair<Vertex, Vertex>{1, 2}, {3, 4}}) {
+    DeltaRecord record;
+    record.op = static_cast<uint8_t>(DeltaOp::kInsert);
+    record.u = u;
+    record.v = v;
+    record.quality = 5.0f;
+    batch.records.push_back(record);
+  }
+  log.batches.push_back(batch);
+  const std::vector<DeltaImpact> impacts = DeltaImpacts(log);
+  ASSERT_EQ(impacts.size(), 2u);
+
+  auto cache = std::make_shared<ResultCache>(1 << 20);
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.shared_cache = cache;
+  QueryEngine old_engine(old_index, options);
+  ASSERT_EQ(old_engine.Query(0, 5, 1.0f), kInfDistance);  // now cached
+
+  size_t dropped = 0;
+  QueryEngineOptions next = options;
+  next.pre_bind_invalidate = [&](uint64_t next_fingerprint) {
+    dropped = cache->InvalidateDelta(next_fingerprint, impacts,
+                                     ReachabilityCoupling(*old_index,
+                                                          impacts));
+  };
+  QueryEngine new_engine(new_index, next);
+  EXPECT_EQ(dropped, 1u);
+  EXPECT_EQ(new_engine.Query(0, 5, 1.0f), 5u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // even empty shards), serves each through QueryEngine (shard files
 // via OpenMmap, plus the planner + manifest path via OpenManifest), and
 // asserts every answer matches the unsharded QueryEngine, single and
-// batch.
+// batch. Top-k sources and profiles whose labels sit in different shards
+// are checked against Algorithm 5 over the unsharded labels.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "labeling/shard_manifest.h"
 #include "labeling/shard_plan.h"
 #include "labeling/snapshot.h"
+#include "search/constrained_dijkstra.h"
 #include "serve/query_engine.h"
 #include "util/random.h"
 
@@ -107,6 +109,21 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
              static_cast<Quality>(qrng.NextInRange(0, 6)) +
                  (qrng.NextBool(0.3) ? 0.5f : 0.0f)});
       }
+      // The reference is itself pinned to Algorithm 5 and to constrained
+      // Dijkstra, so a fault common to every tiling cannot hide.
+      for (const BatchQueryInput& q : queries) {
+        const Distance want = reference.Query(q.s, q.t, q.w);
+        ASSERT_EQ(want, index.Query(q.s, q.t, q.w, QueryImpl::kMerge))
+            << "seed=" << seed << " s=" << q.s << " t=" << q.t;
+        ASSERT_EQ(want,
+                  q.s == q.t ? 0 : ConstrainedDijkstraUnit(g, q.s, q.t, q.w))
+            << "seed=" << seed << " s=" << q.s << " t=" << q.t;
+      }
+      // Top-k and profile requests span the tiling: every query target is a
+      // candidate of every source, and a profile sweeps each pair.
+      std::vector<Vertex> candidates;
+      for (const BatchQueryInput& q : queries) candidates.push_back(q.t);
+      const std::vector<Quality> thresholds{0.0f, 1.5f, 3.0f, 4.5f, 6.0f};
 
       Rng trng(seed ^ 0xabcdu);
       for (int round = 0; round < 3; ++round) {
@@ -136,6 +153,39 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
         }
         EXPECT_EQ(sharded.value().Batch(queries), expected)
             << "seed=" << seed;
+        for (const BatchQueryInput& q : queries) {
+          std::vector<RankedCandidate> got;
+          ASSERT_EQ(sharded.value().TopKEx(q.s, candidates, q.w, 8, &got),
+                    ServeOutcome::kOk);
+          std::vector<RankedCandidate> want;
+          for (Vertex c : candidates) {
+            const Distance d =
+                c == q.s ? 0 : index.Query(q.s, c, q.w, QueryImpl::kMerge);
+            if (d != kInfDistance) want.push_back({c, d});
+          }
+          std::stable_sort(want.begin(), want.end(),
+                           [](const RankedCandidate& a,
+                              const RankedCandidate& b) {
+                             return a.dist != b.dist ? a.dist < b.dist
+                                                     : a.vertex < b.vertex;
+                           });
+          if (want.size() > 8) want.resize(8);
+          ASSERT_EQ(got.size(), want.size())
+              << "seed=" << seed << " source=" << q.s;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].vertex, want[i].vertex) << "rank " << i;
+            EXPECT_EQ(got[i].dist, want[i].dist) << "rank " << i;
+          }
+          std::vector<ProfilePoint> profile;
+          ASSERT_EQ(sharded.value().ProfileEx(q.s, q.t, thresholds, &profile),
+                    ServeOutcome::kOk);
+          for (const ProfilePoint& p : profile) {
+            EXPECT_EQ(p.dist,
+                      index.Query(q.s, q.t, p.quality, QueryImpl::kMerge))
+                << "seed=" << seed << " s=" << q.s << " t=" << q.t
+                << " w=" << p.quality;
+          }
+        }
         for (const std::string& path : paths) std::remove(path.c_str());
       }
 

@@ -10,10 +10,13 @@
 #include <fstream>
 #include <string>
 
+#include "core/batch.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/query.h"
 #include "labeling/snapshot.h"
 #include "paper_fixtures.h"
+#include "serve/query_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -272,6 +275,112 @@ TEST(Snapshot, GroupCorruptionCaughtAtDirectoryLevel) {
   SnapshotLoadOptions deep;
   deep.verify_level = SnapshotVerifyLevel::kDeep;
   EXPECT_FALSE(WcIndex::LoadMmap(path, deep).ok());
+  std::remove(path.c_str());
+}
+
+// No load tier bounds hub ranks, so the serving kernels must: a rank at or
+// beyond num_vertices_total matches nothing and is never used as a
+// hub-table index. Four vertices get one in their last hub group,
+// directory and entries alike, which keeps the directory ascending: two
+// share the rank n itself and two a rank far past it, so a kernel without
+// the bound would match each pair (or read past the table). Every query
+// must answer as if those groups were absent.
+TEST(Snapshot, OutOfRangeHubRankMatchesNothing) {
+  WcIndex index = BuildFinalizedIndex();
+  const uint64_t n = index.NumVertices();
+  const Vertex picked[] = {3, 17, 42, 99};
+  const Rank bad_ranks[] = {static_cast<Rank>(n), static_cast<Rank>(n),
+                            0xFFFFFFF0u, 0xFFFFFFF0u};
+  LabelSet corrupt = index.labels();
+  LabelSet stripped = index.labels();
+  for (size_t i = 0; i < 4; ++i) {
+    std::vector<LabelEntry>* entries = corrupt.Mutable(picked[i]);
+    const Rank last = entries->back().hub;
+    for (LabelEntry& e : *entries) {
+      if (e.hub == last) e.hub = bad_ranks[i];
+    }
+    std::vector<LabelEntry>* kept = stripped.Mutable(picked[i]);
+    kept->erase(std::remove_if(kept->begin(), kept->end(),
+                               [last](const LabelEntry& e) {
+                                 return e.hub == last;
+                               }),
+                kept->end());
+  }
+  std::string path = TempPath("rank_corrupt.wcsnap");
+  ASSERT_TRUE(WriteSnapshot(path, FlatLabelSet::FromLabelSet(corrupt),
+                            &index.order())
+                  .ok());
+
+  const Vertex endpoints[] = {3, 17, 42, 99, 0, 64, 149};
+  const std::vector<Vertex> candidates(std::begin(endpoints),
+                                       std::end(endpoints));
+  const std::vector<Quality> thresholds{1.0f, 3.0f, 5.0f};
+  for (SnapshotVerifyLevel level :
+       {SnapshotVerifyLevel::kOffsets, SnapshotVerifyLevel::kDirectory,
+        SnapshotVerifyLevel::kDeep}) {
+    SnapshotLoadOptions load;
+    load.verify_level = level;
+    auto loaded = WcIndex::LoadMmap(path, load);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const WcIndex& served = loaded.value();
+    QueryEngineOptions cached;
+    cached.num_threads = 1;
+    cached.cache_bytes = 16 << 10;  // misses go through the interval kernel
+    auto engine = QueryEngine::Open(path, cached, load);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+    for (Quality w : thresholds) {
+      for (Vertex s : endpoints) {
+        std::vector<RankedCandidate> ranked;
+        for (Vertex t : endpoints) {
+          SCOPED_TRACE(testing::Message()
+                       << "level=" << static_cast<int>(level) << " s=" << s
+                       << " t=" << t << " w=" << w);
+          const Distance want =
+              s == t ? 0 : QueryLabels(stripped.For(s), stripped.For(t), w);
+          if (want != kInfDistance) ranked.push_back({t, want});
+          if (s == t) continue;
+          EXPECT_EQ(served.Query(s, t, w), want);
+          EXPECT_EQ(engine.value().Query(s, t, w), want);
+          const HubQueryResult hub = served.QueryWithHub(s, t, w);
+          const HubQueryResult want_hub =
+              QueryLabelsWithHub(stripped.For(s), stripped.For(t), w);
+          EXPECT_EQ(hub.dist, want_hub.dist);
+          EXPECT_EQ(hub.via_hub, want_hub.via_hub);
+          EXPECT_EQ(hub.dist_from_s, want_hub.dist_from_s);
+          EXPECT_EQ(hub.dist_to_t, want_hub.dist_to_t);
+          EXPECT_EQ(served.QueryWithInterval(s, t, w),
+                    QueryLabelsWithInterval(stripped.For(s),
+                                            stripped.For(t), w));
+          std::vector<ProfilePoint> profile;
+          ASSERT_EQ(engine.value().ProfileEx(s, t, thresholds, &profile),
+                    ServeOutcome::kOk);
+          for (const ProfilePoint& p : profile) {
+            EXPECT_EQ(p.dist, QueryLabels(stripped.For(s), stripped.For(t),
+                                          p.quality));
+          }
+        }
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const RankedCandidate& a, const RankedCandidate& b) {
+                    return a.dist != b.dist ? a.dist < b.dist
+                                            : a.vertex < b.vertex;
+                  });
+        std::vector<RankedCandidate> engine_ranked;
+        ASSERT_EQ(engine.value().TopKEx(s, candidates, w, candidates.size(),
+                                        &engine_ranked),
+                  ServeOutcome::kOk);
+        for (const std::vector<RankedCandidate>& got :
+             {TopKClosest(served, s, candidates, w, candidates.size()),
+              engine_ranked}) {
+          ASSERT_EQ(got.size(), ranked.size()) << "s=" << s << " w=" << w;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].vertex, ranked[i].vertex) << "rank " << i;
+            EXPECT_EQ(got[i].dist, ranked[i].dist) << "rank " << i;
+          }
+        }
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

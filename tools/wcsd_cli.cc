@@ -1318,19 +1318,10 @@ int CmdServe(const Flags& flags) {
           ResultCache::CoupledFn coupled;
           if (current->has_index()) {
             // Pair (s, t) can only be affected if it reaches the changed
-            // edge from both sides in the OLD index at the lowest
-            // affected constraint (probed uncached: this runs under the
-            // cache's shard mutexes).
-            auto old_engine = current;
-            coupled = [old_engine](Vertex s, Vertex t,
-                                   const DeltaImpact& impact,
-                                   Quality w_test) {
-              const WcIndex& index = old_engine->index();
-              return (index.Query(s, impact.u, w_test) != kInfDistance &&
-                      index.Query(impact.v, t, w_test) != kInfDistance) ||
-                     (index.Query(s, impact.v, w_test) != kInfDistance &&
-                      index.Query(impact.u, t, w_test) != kInfDistance);
-            };
+            // edges from both sides in the OLD index at the lowest
+            // affected constraint. `current` serves until the swap, so
+            // its index outlives the sweep.
+            coupled = ReachabilityCoupling(current->index(), impacts);
           }
           size_t dropped = shared_cache->InvalidateDelta(next_fingerprint,
                                                          impacts, coupled);
