@@ -319,6 +319,13 @@ struct WcServer::Impl {
       // must not starve the others — leftover bytes keep the level-
       // triggered fd hot, so the next epoll_wait resumes it.
       constexpr size_t kMaxReadPerPass = 1u << 20;
+      // Replies go to the socket whenever this many have accumulated, not
+      // only at the end of the pass: a client that pipelines a window of
+      // frames then refills while the rest of the pass is served, instead
+      // of the loop idling through the client's turnaround after every
+      // pass. Well above one reply frame, so a pass of a few frames still
+      // sends once, at its end.
+      constexpr size_t kStreamReplyBytes = 16u << 10;
       size_t read_this_pass = 0;
       while (read_this_pass < kMaxReadPerPass) {
         ssize_t got = net::RecvSome(it->first, chunk, sizeof(chunk), 0);
@@ -378,6 +385,12 @@ struct WcServer::Impl {
         }
         HandleFrame(conn, header, payload);
         conn.in_consumed += sizeof(WireHeader) + header.payload_bytes;
+        // A socket that refused bytes before stays with EPOLLOUT.
+        if (!conn.want_write &&
+            conn.out.size() - conn.out_sent >= kStreamReplyBytes &&
+            !FlushConnection(it)) {
+          return false;
+        }
       }
       if (conn.in_consumed == conn.in.size()) {
         conn.in.clear();

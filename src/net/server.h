@@ -12,14 +12,15 @@
 // accumulate bytes until complete frames (net/wire.h) can be cut, each
 // frame is routed through the immutable QueryService (thread-safe by
 // contract — the only state reactors share), and replies accumulate in
-// per-connection write buffers flushed as the socket drains. Clients may
-// pipeline — any number of requests in flight per connection — and a
-// kBatchQuery frame fans out across the engine's ThreadPool. For per-core
-// serving, pair N reactors with single-threaded engines (queries run
-// inline on the reactor thread — `serve --reactors N` does this) so each
-// core runs one reactor end-to-end with no cross-core handoff; answers
-// are bit-identical at any N because reactors share one immutable
-// service.
+// per-connection write buffers, handed to the socket every 16 KiB while a
+// read pass is served and again at its end, and flushed as the socket
+// drains. Clients may pipeline — any number of requests in flight per
+// connection — and a kBatchQuery frame fans out across the engine's
+// ThreadPool. For per-core serving, pair N reactors with single-threaded
+// engines (queries run inline on the reactor thread — `serve --reactors
+// N` does this) so each core runs one reactor end-to-end with no
+// cross-core handoff; answers are bit-identical at any N because reactors
+// share one immutable service.
 //
 // Robustness contract (exercised by tests/test_net.cc and
 // tests/test_net_faults.cc): malformed input never crashes the server.

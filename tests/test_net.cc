@@ -12,12 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -441,6 +445,118 @@ TEST(WcServer, HalfCloseStillDeliversLargeBufferedReply) {
     EXPECT_EQ(dist, f.expected[i % f.workload.size()]) << "query " << i;
   }
   EXPECT_FALSE(client.ReadRawFrame().ok());  // clean EOF after the drain
+}
+
+/// Holds chosen calls (1-based, in arrival order) until the test opens
+/// them, so the test can watch the wire while the reactor is inside a
+/// read pass. A held call gives up after five seconds and marks the run.
+class GatedService final : public QueryService {
+ public:
+  GatedService(std::shared_ptr<const QueryService> inner,
+               std::vector<uint64_t> gates)
+      : inner_(std::move(inner)), gates_(std::move(gates)) {}
+  Distance Query(Vertex s, Vertex t, Quality w) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    const uint64_t call = ++calls_;
+    if (std::find(gates_.begin(), gates_.end(), call) != gates_.end()) {
+      held_ = call;
+      cv_.notify_all();
+      if (!cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return opened_ >= call; })) {
+        timed_out_ = true;
+      }
+      held_ = 0;
+    }
+    lock.unlock();
+    return inner_->Query(s, t, w);
+  }
+  std::vector<Distance> Batch(
+      const std::vector<BatchQueryInput>& queries) const override {
+    return inner_->Batch(queries);
+  }
+  uint64_t NumVertices() const override { return inner_->NumVertices(); }
+  QueryEngineStats Stats() const override { return inner_->Stats(); }
+
+  /// Waits until call `call` is held; false after five seconds.
+  bool WaitHeld(uint64_t call) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return held_ == call; });
+  }
+  /// Lets every call up to `call` through.
+  void Open(uint64_t call) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    opened_ = call;
+    cv_.notify_all();
+  }
+  uint64_t held() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
+  }
+  bool timed_out() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  std::shared_ptr<const QueryService> inner_;
+  std::vector<uint64_t> gates_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable uint64_t calls_ = 0;
+  mutable uint64_t held_ = 0;
+  mutable uint64_t opened_ = 0;
+  mutable bool timed_out_ = false;
+};
+
+// A pipelining client gets replies while a long read pass is still being
+// served, so it can refill its window instead of waiting for the pass to
+// end. The first frame holds the reactor while a burst of 1,200 frames
+// lands in the socket; the next pass serves the burst and is held at its
+// 900th frame, by which point its first 899 replies (25 KB) are due on the
+// wire.
+TEST(WcServer, LongReadPassStreamsRepliesBeforeItEnds) {
+  NetFixture f = MakeNetFixture(80, 200, 100, 257);
+  constexpr uint64_t kBurst = 1200;
+  constexpr uint64_t kHeldFrame = 900;
+  auto gated = std::make_shared<const GatedService>(
+      MakeQueryService(std::make_shared<const QueryEngine>(f.index)),
+      std::vector<uint64_t>{1, 1 + kHeldFrame});
+  WcServer server = StartServer(gated);
+  WcClient client = ConnectTo(server);
+
+  std::vector<uint8_t> out;
+  net::AppendQueryRequest(&out, 0, f.workload[0].s, f.workload[0].t,
+                          f.workload[0].w);
+  ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
+  ASSERT_TRUE(gated->WaitHeld(1));
+  out.clear();
+  for (uint64_t id = 1; id <= kBurst; ++id) {
+    const BatchQueryInput& q = f.workload[id % f.workload.size()];
+    net::AppendQueryRequest(&out, id, q.s, q.t, q.w);
+  }
+  ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
+  gated->Open(1);
+  ASSERT_TRUE(gated->WaitHeld(1 + kHeldFrame));
+
+  auto expect_reply = [&](uint64_t id) {
+    auto frame = client.ReadRawFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame.value().header.type,
+              static_cast<uint8_t>(MsgType::kQueryReply));
+    ASSERT_EQ(frame.value().header.request_id, id);
+    ASSERT_EQ(frame.value().payload.size(), sizeof(net::QueryReplyPayload));
+    net::QueryReplyPayload reply;
+    std::memcpy(&reply, frame.value().payload.data(), sizeof(reply));
+    EXPECT_EQ(reply.dist, f.expected[id % f.workload.size()]) << id;
+  };
+  expect_reply(0);
+  expect_reply(1);
+  // The burst's first reply arrived while its pass was still held.
+  EXPECT_EQ(gated->held(), 1 + kHeldFrame);
+  gated->Open(1 + kBurst);
+  for (uint64_t id = 2; id <= kBurst; ++id) expect_reply(id);
+  EXPECT_FALSE(gated->timed_out());
 }
 
 // ------------------------------------------------------------ malformed
