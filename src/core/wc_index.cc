@@ -76,7 +76,9 @@ VertexOrder MakeOrder(const QualityGraph& g, const WcIndexOptions& options) {
 /// the sequential one, and any pop it adds or upgrades is reachable through
 /// an already-indexed higher-ranked hub, hence covered. After a barrier, a
 /// sequential merge replays each root's candidates in rank order through
-/// the exact sequential cover check against the live index, which discards
+/// the sequential cover check, restricted to the hubs of the batch itself:
+/// every candidate already passed that check against each hub ranked before
+/// the batch, and the merge appends no entry with such a hub. It discards
 /// precisely the extras — the result is bit-identical to the sequential
 /// build (Theorem 1's minimal index is canonical for a fixed order), for
 /// any thread count and batch size (tested).
@@ -179,9 +181,11 @@ class WcIndexBuilder {
       pool.Wait();
       // Barrier passed: labels_ is mutable again, workers are idle, so the
       // first workspace's hub table is free for the merge.
+      Timer merge;
       for (Rank k = k0; k < k1; ++k) {
-        MergeRoot(k, candidates[k - k0], *workspaces[0]);
+        MergeRoot(k, k0, candidates[k - k0], *workspaces[0]);
       }
+      stats_.merge_seconds += merge.Seconds();
       k0 = k1;
       auto_batch = std::min(auto_batch * 2, auto_cap);
     }
@@ -202,7 +206,7 @@ class WcIndexBuilder {
     ws.max_quality.Clear();
     ws.memo_quality.Clear();
     ws.pred.Clear();
-    if (options_.query_efficient) BuildHubTable(root, ws);
+    if (options_.query_efficient) BuildHubTable(labels_.For(root), ws);
 
     ws.max_quality.Set(root, kInfQuality);
     ws.cur.clear();
@@ -241,10 +245,7 @@ class WcIndexBuilder {
       ++ws.stats.pruned_by_memo;
       return false;
     }
-    bool covered = options_.query_efficient
-                       ? CoveredFast(root, u, d, w, ws)
-                       : CoveredBasic(root, u, d, w);
-    if (covered) {
+    if (Covered(labels_.For(root), labels_.For(u), d, w, ws)) {
       ++ws.stats.pruned_by_query;
       if (options_.further_pruning) ws.memo_quality.Set(u, w);
       return false;
@@ -257,26 +258,45 @@ class WcIndexBuilder {
     return true;
   }
 
-  // Merge phase: replay root k's candidates — in the BFS pop order the
-  // sequential build would have used — through the sequential cover check
-  // against the live index, appending survivors. The memo is skipped: per
-  // vertex, candidate qualities strictly ascend within one root, so a memo
-  // hit (a previously satisfied query at >= quality) is impossible here.
-  void MergeRoot(Rank k, const std::vector<Candidate>& candidates,
+  // Merge phase: replay root k of batch [k0, k1) — its candidates in the
+  // BFS pop order the sequential build would have used — through the
+  // sequential cover check, appending survivors. Only hubs ranked k0 or
+  // higher need checking: the worker found each candidate uncovered by
+  // every hub ranked below k0, and the merge appends no entry with such a
+  // hub. Labels grow in rank order, so those hubs are the tails of L(root)
+  // and L(u). The root's own entries, appended here, never cover its
+  // candidates (per vertex, candidate qualities strictly ascend within one
+  // root), so a root without such a tail appends unchecked. For the same
+  // reason the memo is skipped: a memo hit (a previously satisfied query
+  // at >= quality) is impossible here.
+  void MergeRoot(Rank k, Rank k0, const std::vector<Candidate>& candidates,
                  BuildWorkspace& ws) {
     const Vertex root = order_.VertexAt(k);
-    if (options_.query_efficient) BuildHubTable(root, ws);
+    const size_t root_tail = TailBegin(labels_.For(root), k0);
+    const bool check = root_tail < labels_.For(root).size();
+    if (check && options_.query_efficient) {
+      BuildHubTable(labels_.For(root).subspan(root_tail), ws);
+    }
     for (const Candidate& c : candidates) {
-      bool covered =
-          options_.query_efficient
-              ? CoveredFast(root, c.vertex, c.dist, c.quality, ws)
-              : CoveredBasic(root, c.vertex, c.dist, c.quality);
-      if (covered) {
+      // L(root) is re-read per candidate: appending the root's own entry
+      // may reallocate it, but its tail keeps its start.
+      auto lu = labels_.For(c.vertex);
+      if (check && Covered(labels_.For(root).subspan(root_tail),
+                           lu.subspan(TailBegin(lu, k0)), c.dist, c.quality,
+                           ws)) {
         ++stats_.pruned_by_query;
         continue;
       }
       AppendEntry(k, c.vertex, c.dist, c.quality, c.parent);
     }
+  }
+
+  // Index of the first entry of `label` whose hub is ranked k0 or higher.
+  // Scans from the end: the tail is usually short or empty.
+  static size_t TailBegin(std::span<const LabelEntry> label, Rank k0) {
+    size_t i = label.size();
+    while (i > 0 && label[i - 1].hub >= k0) --i;
+    return i;
   }
 
   void AppendEntry(Rank k, Vertex u, Distance d, Quality w, Vertex parent) {
@@ -303,11 +323,12 @@ class WcIndexBuilder {
   }
 
   // Per-root hub table T (§IV.C "Querying"): hub rank -> entry range in
-  // L(root). Built once per root in O(|L(root)|).
-  void BuildHubTable(Vertex root, BuildWorkspace& ws) {
+  // `lr`, the entries of L(root) the cover checks read. Built once per root
+  // in O(|lr|).
+  static void BuildHubTable(std::span<const LabelEntry> lr,
+                            BuildWorkspace& ws) {
     ws.hub_group_begin.Clear();
     ws.hub_group_end.Clear();
-    auto lr = labels_.For(root);
     size_t i = 0;
     while (i < lr.size()) {
       size_t ie = i + 1;
@@ -318,12 +339,18 @@ class WcIndexBuilder {
     }
   }
 
-  // Query-efficient cover check: one pass over L(u), O(1) root-side group
-  // lookup through T, binary searches inside groups (Theorem 3).
-  bool CoveredFast(Vertex root, Vertex u, Distance d, Quality w,
-                   const BuildWorkspace& ws) {
-    auto lr = labels_.For(root);
-    auto lu = labels_.For(u);
+  // Line 11's QUERY: does a hub common to `lr` (entries of L(root)) and
+  // `lu` (entries of L(u)) give a w-path of length at most d? The
+  // query-efficient form makes one pass over `lu`, with an O(1) root-side
+  // group lookup through T (built over the same `lr`) and binary searches
+  // inside groups (Theorem 3). The basic form (plain WC-INDEX) re-resolves
+  // hub groups with binary search over `lr` for every query — Algorithm 4
+  // shape.
+  bool Covered(std::span<const LabelEntry> lr, std::span<const LabelEntry> lu,
+               Distance d, Quality w, const BuildWorkspace& ws) const {
+    if (!options_.query_efficient) {
+      return QueryLabels(lr, lu, w, QueryImpl::kHubGrouped) <= d;
+    }
     size_t i = 0;
     while (i < lu.size()) {
       size_t ie = i + 1;
@@ -341,13 +368,6 @@ class WcIndexBuilder {
       i = ie;
     }
     return false;
-  }
-
-  // Basic cover check (plain WC-INDEX): re-resolve hub groups with binary
-  // search over L(root) for every query — Algorithm 4 shape.
-  bool CoveredBasic(Vertex root, Vertex u, Distance d, Quality w) {
-    return QueryLabels(labels_.For(root), labels_.For(u), w,
-                       QueryImpl::kHubGrouped) <= d;
   }
 
   void AccumulateStats(const BuildWorkspace& ws) {

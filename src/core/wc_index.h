@@ -65,7 +65,9 @@ struct WcIndexOptions {
   /// pipeline. Any value produces a bit-identical index (tested): workers
   /// run the constrained BFS of a batch of roots against the immutable
   /// snapshot of the index from prior batches, and a sequential rank-order
-  /// re-prune merge restores exactly the minimal index of Theorem 1.
+  /// merge restores exactly the minimal index of Theorem 1 by re-pruning
+  /// each candidate against the hubs of its own batch only; its worker
+  /// already checked it against every earlier hub.
   size_t num_threads = 1;
 
   /// Roots per parallel batch (num_threads > 1 only). 0 = auto: batches
@@ -110,6 +112,9 @@ struct WcIndexBuildStats {
   size_t pruned_by_memo = 0;
   size_t relaxations = 0;
   double build_seconds = 0.0;
+  /// Wall seconds of the parallel pipeline's sequential merge phase, a part
+  /// of build_seconds; 0 for a sequential build.
+  double merge_seconds = 0.0;
 };
 
 /// The WC-INDEX (Def. 6): per-vertex sets of (hub, distance, quality)

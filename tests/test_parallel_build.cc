@@ -7,6 +7,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/verifier.h"
 #include "core/wc_index.h"
@@ -42,26 +43,29 @@ QualityGraph MakeGraph(int which, uint64_t seed) {
   }
 }
 
-using IdentityCase = std::tuple<int, size_t, size_t>;
+// (graph family, vertex order, threads, batch size).
+using IdentityCase = std::tuple<int, Ordering, size_t, size_t>;
 
 class ParallelBuildIdentityTest : public testing::TestWithParam<IdentityCase> {
 };
 
 std::string IdentityCaseName(const testing::TestParamInfo<IdentityCase>& info) {
-  auto [graph_kind, threads, batch] = info.param;
-  return "g" + std::to_string(graph_kind) + "t" + std::to_string(threads) +
-         "b" + std::to_string(batch);
+  auto [graph_kind, ordering, threads, batch] = info.param;
+  return "g" + std::to_string(graph_kind) +
+         (ordering == Ordering::kTreeDecomposition ? "tree" : "") + "t" +
+         std::to_string(threads) + "b" + std::to_string(batch);
 }
 
 TEST_P(ParallelBuildIdentityTest, MatchesSequentialBitForBit) {
-  auto [graph_kind, threads, batch_size] = GetParam();
+  auto [graph_kind, ordering, threads, batch_size] = GetParam();
   QualityGraph g = MakeGraph(graph_kind, 97 + graph_kind);
 
   WcIndexOptions sequential = WcIndexOptions::Plus();
+  sequential.ordering = ordering;
   sequential.num_threads = 1;
   WcIndex expected = WcIndex::Build(g, sequential);
 
-  WcIndexOptions parallel = WcIndexOptions::Plus();
+  WcIndexOptions parallel = sequential;
   parallel.num_threads = threads;
   parallel.batch_size = batch_size;
   WcIndex actual = WcIndex::Build(g, parallel);
@@ -73,25 +77,55 @@ TEST_P(ParallelBuildIdentityTest, MatchesSequentialBitForBit) {
             expected.build_stats().entries_added);
 }
 
+const auto kThreadCounts = testing::Values(size_t{2}, size_t{4}, size_t{8});
+const auto kBatchSizes = testing::Values(size_t{0}, size_t{1}, size_t{3},
+                                         size_t{17}, size_t{64});
+
+// Plus()'s hybrid order on every graph family.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelBuildIdentityTest,
     testing::Combine(testing::Values(0, 1, 2, 3),
-                     testing::Values(size_t{2}, size_t{4}, size_t{8}),
-                     testing::Values(size_t{0}, size_t{1}, size_t{3},
-                                     size_t{17}, size_t{64})),
+                     testing::Values(Ordering::kHybrid), kThreadCounts,
+                     kBatchSizes),
+    IdentityCaseName);
+
+// Tree-decomposition order on the road family, the order road graphs are
+// usually built with; the hybrid sweep above never ranks a road graph so.
+INSTANTIATE_TEST_SUITE_P(
+    TreeOrder, ParallelBuildIdentityTest,
+    testing::Combine(testing::Values(2),
+                     testing::Values(Ordering::kTreeDecomposition),
+                     kThreadCounts, kBatchSizes),
     IdentityCaseName);
 
 TEST(ParallelBuild, BasicConstructionQueryAlsoIdentical) {
   // The non-query-efficient cover check (plain WC-INDEX) goes through a
-  // different code path; the pipeline must preserve it too.
-  QualityGraph g = MakeGraph(0, 131);
-  WcIndexOptions sequential = WcIndexOptions::Basic();
-  sequential.num_threads = 1;
-  WcIndexOptions parallel = WcIndexOptions::Basic();
-  parallel.num_threads = 4;
-  parallel.batch_size = 7;
-  EXPECT_EQ(WcIndex::Build(g, parallel).labels(),
-            WcIndex::Build(g, sequential).labels());
+  // different code path; the pipeline must preserve it too, under the
+  // hybrid order and under the road family's tree-decomposition order.
+  for (auto [kind, ordering] : {std::pair{0, Ordering::kHybrid},
+                                std::pair{2, Ordering::kTreeDecomposition}}) {
+    QualityGraph g = MakeGraph(kind, 131);
+    WcIndexOptions sequential = WcIndexOptions::Basic();
+    sequential.ordering = ordering;
+    sequential.num_threads = 1;
+    WcIndexOptions parallel = sequential;
+    parallel.num_threads = 4;
+    parallel.batch_size = 7;
+    EXPECT_EQ(WcIndex::Build(g, parallel).labels(),
+              WcIndex::Build(g, sequential).labels())
+        << "kind=" << kind;
+  }
+}
+
+TEST(ParallelBuild, MergeSecondsArePartOfTheBuild) {
+  QualityGraph g = MakeGraph(2, 97);
+  WcIndexOptions options = WcIndexOptions::Plus();
+  options.num_threads = 1;
+  EXPECT_EQ(WcIndex::Build(g, options).build_stats().merge_seconds, 0.0);
+  options.num_threads = 4;
+  const WcIndexBuildStats stats = WcIndex::Build(g, options).build_stats();
+  EXPECT_GT(stats.merge_seconds, 0.0);
+  EXPECT_LE(stats.merge_seconds, stats.build_seconds);
 }
 
 TEST(ParallelBuild, NoFurtherPruningIdentical) {

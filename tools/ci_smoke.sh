@@ -7,7 +7,8 @@
 #   tools/ci_smoke.sh cli coldtier        # selected sections, in this order
 #
 # Sections (the default runs all of them, in this order):
-#   cli       build/query/verify/snapshot/serve round trips, the compressed
+#   cli       build/query/verify/snapshot/serve round trips, a 4-thread
+#             build byte-identical to the sequential one, the compressed
 #             snapshot + cold-tier answer-CRC equivalence, sharded serving
 #   crash     snapshot rewrite crashed at the commit point leaves the old
 #             file byte-identical and still serving
@@ -33,7 +34,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR=$2; shift 2 ;;
     --build-dir=*) BUILD_DIR=${1#*=}; shift ;;
     -h|--help)
-      sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) SECTIONS+=("$1"); shift ;;
   esac
@@ -82,6 +83,11 @@ section_cli() {
   "$CLI" query --manifest=ci_planned.manifest --s=1 --w=2 --topk=5
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --profile --thresholds=1,2,3,4,5
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --w=2 --path --graph=ci.edges
+
+  banner "parallel build is byte-identical to the sequential one"
+  "$CLI" build --graph=ci.edges --index=ci_tree1.wcx --order=tree --threads=1
+  "$CLI" build --graph=ci.edges --index=ci_tree4.wcx --order=tree --threads=4 --batch=3
+  cmp ci_tree1.wcx ci_tree4.wcx
 
   banner "compressed snapshot + cold tier answer CRCs"
   flat_crc=$("$CLI" serve --snapshot=ci.wcsnap --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)

@@ -221,9 +221,10 @@ int CmdBuild(const Flags& flags) {
   options.batch_size = static_cast<size_t>(batch);
   Timer timer;
   WcIndex index = WcIndex::Build(graph.value(), options);
-  std::printf("built in %.2f s: %zu vertices, %zu entries, %zu bytes\n",
-              timer.Seconds(), index.NumVertices(), index.TotalEntries(),
-              index.MemoryBytes());
+  std::printf(
+      "built in %.2f s (merge %.2f s): %zu vertices, %zu entries, %zu bytes\n",
+      timer.Seconds(), index.build_stats().merge_seconds, index.NumVertices(),
+      index.TotalEntries(), index.MemoryBytes());
   Status st = index.Save(out);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
