@@ -4,7 +4,7 @@
 // query for the streaming merge over the varint bytes.
 
 #include "bench_common.h"
-#include "labeling/compressed_flat.h"
+#include "labeling/label_store.h"
 
 using namespace wcsd;
 using namespace wcsd::bench;
@@ -25,6 +25,7 @@ void RunFamily(const std::vector<std::string>& names, bool social,
     index.Finalize();
     CompressedFlatLabelSet compressed =
         CompressedFlatLabelSet::FromFlat(index.flat_labels());
+    const LabelStore store(compressed, index.NumVertices());
     auto workload =
         MakeQueryWorkload(d.graph, config.queries, config.seed);
     double raw_ms = TimeQueriesMs(
@@ -32,7 +33,7 @@ void RunFamily(const std::vector<std::string>& names, bool social,
         [&](Vertex s, Vertex t, Quality w) { return index.Query(s, t, w); });
     double compressed_ms = TimeQueriesMs(
         workload, [&](Vertex s, Vertex t, Quality w) {
-          return QueryCompressedMerge(compressed, s, t, w);
+          return MergeStores(store, s, store, t, w);
         });
     char ratio[16];
     std::snprintf(ratio, sizeof(ratio), "%.2fx",

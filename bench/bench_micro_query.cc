@@ -9,7 +9,6 @@
 #include "bench/bench_json.h"
 #include "bench/datasets.h"
 #include "bench/workload.h"
-#include "core/batch.h"
 #include "core/wc_index.h"
 #include "labeling/naive_index.h"
 #include "search/wc_bfs.h"
@@ -111,24 +110,6 @@ void BM_ConstrainedBfs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConstrainedBfs);
-
-void BM_BatchQueryThroughput(benchmark::State& state) {
-  const WcIndex& index = IndexForBackend(static_cast<int>(state.range(1)));
-  const auto& workload = SharedWorkload();
-  std::vector<BatchQueryInput> batch;
-  batch.reserve(workload.size());
-  for (const WcsdQuery& q : workload) batch.push_back({q.s, q.t, q.w});
-  size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BatchQuery(index, batch, threads));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch.size()));
-}
-BENCHMARK(BM_BatchQueryThroughput)
-    ->ArgsProduct({{1, 4, 16}, {0, 1}})
-    ->ArgNames({"threads", "backend"})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace wcsd

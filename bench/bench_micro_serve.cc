@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the serving subsystem: snapshot
-// mmap-load latency vs the full deserializing Load — at two index sizes,
-// to show mmap load time is independent of label count — plus QueryEngine
+// mmap-load latency at two index sizes — to show mmap load time is
+// independent of label count — plus QueryEngine
 // batch throughput at 1/2/4/8 threads, the sharded engine over even and
 // label-mass-planned shard sets (with the planned-vs-even byte skew as
 // counters), per-shard query throughput over the planned set, the
@@ -45,10 +45,9 @@ constexpr int kBenchShards = 4;
 // Two sizes of the same social family; "size:1" has ~4x the label entries
 // of "size:0". Files are written once into /tmp and reused.
 struct ServeFixture {
-  std::string wcx_path;
   std::string snap_path;
   std::string csnap_path;  // same labels, v3 compressed sections
-  std::vector<std::string> shard_paths;  // even vertex-range shards
+  std::string even_manifest_path;        // even vertex-range shard set
   std::string manifest_path;             // label-mass-planned shard set
   ShardPlan plan;                        // the planned tiling
   double planned_skew = 0.0;             // max/mean bytes, planned split
@@ -69,28 +68,14 @@ const ServeFixture& FixtureForSize(int size) {
       f.num_vertices = index.NumVertices();
       f.total_entries = index.TotalEntries();
       std::string stem = "/tmp/bench_serve_" + std::to_string(i);
-      f.wcx_path = stem + ".wcx";
       f.snap_path = stem + ".wcsnap";
       f.csnap_path = stem + "_c.wcsnap";
       SnapshotWriteOptions compress_options;
       compress_options.compress = true;
-      if (!index.Save(f.wcx_path).ok() ||
-          !index.SaveSnapshot(f.snap_path).ok() ||
+      if (!index.SaveSnapshot(f.snap_path).ok() ||
           !index.SaveSnapshot(f.csnap_path, compress_options).ok()) {
         std::fprintf(stderr, "bench fixture write failed\n");
         std::abort();
-      }
-      for (int k = 0; k < kBenchShards; ++k) {
-        std::string path = stem + ".shard" + std::to_string(k);
-        uint64_t n = f.num_vertices;
-        if (!WriteSnapshotShard(path, index.flat_labels(),
-                                n * k / kBenchShards,
-                                n * (k + 1) / kBenchShards, n)
-                 .ok()) {
-          std::fprintf(stderr, "bench shard write failed\n");
-          std::abort();
-        }
-        f.shard_paths.push_back(path);
       }
       ShardPlanOptions plan_options;
       plan_options.num_shards = kBenchShards;
@@ -106,11 +91,14 @@ const ServeFixture& FixtureForSize(int size) {
       f.even_skew = even.value().ByteSkew();
       auto written = WriteShardSet(stem + "_planned", index.flat_labels(),
                                    planned.value());
-      if (!written.ok()) {
+      auto written_even =
+          WriteShardSet(stem, index.flat_labels(), even.value());
+      if (!written.ok() || !written_even.ok()) {
         std::fprintf(stderr, "bench shard-set write failed\n");
         std::abort();
       }
       f.manifest_path = written.value().manifest_path;
+      f.even_manifest_path = written_even.value().manifest_path;
       out[i] = std::move(f);
     }
     return out;
@@ -130,21 +118,8 @@ const std::vector<BatchQueryInput>& ServeWorkload() {
   return workload;
 }
 
-// Full deserializing load: scales with label count.
-void BM_LoadFull(benchmark::State& state) {
-  const ServeFixture& f = FixtureForSize(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto loaded = WcIndex::Load(f.wcx_path);
-    if (!loaded.ok()) state.SkipWithError("load failed");
-    benchmark::DoNotOptimize(loaded.value().TotalEntries());
-  }
-  state.counters["entries"] = static_cast<double>(f.total_entries);
-}
-BENCHMARK(BM_LoadFull)->Arg(0)->Arg(1)->ArgNames({"size"})
-    ->Unit(benchmark::kMicrosecond);
-
 // Zero-copy mmap load: header + O(vertices) validation only. Comparing
-// size:0 to size:1 against BM_LoadFull shows the label-count independence.
+// size:0 to size:1 shows the label-count independence.
 void BM_LoadMmap(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -187,7 +162,8 @@ BENCHMARK(BM_ServeBatchThroughput)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Same workload through four vertex-range shards.
+// Same workload through four even vertex-range shards, opened through
+// their manifest.
 void BM_ShardedBatchThroughput(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(1);
   QueryEngineOptions options;
@@ -195,7 +171,7 @@ void BM_ShardedBatchThroughput(benchmark::State& state) {
   static std::unique_ptr<QueryEngine> engine;
   static size_t engine_threads = 0;
   if (!engine || engine_threads != options.num_threads) {
-    auto opened = QueryEngine::OpenMmap(f.shard_paths, options);
+    auto opened = QueryEngine::OpenManifest(f.even_manifest_path, options);
     if (!opened.ok()) {
       state.SkipWithError("sharded open failed");
       return;

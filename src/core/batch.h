@@ -1,10 +1,10 @@
-// Batch query evaluation and constraint-aware nearest-neighbor helpers.
+// Batch query inputs and constraint-aware nearest-neighbor helpers.
 //
 // The paper's applications issue queries in bulk (search ranking evaluates
 // distances to many candidates; QoS admission checks whole flow sets).
-// These helpers amortize that pattern over the index:
-//   * BatchQuery      — evaluate a workload, optionally across threads
-//                       (queries are independent; labels are read-only);
+// A workload of BatchQueryInput runs through QueryEngine::Batch
+// (serve/query_engine.h), which fans it out over the engine's pool. These
+// helpers amortize the other bulk shapes over the index:
 //   * TopKClosest     — rank a candidate set by w-constrained distance
 //                       (the §I social-search scenario);
 //   * QualityProfile  — for one pair, the full dominance frontier
@@ -33,13 +33,6 @@ struct BatchQueryInput {
   Vertex t;
   Quality w;
 };
-
-/// Evaluates all queries against `index`. With threads > 1, the workload is
-/// partitioned into contiguous chunks evaluated concurrently; results are
-/// positionally aligned with the inputs either way.
-std::vector<Distance> BatchQuery(const WcIndex& index,
-                                 const std::vector<BatchQueryInput>& queries,
-                                 size_t threads = 1);
 
 /// A ranked candidate.
 struct RankedCandidate {

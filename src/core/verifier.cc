@@ -22,13 +22,19 @@ std::string VerificationReport::Summary() const {
   return out.str();
 }
 
-VerificationReport VerifySoundness(const LabelSet& labels,
-                                   const VertexOrder& order,
-                                   const QualityGraph& g, bool require_tight) {
+namespace {
+
+// The checks below read labels through `labels_of(v)`: a LabelSet's
+// vectors, or the entries an index serves (WcIndex::EntriesFor — a mapped
+// snapshot has no append-oriented labels).
+template <typename LabelsOf>
+VerificationReport Soundness(size_t n, const LabelsOf& labels_of,
+                             const VertexOrder& order, const QualityGraph& g,
+                             bool require_tight) {
   VerificationReport report;
   WcBfs bfs(&g);
-  for (Vertex v = 0; v < labels.NumVertices(); ++v) {
-    for (const LabelEntry& e : labels.For(v)) {
+  for (Vertex v = 0; v < n; ++v) {
+    for (const LabelEntry& e : labels_of(v)) {
       ++report.entries_checked;
       Vertex hub_vertex = order.VertexAt(e.hub);
       if (e.quality == kInfQuality) {
@@ -44,10 +50,11 @@ VerificationReport VerifySoundness(const LabelSet& labels,
   return report;
 }
 
-VerificationReport VerifyMonotonicity(const LabelSet& labels) {
+template <typename LabelsOf>
+VerificationReport Monotonicity(size_t n, const LabelsOf& labels_of) {
   VerificationReport report;
-  for (Vertex v = 0; v < labels.NumVertices(); ++v) {
-    auto lv = labels.For(v);
+  for (Vertex v = 0; v < n; ++v) {
+    auto lv = labels_of(v);
     for (size_t i = 0; i < lv.size(); ++i) {
       ++report.entries_checked;
       if (i == 0 || lv[i - 1].hub != lv[i].hub) continue;
@@ -60,6 +67,25 @@ VerificationReport VerifyMonotonicity(const LabelSet& labels) {
     }
   }
   return report;
+}
+
+auto ServedLabels(const WcIndex& index) {
+  return [&index](Vertex v) { return index.EntriesFor(v); };
+}
+
+}  // namespace
+
+VerificationReport VerifySoundness(const LabelSet& labels,
+                                   const VertexOrder& order,
+                                   const QualityGraph& g, bool require_tight) {
+  return Soundness(
+      labels.NumVertices(), [&labels](Vertex v) { return labels.For(v); },
+      order, g, require_tight);
+}
+
+VerificationReport VerifyMonotonicity(const LabelSet& labels) {
+  return Monotonicity(labels.NumVertices(),
+                      [&labels](Vertex v) { return labels.For(v); });
 }
 
 VerificationReport VerifyCompleteness(const WcIndex& index,
@@ -86,11 +112,14 @@ VerificationReport VerifyCompleteness(const WcIndex& index,
 }
 
 VerificationReport VerifyMinimality(const WcIndex& index) {
-  VerificationReport report = VerifyMonotonicity(index.labels());
-  const LabelSet& labels = index.labels();
+  VerificationReport report =
+      Monotonicity(index.NumVertices(), ServedLabels(index));
   const VertexOrder& order = index.order();
-  for (Vertex v = 0; v < labels.NumVertices(); ++v) {
-    auto lv = labels.For(v);
+  for (Vertex v = 0; v < index.NumVertices(); ++v) {
+    // A copy: reading the hubs' labels below may recycle the decode
+    // scratch a compressed index returned L(v) in.
+    auto served = index.EntriesFor(v);
+    const std::vector<LabelEntry> lv(served.begin(), served.end());
     for (size_t i = 0; i < lv.size(); ++i) {
       const LabelEntry& e = lv[i];
       Vertex hub_vertex = order.VertexAt(e.hub);
@@ -100,7 +129,7 @@ VerificationReport VerifyMinimality(const WcIndex& index) {
       std::vector<LabelEntry> without(lv.begin(), lv.end());
       without.erase(without.begin() + static_cast<ptrdiff_t>(i));
       Distance covered = QueryLabels({without.data(), without.size()},
-                                     labels.For(hub_vertex), e.quality);
+                                     index.EntriesFor(hub_vertex), e.quality);
       if (covered <= e.dist) ++report.unnecessary_entries;
     }
   }
@@ -121,8 +150,9 @@ void Merge(VerificationReport* into, const VerificationReport& from) {
 }  // namespace
 
 VerificationReport VerifyAll(const WcIndex& index, const QualityGraph& g) {
-  VerificationReport report =
-      VerifySoundness(index.labels(), index.order(), g, /*require_tight=*/true);
+  VerificationReport report = Soundness(index.NumVertices(),
+                                        ServedLabels(index), index.order(), g,
+                                        /*require_tight=*/true);
   Merge(&report, VerifyCompleteness(index, g));
   Merge(&report, VerifyMinimality(index));
   return report;

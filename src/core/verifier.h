@@ -67,10 +67,13 @@ VerificationReport VerifyMonotonicity(const LabelSet& labels);
 VerificationReport VerifyCompleteness(const WcIndex& index,
                                       const QualityGraph& g);
 
-/// Minimality: dominance-freeness plus necessity of every entry.
+/// Minimality: dominance-freeness plus necessity of every entry. Reads the
+/// entries the index serves (WcIndex::EntriesFor), so a mapped snapshot,
+/// flat or compressed, is checked as thoroughly as a freshly built index.
 VerificationReport VerifyMinimality(const WcIndex& index);
 
-/// Runs all checks appropriate for a freshly built WC-INDEX.
+/// Runs all checks appropriate for a WC-INDEX, over the entries it serves
+/// (see VerifyMinimality).
 VerificationReport VerifyAll(const WcIndex& index, const QualityGraph& g);
 
 }  // namespace wcsd

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
-#include "util/endian.h"
 #include "util/epoch_array.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -21,12 +18,6 @@ namespace wcsd {
 namespace {
 
 constexpr Quality kNegInfQuality = -std::numeric_limits<Quality>::infinity();
-
-size_t ResolveThreads(size_t num_threads) {
-  if (num_threads != 0) return num_threads;
-  size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 // Decode scratch for views of a compressed store. Two slots rotate per
 // thread, so at most two returned views are valid at once — exactly the
@@ -455,101 +446,6 @@ HubQueryResult WcIndex::QueryWithHub(Vertex s, Vertex t, Quality w) const {
   return QueryLabelsWithHub(labels_.For(s), labels_.For(t), w);
 }
 
-namespace {
-constexpr uint64_t kIndexMagic = 0x57435344'494e4458ULL;  // "WCSDINDX"
-
-// The .wcx format is defined in fixed-width little-endian fields: u64
-// magic, u64 vertex count, n * u32 order, then per vertex a u64 entry
-// count followed by that many 12-byte LabelEntry records.
-static_assert(sizeof(Vertex) == 4);
-static_assert(sizeof(LabelEntry) == 12);
-}  // namespace
-
-Status WcIndex::Save(const std::string& path) const {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(&kIndexMagic), sizeof(kIndexMagic));
-  uint64_t n = NumVertices();
-  // An mmap-loaded index has no append-oriented labels; serialize from
-  // whichever backend queries route through (EntriesFor decodes the
-  // compressed backend per vertex) instead of silently writing an empty
-  // index.
-  const bool from_serving = labels_.NumVertices() != n;
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(order_.by_rank().data()),
-            static_cast<std::streamsize>(n * sizeof(Vertex)));
-  for (uint64_t v = 0; v < n; ++v) {
-    auto lv = from_serving ? EntriesFor(static_cast<Vertex>(v))
-                           : labels_.For(static_cast<Vertex>(v));
-    uint64_t count = lv.size();
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    out.write(reinterpret_cast<const char*>(lv.data()),
-              static_cast<std::streamsize>(count * sizeof(LabelEntry)));
-  }
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-Result<WcIndex> WcIndex::Load(const std::string& path) {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  // Every count is validated against the bytes actually left in the file
-  // before any allocation, so a corrupted count field yields Corruption
-  // rather than a std::bad_alloc crash.
-  uint64_t bytes_left = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  uint64_t magic = 0, n = 0;
-  if (bytes_left < sizeof(magic) + sizeof(n)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kIndexMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in) return Status::Corruption("truncated header in " + path);
-  bytes_left -= sizeof(magic) + sizeof(n);
-  if (n > bytes_left / sizeof(Vertex)) {
-    return Status::Corruption("truncated order in " + path);
-  }
-  std::vector<Vertex> by_rank(n);
-  in.read(reinterpret_cast<char*>(by_rank.data()),
-          static_cast<std::streamsize>(n * sizeof(Vertex)));
-  if (!in) return Status::Corruption("truncated order in " + path);
-  bytes_left -= n * sizeof(Vertex);
-
-  WcIndex index;
-  index.order_ = VertexOrder(std::move(by_rank));
-  if (!index.order_.IsValid()) {
-    return Status::Corruption("order is not a permutation in " + path);
-  }
-  index.labels_ = LabelSet(n);
-  for (uint64_t v = 0; v < n; ++v) {
-    uint64_t count = 0;
-    if (bytes_left < sizeof(count)) {
-      return Status::Corruption("truncated label count in " + path);
-    }
-    in.read(reinterpret_cast<char*>(&count), sizeof(count));
-    if (!in) return Status::Corruption("truncated label count in " + path);
-    bytes_left -= sizeof(count);
-    if (count > bytes_left / sizeof(LabelEntry)) {
-      return Status::Corruption("truncated label entries in " + path);
-    }
-    auto* lv = index.labels_.Mutable(static_cast<Vertex>(v));
-    lv->resize(count);
-    in.read(reinterpret_cast<char*>(lv->data()),
-            static_cast<std::streamsize>(count * sizeof(LabelEntry)));
-    if (!in) return Status::Corruption("truncated label entries in " + path);
-    bytes_left -= count * sizeof(LabelEntry);
-  }
-  if (!index.labels_.IsSorted()) {
-    return Status::Corruption("unsorted labels in " + path);
-  }
-  return index;
-}
-
 Status WcIndex::SaveSnapshot(const std::string& path,
                              const SnapshotWriteOptions& write_options) const {
   if (!finalized_) {
@@ -589,11 +485,7 @@ Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
                                   const SnapshotLoadOptions& options) {
   Result<MappedSnapshot> snapshot = LoadSnapshotMmap(path, options);
   if (!snapshot.ok()) return snapshot.status();
-  return FromSnapshot(std::move(snapshot).value(), path);
-}
-
-Result<WcIndex> WcIndex::FromSnapshot(MappedSnapshot mapped,
-                                      const std::string& path) {
+  MappedSnapshot& mapped = snapshot.value();
   if (!mapped.info.IsFullRange() || !mapped.info.has_order) {
     return Status::InvalidArgument(
         "not a full-range snapshot with a vertex order: " + path);

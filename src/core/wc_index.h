@@ -239,11 +239,6 @@ class WcIndex {
     return finalized_ ? store_.TotalEntries() : labels_.TotalEntries();
   }
 
-  /// Serialization of the append-oriented labels (little-endian,
-  /// fixed-width fields; requires a full deserialization pass on Load).
-  Status Save(const std::string& path) const;
-  static Result<WcIndex> Load(const std::string& path);
-
   /// Writes the finalized flat backend plus the vertex order as a
   /// page-aligned, checksummed snapshot (labeling/snapshot.h). Requires
   /// finalized(). Parent quads, when present, are flattened and written
@@ -258,18 +253,14 @@ class WcIndex {
   /// Maps a snapshot written by SaveSnapshot and serves queries directly
   /// out of the mapping: no per-entry deserialization, load time
   /// independent of label count. The result is finalized; its
-  /// append-oriented labels() are empty, so dynamic updates and
-  /// construction-side reuse need Load instead. Only full-range snapshots
-  /// with an order section qualify — shard files are served as a tiling by
-  /// QueryEngine::OpenMmap. A v3 compressed snapshot loads into the
-  /// compressed backend (see compressed()): label bytes stay on disk and
-  /// page in on first decode.
+  /// append-oriented labels() are empty (read EntriesFor, or rebuild a
+  /// LabelSet from the flat labels as dynamic updates do). Only full-range
+  /// snapshots with an order section qualify — a shard set is served as a
+  /// tiling through its manifest (QueryEngine::OpenManifest). A v3
+  /// compressed snapshot loads into the compressed backend (see
+  /// compressed()): label bytes stay on disk and page in on first decode.
   static Result<WcIndex> LoadMmap(const std::string& path,
                                   const SnapshotLoadOptions& options = {});
-
-  /// LoadMmap over a snapshot the caller already mapped from `path`.
-  static Result<WcIndex> FromSnapshot(MappedSnapshot mapped,
-                                      const std::string& path);
 
  private:
   friend class WcIndexBuilder;

@@ -25,9 +25,6 @@ class GraphBuilder {
   /// Duplicate edges are merged at Build() time, keeping the max quality.
   void AddEdge(Vertex u, Vertex v, Quality q);
 
-  /// Number of staged (pre-merge) edges.
-  size_t NumStagedEdges() const { return edges_.size(); }
-
   /// Compiles the staged edges into an immutable CSR graph. The builder can
   /// be reused afterwards (staged edges are retained).
   QualityGraph Build() const;

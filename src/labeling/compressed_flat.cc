@@ -297,16 +297,4 @@ bool operator==(const CompressedFlatLabelSet& a,
          span_eq(a.blob_, b.blob_) && span_eq(a.dictionary_, b.dictionary_);
 }
 
-Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
-                              Vertex s,
-                              const CompressedFlatLabelSet& t_labels,
-                              Vertex t, Quality w) {
-  if (s >= s_labels.NumVertices() || t >= t_labels.NumVertices()) {
-    return kInfDistance;
-  }
-  return MergeHubGroups(VarintCursor(s_labels, s), VarintCursor(t_labels, t),
-                        DistanceStep(w))
-      .best;
-}
-
 }  // namespace wcsd

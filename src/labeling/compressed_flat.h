@@ -395,28 +395,6 @@ struct VarintCursor {
   }
 };
 
-/// Algorithm 5 streamed over two compressed labels: L(s) is vertex s of
-/// `s_labels` and L(t) vertex t of `t_labels` (two shards, each decoding
-/// through its own quality dictionary, or one set twice). Out-of-range
-/// endpoints answer kInfDistance. Bit-identical to QueryLabels on the
-/// decoded labels (tested); bounds-checked, so corrupt bytes degrade to
-/// "stream ends early" instead of reading out of range.
-Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
-                              Vertex s,
-                              const CompressedFlatLabelSet& t_labels,
-                              Vertex t, Quality w);
-
-/// The one-set form, with the index's degenerate-query guards (out of
-/// range = unreachable, s == t = 0).
-inline Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels,
-                                     Vertex s, Vertex t, Quality w) {
-  if (s >= labels.NumVertices() || t >= labels.NumVertices()) {
-    return kInfDistance;
-  }
-  if (s == t) return 0;
-  return QueryCompressedMerge(labels, s, labels, t, w);
-}
-
 }  // namespace wcsd
 
 #endif  // WCSD_LABELING_COMPRESSED_FLAT_H_

@@ -56,18 +56,9 @@ class LabelSet {
   /// Total entries across all vertices.
   size_t TotalEntries() const;
 
-  /// Average entries per vertex.
-  double AverageLabelSize() const;
-
-  /// Maximum entries on any vertex (the paper's zeta).
-  size_t MaxLabelSize() const;
-
   /// Bytes of entry payload plus per-vertex vector overhead — the number
   /// reported as "index size" in Figures 6/9/11.
   size_t MemoryBytes() const;
-
-  /// True if L(v) is sorted by (hub asc, dist asc) for every v.
-  bool IsSorted() const;
 
   friend bool operator==(const LabelSet&, const LabelSet&) = default;
 

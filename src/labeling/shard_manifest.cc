@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 
+#include "labeling/label_store.h"
 #include "labeling/snapshot.h"
 #include "util/atomic_file.h"
 #include "util/checksum.h"
@@ -229,52 +230,96 @@ std::string ResolveShardPath(const std::string& manifest_path,
   return manifest_path.substr(0, slash + 1) + shard_path;
 }
 
-Result<WrittenShardSet> WriteShardSet(const std::string& stem,
-                                      const FlatLabelSet& flat,
-                                      const ShardPlan& plan,
-                                      const SnapshotWriteOptions& write_options) {
+Result<std::vector<std::string>> WriteShardFiles(
+    const std::string& stem, const FlatLabelSet& flat, const ShardPlan& plan,
+    const SnapshotWriteOptions& write_options) {
   if (plan.num_vertices != flat.NumVertices()) {
     return Status::InvalidArgument(
         "shard plan was computed for a different label set");
   }
-  const size_t slash = stem.rfind('/');
-  const std::string basename =
-      slash == std::string::npos ? stem : stem.substr(slash + 1);
-  if (basename.empty()) {
+  if (stem.empty() || stem.back() == '/') {
     return Status::InvalidArgument("shard set stem names no file: " + stem);
   }
-
-  WrittenShardSet result;
-  result.manifest_path = stem + ".manifest";
-  result.manifest.num_vertices_total = flat.NumVertices();
-  result.manifest.fingerprint = IndexContentFingerprint(flat);
+  std::vector<std::string> paths;
   for (size_t k = 0; k < plan.shards.size(); ++k) {
     const PlannedShard& planned = plan.shards[k];
-    const std::string relative = basename + ".shard" + std::to_string(k);
-    const std::string path = stem + ".shard" + std::to_string(k);
-    WCSD_RETURN_NOT_OK(WriteSnapshotShard(path, flat, planned.begin,
+    paths.push_back(stem + ".shard" + std::to_string(k));
+    WCSD_RETURN_NOT_OK(WriteSnapshotShard(paths.back(), flat, planned.begin,
                                           planned.end, flat.NumVertices(),
                                           /*parents=*/{}, write_options));
-    Result<SnapshotInfo> info = ReadSnapshotInfo(path);
-    if (!info.ok()) return info.status();
-
-    ShardManifestEntry entry;
-    entry.path = relative;
-    entry.vertex_begin = planned.begin;
-    entry.vertex_end = planned.end;
-    entry.entry_count = planned.entry_count;
-    entry.group_count = planned.group_count;
-    entry.label_bytes = planned.bytes;
-    entry.snapshot_header_crc = info.value().header_crc;
-    result.manifest.total_entries += entry.entry_count;
-    result.manifest.total_groups += entry.group_count;
-    result.manifest.total_label_bytes += entry.label_bytes;
-    result.manifest.shards.push_back(std::move(entry));
-    result.shard_paths.push_back(path);
   }
-  WCSD_RETURN_NOT_OK(result.manifest.ValidateTiling());
-  WCSD_RETURN_NOT_OK(
-      WriteShardManifest(result.manifest_path, result.manifest));
+  return paths;
+}
+
+Result<ShardManifest> RecordShardManifest(
+    const std::string& manifest_path,
+    const std::vector<std::string>& shard_paths, uint64_t fingerprint) {
+  if (shard_paths.empty()) {
+    return Status::InvalidArgument("no shard files to record in " +
+                                   manifest_path);
+  }
+  // Shards in the manifest's directory are recorded relative to it ("" when
+  // the manifest names no directory, so every path is taken as given).
+  const std::string dir =
+      manifest_path.substr(0, manifest_path.rfind('/') + 1);
+  ShardManifest manifest;
+  manifest.fingerprint = fingerprint;
+  for (const std::string& path : shard_paths) {
+    ShardManifestEntry entry;
+    if (path.compare(0, dir.size(), dir) == 0) {
+      entry.path = path.substr(dir.size());
+    } else if (!path.empty() && path.front() == '/') {
+      entry.path = path;
+    } else {
+      return Status::InvalidArgument(
+          "shard " + path + " is neither in the manifest's directory (" +
+          dir + ") nor an absolute path");
+    }
+    // Mapping validates only the header and offset arrays; a compressed
+    // shard's logical offsets give its counts without a decode.
+    Result<MappedSnapshot> mapped = LoadSnapshotMmap(path);
+    if (!mapped.ok()) return mapped.status();
+    const SnapshotInfo& info = mapped.value().info;
+    if (!manifest.shards.empty() &&
+        info.num_vertices_total != manifest.num_vertices_total) {
+      return Status::InvalidArgument(
+          "shard " + path + " belongs to a different index (vertex totals "
+          "disagree)");
+    }
+    manifest.num_vertices_total = info.num_vertices_total;
+    const LabelStore store = LabelStore::FromSnapshot(&mapped.value());
+    entry.vertex_begin = info.vertex_begin;
+    entry.vertex_end = info.vertex_end;
+    entry.entry_count = store.TotalEntries();
+    entry.group_count = store.TotalGroups();
+    entry.label_bytes =
+        ShardLabelBytes(info.vertex_end - info.vertex_begin,
+                        entry.entry_count, entry.group_count);
+    entry.snapshot_header_crc = info.header_crc;
+    manifest.total_entries += entry.entry_count;
+    manifest.total_groups += entry.group_count;
+    manifest.total_label_bytes += entry.label_bytes;
+    manifest.shards.push_back(std::move(entry));
+  }
+  WCSD_RETURN_NOT_OK(manifest.ValidateTiling());
+  WCSD_RETURN_NOT_OK(WriteShardManifest(manifest_path, manifest));
+  return manifest;
+}
+
+Result<WrittenShardSet> WriteShardSet(const std::string& stem,
+                                      const FlatLabelSet& flat,
+                                      const ShardPlan& plan,
+                                      const SnapshotWriteOptions& write_options) {
+  WrittenShardSet result;
+  result.manifest_path = stem + ".manifest";
+  Result<std::vector<std::string>> paths =
+      WriteShardFiles(stem, flat, plan, write_options);
+  if (!paths.ok()) return paths.status();
+  result.shard_paths = std::move(paths).value();
+  Result<ShardManifest> manifest = RecordShardManifest(
+      result.manifest_path, result.shard_paths, IndexContentFingerprint(flat));
+  if (!manifest.ok()) return manifest.status();
+  result.manifest = std::move(manifest).value();
   return result;
 }
 

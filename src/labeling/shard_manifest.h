@@ -1,15 +1,13 @@
-// Shard-set manifests: one artifact naming a whole sharded index.
+// Shard-set manifests: the one artifact naming a sharded index.
 //
-// A sharded snapshot used to be "an ordered list of paths the operator
-// promises belong together" — nothing pinned the tiling, the source index,
-// or the files' integrity until OpenMmap happened to notice. The manifest
-// makes the shard set a first-class artifact: a small versioned,
+// A shard set is opened only through its manifest: a small versioned,
 // CRC-32C-checksummed file recording every shard's path (relative to the
 // manifest, so the set is relocatable), its [begin, end) vertex range, its
 // entry/group/byte mass, the snapshot header CRC of the file that was
 // written, and a content fingerprint of the whole logical index.
-// QueryEngine::OpenManifest opens the set through it and
-// cross-checks all of that against the files it maps.
+// QueryEngine::OpenManifest opens the set through it and cross-checks all
+// of that against the files it maps, so files that do not belong together
+// never serve as one index.
 //
 // File layout (little-endian fixed width, util/endian.h contract):
 //   ManifestHeader
@@ -19,6 +17,9 @@
 //
 // The planner (labeling/shard_plan.h) decides the tiling; WriteShardSet
 // turns a plan into shard snapshot files plus their manifest in one step.
+// Its two halves stand alone: WriteShardFiles writes a plan's files, and
+// RecordShardManifest records any already-written shard files that tile an
+// index.
 
 #ifndef WCSD_LABELING_SHARD_MANIFEST_H_
 #define WCSD_LABELING_SHARD_MANIFEST_H_
@@ -109,13 +110,27 @@ struct WrittenShardSet {
   ShardManifest manifest;
 };
 
-/// Materializes `plan` over `flat`: writes <stem>.shard<k> snapshot files
-/// (WriteSnapshotShard) and <stem>.manifest referencing them by relative
-/// path. The plan must tile flat's vertex range. Under
-/// `write_options.compress` every shard file stores its labels in the
-/// compressed v3 sections; the manifest's counts and fingerprint stay
-/// LOGICAL (identical to the uncompressed set's manifest), so a shard set
-/// keeps one identity across storage backends.
+/// Writes <stem>.shard<k> for every shard of `plan` over `flat`
+/// (WriteSnapshotShard) and returns their paths in plan order. The plan
+/// must tile flat's vertex range. Under `write_options.compress` every
+/// shard file stores its labels in the compressed v3 sections.
+Result<std::vector<std::string>> WriteShardFiles(
+    const std::string& stem, const FlatLabelSet& flat, const ShardPlan& plan,
+    const SnapshotWriteOptions& write_options = {});
+
+/// Records already-written shard snapshot files, listed in tiling order,
+/// in a manifest at `manifest_path`, and returns what it recorded. Ranges,
+/// entry/group counts and header CRCs come from the files; the counts are
+/// LOGICAL (a compressed shard's come from its offset arrays, without a
+/// decode), the same whatever backend each file uses. `fingerprint` is IndexContentFingerprint of the labels the files
+/// were cut from. Paths in the manifest's directory are recorded relative
+/// to it; others must be absolute. Fails unless the files tile one index.
+Result<ShardManifest> RecordShardManifest(
+    const std::string& manifest_path,
+    const std::vector<std::string>& shard_paths, uint64_t fingerprint);
+
+/// Materializes `plan` over `flat`: WriteShardFiles, then
+/// RecordShardManifest at <stem>.manifest with flat's fingerprint.
 Result<WrittenShardSet> WriteShardSet(
     const std::string& stem, const FlatLabelSet& flat, const ShardPlan& plan,
     const SnapshotWriteOptions& write_options = {});

@@ -15,11 +15,8 @@ void FillMass(const FlatLabelSet& flat, ShardPlan* plan) {
     shard.entry_count = offsets[shard.end] - offsets[shard.begin];
     shard.group_count =
         group_offsets[shard.end] - group_offsets[shard.begin];
-    // Matches the sum of VertexLabelBytes over the range, so max_bytes
-    // mode's cap and the reported mass agree exactly.
-    shard.bytes = shard.entry_count * sizeof(LabelEntry) +
-                  shard.group_count * sizeof(HubGroup) +
-                  shard.num_vertices() * 2 * sizeof(uint64_t);
+    shard.bytes = ShardLabelBytes(shard.num_vertices(), shard.entry_count,
+                                  shard.group_count);
     plan->total_bytes += shard.bytes;
   }
 }
@@ -97,12 +94,17 @@ double ShardPlan::ByteSkew() const {
   return static_cast<double>(MaxShardBytes()) / mean;
 }
 
+uint64_t ShardLabelBytes(uint64_t num_vertices, uint64_t entry_count,
+                         uint64_t group_count) {
+  return entry_count * sizeof(LabelEntry) + group_count * sizeof(HubGroup) +
+         num_vertices * 2 * sizeof(uint64_t);
+}
+
 uint64_t VertexLabelBytes(const FlatLabelSet& flat, Vertex v) {
   auto offsets = flat.raw_offsets();
   auto group_offsets = flat.raw_group_offsets();
-  return (offsets[v + 1] - offsets[v]) * sizeof(LabelEntry) +
-         (group_offsets[v + 1] - group_offsets[v]) * sizeof(HubGroup) +
-         2 * sizeof(uint64_t);
+  return ShardLabelBytes(1, offsets[v + 1] - offsets[v],
+                         group_offsets[v + 1] - group_offsets[v]);
 }
 
 Result<ShardPlan> PlanShards(const FlatLabelSet& flat,

@@ -72,9 +72,16 @@ struct ShardPlan {
   double ByteSkew() const;
 };
 
-/// Label bytes vertex v contributes to a shard file: its entries, its hub
-/// directory, and its slot in the two offset arrays. Every vertex carries
-/// at least the offset-slot mass, so max_bytes mode always advances.
+/// Label bytes of a shard file holding `num_vertices` vertices with these
+/// entry and hub-group counts: the entries, the hub directory, and each
+/// vertex's slot in the two offset arrays (PlannedShard::bytes, and the
+/// mass a manifest records).
+uint64_t ShardLabelBytes(uint64_t num_vertices, uint64_t entry_count,
+                         uint64_t group_count);
+
+/// Label bytes vertex v contributes to a shard file (ShardLabelBytes of
+/// one vertex). Every vertex carries at least the offset-slot mass, so
+/// max_bytes mode always advances.
 uint64_t VertexLabelBytes(const FlatLabelSet& flat, Vertex v);
 
 /// Plans shard boundaries for `flat` (see file header for the modes).

@@ -1,18 +1,21 @@
 // Versioned, checksummed, mmap'able index snapshots.
 //
-// The serving-side counterpart of WcIndex::Save: instead of
-// length-prefixed streams that force a full deserialization pass, a
-// snapshot lays the four CSR label arrays (and optionally the vertex order)
-// out page-aligned behind a fixed-width header, so a server can mmap the
-// file and answer queries directly out of the mapping. Loading costs
-// O(vertices) for offset validation and the order inversion — independent
-// of the label count, which dominates file size — and label pages are
-// faulted in lazily by the kernel and shared across processes.
+// The one on-disk form of a WC-INDEX: what `wcsd_cli build` writes and
+// every server maps. Instead of length-prefixed streams that force a full
+// deserialization pass, a snapshot lays the four CSR label arrays (and
+// optionally the vertex order) out page-aligned behind a fixed-width
+// header, so a server can mmap the file and answer queries directly out of
+// the mapping. Loading costs O(vertices) for offset validation and the
+// order inversion — independent of the label count, which dominates file
+// size — and label pages are faulted in lazily by the kernel and shared
+// across processes. Writes are atomic (util/atomic_file.h): a crash leaves
+// the previous file intact.
 //
 // A snapshot may cover the full vertex range or a contiguous shard
 // [vertex_begin, vertex_end) of a larger logical index; shard files rebase
-// the offset arrays so each file is self-contained. serve/query_engine.h
-// serves a set of shard snapshots as one logical index.
+// the offset arrays so each file is self-contained. A set of shard files is
+// named by its manifest (labeling/shard_manifest.h), through which
+// serve/query_engine.h serves it as one logical index.
 //
 // File layout (all fields little-endian, fixed width; see util/endian.h):
 //   [0, 4096)    SnapshotHeader + zero padding
@@ -154,8 +157,8 @@ struct SnapshotWriteOptions {
 
 /// Writes a full-range snapshot of `flat`. Pass the index's order so
 /// WcIndex::LoadMmap can restore rank lookups; pass nullptr for a
-/// label-only snapshot (servable through QueryEngine::OpenMmap or raw
-/// views).
+/// label-only snapshot (raw views, or a one-shard set once a manifest
+/// records it).
 /// `parents`, when non-empty, must hold exactly one parent vertex per flat
 /// entry (same order) and is written as the v2 parents section.
 Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,

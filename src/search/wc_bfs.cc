@@ -57,10 +57,4 @@ std::vector<Distance> WcBfs::AllDistances(Vertex s, Quality w) {
   return dist;
 }
 
-Distance ConstrainedBfsDistance(const QualityGraph& g, Vertex s, Vertex t,
-                                Quality w) {
-  WcBfs bfs(&g);
-  return bfs.Query(s, t, w);
-}
-
 }  // namespace wcsd

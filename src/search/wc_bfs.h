@@ -41,10 +41,6 @@ class WcBfs {
   std::vector<Vertex> queue_;
 };
 
-/// One-shot convenience wrapper around WcBfs::Distance.
-Distance ConstrainedBfsDistance(const QualityGraph& g, Vertex s, Vertex t,
-                                Quality w);
-
 }  // namespace wcsd
 
 #endif  // WCSD_SEARCH_WC_BFS_H_

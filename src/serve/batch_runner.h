@@ -1,6 +1,6 @@
-// Shared batch scaffold: chunked fan-out over a ThreadPool with per-call
-// completion tracking (the serving engine's batches and core BatchQuery),
-// plus the per-worker stats slots the engine accumulates into.
+// Batch scaffold of the serving engine: chunked fan-out over a ThreadPool
+// with per-call completion tracking, plus the per-worker stats slots the
+// engine accumulates into.
 //
 // ThreadPool::Wait waits for GLOBAL quiescence, which is wrong for a
 // serving engine: two user threads batching against the same engine would
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -77,13 +76,6 @@ struct QueryEngineStats {
   uint64_t label_bytes = 0;
   uint64_t uncompressed_label_bytes = 0;
 };
-
-/// 0 = hardware concurrency (min 1).
-inline size_t ResolveServeThreads(size_t num_threads) {
-  if (num_threads != 0) return num_threads;
-  size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 /// Applies `fn(begin, end, worker)` to consecutive chunks of [0, n) and
 /// blocks until every chunk has run. With a null pool or a single chunk the

@@ -52,7 +52,7 @@ QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
     if (source.quarantined) ++num_quarantined_;
     if (source.store.compressed()) ++num_compressed_;
   }
-  const size_t threads = ResolveServeThreads(options_.num_threads);
+  const size_t threads = ResolveThreads(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   stats_ = std::make_unique<ServeStatsBlock>(threads);
   if (options_.decode_cache_bytes > 0 && num_compressed_ > 0) {
@@ -89,45 +89,6 @@ Result<QueryEngine> QueryEngine::Open(const std::string& snapshot_path,
       std::move(options));
 }
 
-Result<QueryEngine> QueryEngine::Assemble(
-    std::vector<LabelSource> sources, uint64_t num_vertices,
-    QueryEngineOptions options, std::optional<uint64_t> known_fingerprint) {
-  // Sort by (begin, end) so an empty shard [x, x) lands before the
-  // non-empty shard starting at x regardless of input order — otherwise
-  // the tiling check below would flag a false overlap.
-  std::sort(sources.begin(), sources.end(),
-            [](const LabelSource& a, const LabelSource& b) {
-              return a.begin != b.begin ? a.begin < b.begin : a.end < b.end;
-            });
-  uint64_t cursor = 0;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const LabelSource& source = sources[i];
-    if (source.begin != cursor) {
-      std::string message = "shards do not tile the vertex range: ";
-      message += source.begin > cursor ? "gap" : "overlap";
-      message += " at vertex " + std::to_string(std::min(cursor, source.begin));
-      message += " — shard " + std::to_string(i) + " (" + source.path + ")";
-      message += " covers " + RangeString(source.begin, source.end);
-      message += " but the range is tiled up to " + std::to_string(cursor);
-      return Status::InvalidArgument(std::move(message));
-    }
-    cursor = source.end;
-  }
-  if (cursor != num_vertices) {
-    std::string message = "shards do not cover the full vertex range (end at ";
-    message += std::to_string(cursor) + " of " + std::to_string(num_vertices);
-    if (!sources.empty()) {
-      const LabelSource& last = sources.back();
-      message += "; last shard " + std::to_string(sources.size() - 1) + " (" +
-                 last.path + ") covers " + RangeString(last.begin, last.end);
-    }
-    message += ")";
-    return Status::InvalidArgument(std::move(message));
-  }
-  return QueryEngine(nullptr, std::move(sources), num_vertices,
-                     std::move(options), known_fingerprint);
-}
-
 uint64_t QueryEngine::ContentFingerprint(
     uint64_t num_vertices, const std::vector<LabelSource>& sources) {
   // Chain the per-source CRCs in tiling order: CRC of a concatenation is
@@ -140,43 +101,6 @@ uint64_t QueryEngine::ContentFingerprint(
     if (!source.store.ChainContentCrcs(&entries_crc, &groups_crc)) return 0;
   }
   return (uint64_t{groups_crc} << 32) | entries_crc;
-}
-
-Result<QueryEngine> QueryEngine::OpenMmap(
-    const std::vector<std::string>& shard_paths, QueryEngineOptions options,
-    const SnapshotLoadOptions& load) {
-  if (shard_paths.empty()) {
-    return Status::InvalidArgument("no shard snapshots given");
-  }
-  std::vector<LabelSource> sources;
-  uint64_t num_vertices = 0;
-  for (const std::string& path : shard_paths) {
-    Result<MappedSnapshot> snapshot = LoadSnapshotMmap(path, load);
-    if (!snapshot.ok()) return snapshot.status();
-    MappedSnapshot& mapped = snapshot.value();
-    if (shard_paths.size() == 1 && mapped.info.IsFullRange() &&
-        mapped.info.has_order) {
-      Result<WcIndex> index = WcIndex::FromSnapshot(std::move(mapped), path);
-      if (!index.ok()) return index.status();
-      return QueryEngine(
-          std::make_shared<const WcIndex>(std::move(index).value()),
-          std::move(options));
-    }
-    if (sources.empty()) {
-      num_vertices = mapped.info.num_vertices_total;
-    } else if (num_vertices != mapped.info.num_vertices_total) {
-      return Status::InvalidArgument(
-          "shard " + path + " belongs to a different index (vertex totals "
-          "disagree)");
-    }
-    LabelSource source;
-    source.begin = mapped.info.vertex_begin;
-    source.end = mapped.info.vertex_end;
-    source.store = LabelStore::FromSnapshot(&mapped);
-    source.path = path;
-    sources.push_back(std::move(source));
-  }
-  return Assemble(std::move(sources), num_vertices, std::move(options));
 }
 
 Result<QueryEngine> QueryEngine::OpenManifest(
@@ -200,7 +124,6 @@ Result<QueryEngine> QueryEngine::OpenManifest(
     LabelSource source;
     source.begin = entry.vertex_begin;
     source.end = entry.vertex_end;
-    source.path = path;
     Status failure = Status::OK();
     Result<MappedSnapshot> snapshot = LoadSnapshotMmap(path, load);
     if (!snapshot.ok()) {
@@ -254,7 +177,8 @@ Result<QueryEngine> QueryEngine::OpenManifest(
         ": every shard failed to load; refusing to serve an index that can "
         "answer nothing");
   }
-  // ValidateTiling proved the manifest order is tiling order. A
+  // ValidateTiling proved the manifest order is tiling order, and every
+  // healthy file matched its recorded range, so `sources` tile [0, n). A
   // quarantined shard's bytes are missing from the CRC chain, so the
   // whole-index cross-check needs every shard.
   if (load.verify_checksums && healthy == sources.size() &&
@@ -264,11 +188,8 @@ Result<QueryEngine> QueryEngine::OpenManifest(
         "manifest " + manifest_path +
         ": shard contents do not match the recorded index fingerprint");
   }
-  Result<QueryEngine> assembled =
-      Assemble(std::move(sources), manifest.num_vertices_total,
-               std::move(options), manifest.fingerprint);
-  if (!assembled.ok()) return assembled.status();
-  QueryEngine engine = std::move(assembled).value();
+  QueryEngine engine(nullptr, std::move(sources), manifest.num_vertices_total,
+                     std::move(options), manifest.fingerprint);
   engine.fallback_graph_ = degraded.fallback_graph;
   return engine;
 }

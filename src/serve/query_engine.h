@@ -14,10 +14,11 @@
 //     optional decoded-label cache;
 //   * a quarantined range (degraded manifest open: its labels never
 //     loaded).
-// An unsharded snapshot is a one-shard tiling. Engines over a whole WcIndex
-// (the constructor, Open, or OpenMmap of one full snapshot with an order)
+// There are three ways in: the constructor over a WcIndex, Open of one
+// snapshot, and OpenManifest of a shard set. An unsharded snapshot is a
+// one-shard tiling; engines over a whole WcIndex (the constructor and Open)
 // keep the index for its vertex order and §V parent quads, so kPath runs
-// QueryConstrainedPath; shard tilings carry no order and reconstruct paths
+// QueryConstrainedPath. Shard tilings carry no order and reconstruct paths
 // by index-guided greedy stepping.
 //
 // The engine is itself the QueryService the wire server (net/server.h)
@@ -226,14 +227,6 @@ class QueryEngine final : public QueryService {
                                   QueryEngineOptions options = {},
                                   const SnapshotLoadOptions& load = {});
 
-  /// Maps every snapshot and validates that together they tile the full
-  /// vertex range of one logical index. Failure messages name the
-  /// offending file and its (range-sorted) index. One full snapshot that
-  /// carries an order opens exactly like Open.
-  static Result<QueryEngine> OpenMmap(
-      const std::vector<std::string>& shard_paths,
-      QueryEngineOptions options = {}, const SnapshotLoadOptions& load = {});
-
   /// Opens a shard set through its manifest (labeling/shard_manifest.h):
   /// reads the manifest, validates its tiling, maps every referenced shard
   /// (paths resolved relative to the manifest), and cross-checks each
@@ -345,25 +338,17 @@ class QueryEngine final : public QueryService {
     uint64_t end = 0;
     LabelStore store;  // keeps its mapping alive; empty when quarantined
     bool quarantined = false;
-    std::string path;  // where the mapping came from, for diagnostics
   };
 
   /// Finishes construction: over `index`'s own labels as one shard when
-  /// set (then `sources` is empty), else over the validated `sources`.
-  /// `known_fingerprint` spares the cache's full-label-pass fingerprint
-  /// when the caller already holds the index identity (a manifest records
-  /// it).
+  /// set (then `sources` is empty), else over `sources`, which must tile
+  /// [0, num_vertices) in order. `known_fingerprint` spares the cache's
+  /// full-label-pass fingerprint when the caller already holds the index
+  /// identity (a manifest records it).
   QueryEngine(std::shared_ptr<const WcIndex> index,
               std::vector<LabelSource> sources, uint64_t num_vertices,
               QueryEngineOptions options,
               std::optional<uint64_t> known_fingerprint);
-
-  /// Sorts `sources`, validates that they tile [0, num_vertices) (messages
-  /// name the offending file), and builds the engine.
-  static Result<QueryEngine> Assemble(
-      std::vector<LabelSource> sources, uint64_t num_vertices,
-      QueryEngineOptions options,
-      std::optional<uint64_t> known_fingerprint = std::nullopt);
 
   const LabelSource& SourceOf(Vertex v) const;
   /// Label view of v (which `source` holds; not quarantined): the store's

@@ -1,7 +1,7 @@
 // On-disk byte-order contract for every WCSD binary format.
 //
-// All serialized formats (WcIndex .wcx, snapshots, shard manifests, delta
-// logs, the wire protocol) write fixed-width little-endian fields: files
+// All serialized formats (snapshots, shard manifests, delta logs, the wire
+// protocol) write fixed-width little-endian fields: files
 // produced on any supported host are readable on any other. Rather than
 // byte-swapping on big-endian hosts — which would forbid the zero-copy mmap
 // path this contract exists for — serializers refuse to run there with a

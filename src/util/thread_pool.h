@@ -19,6 +19,14 @@
 
 namespace wcsd {
 
+/// A thread-count option's value: 0 = hardware concurrency (min 1), any
+/// other value as given. The build and the serving engine share it.
+inline size_t ResolveThreads(size_t num_threads) {
+  if (num_threads != 0) return num_threads;
+  size_t hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 /// Fixed pool of worker threads executing submitted tasks FIFO. Submit and
 /// Wait are intended to be called from one controller thread.
 class ThreadPool {

@@ -1,9 +1,10 @@
-// Batch/ranking API tests: thread-count invariance, positional alignment,
-// top-k semantics, and quality-profile monotonicity.
+// Batch/ranking API tests: engine batches' thread-count invariance and
+// positional alignment, top-k semantics, and quality-profile monotonicity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "core/batch.h"
@@ -11,6 +12,7 @@
 #include "graph/generators.h"
 #include "paper_fixtures.h"
 #include "search/constrained_dijkstra.h"
+#include "serve/query_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -29,12 +31,21 @@ std::vector<BatchQueryInput> RandomBatch(size_t n_vertices, int levels,
   return batch;
 }
 
+/// `batch` through a QueryEngine over `index` with `threads` pool threads.
+std::vector<Distance> EngineBatch(std::shared_ptr<const WcIndex> index,
+                                  const std::vector<BatchQueryInput>& batch,
+                                  size_t threads) {
+  QueryEngineOptions options;
+  options.num_threads = threads;
+  return QueryEngine(std::move(index), options).Batch(batch);
+}
+
 TEST(BatchQueryTest, MatchesSingleQueries) {
   QualityGraph g = MakeFigure3Graph();
-  WcIndex index = WcIndex::Build(g);
+  auto index = std::make_shared<const WcIndex>(WcIndex::Build(g));
   std::vector<BatchQueryInput> batch{
       {2, 5, 2.0f}, {0, 4, 1.0f}, {0, 4, 6.0f}, {3, 3, 9.0f}};
-  auto results = BatchQuery(index, batch);
+  auto results = EngineBatch(index, batch, 1);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0], 2u);
   EXPECT_EQ(results[1], 2u);
@@ -46,19 +57,23 @@ TEST(BatchQueryTest, ThreadCountDoesNotChangeResults) {
   QualityModel quality;
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(200, 600, quality, 3);
-  WcIndex index = WcIndex::Build(g);
+  auto index = std::make_shared<const WcIndex>(WcIndex::Build(g));
   auto batch = RandomBatch(200, 5, 2000, 7);
-  auto sequential = BatchQuery(index, batch, 1);
+  auto sequential = EngineBatch(index, batch, 1);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(sequential[i], index->Query(batch[i].s, batch[i].t, batch[i].w))
+        << "query " << i;
+  }
   for (size_t threads : {2u, 4u, 8u, 64u}) {
-    EXPECT_EQ(BatchQuery(index, batch, threads), sequential)
+    EXPECT_EQ(EngineBatch(index, batch, threads), sequential)
         << threads << " threads";
   }
 }
 
 TEST(BatchQueryTest, EmptyBatch) {
   QualityGraph g = MakeFigure3Graph();
-  WcIndex index = WcIndex::Build(g);
-  EXPECT_TRUE(BatchQuery(index, {}, 4).empty());
+  auto index = std::make_shared<const WcIndex>(WcIndex::Build(g));
+  EXPECT_TRUE(EngineBatch(index, {}, 4).empty());
 }
 
 TEST(TopKClosestTest, OrdersByDistanceThenId) {

@@ -1,6 +1,7 @@
 // Compressed flat backend tests: exact round trips through FromFlat /
-// Decompress, per-vertex streaming decode, the streaming merge kernel's
-// bit-identity to the flat kernels, validation tiers, the v3 snapshot
+// Decompress, per-vertex streaming decode, the streaming merge's
+// (MergeStores over compressed stores) bit-identity to the flat kernels,
+// validation tiers, the v3 snapshot
 // format (including its corruption corpus), compressed shard sets, and
 // the cold-tier decoded-label cache.
 
@@ -19,6 +20,7 @@
 #include "core/wc_index.h"
 #include "graph/generators.h"
 #include "labeling/compressed_flat.h"
+#include "labeling/label_store.h"
 #include "labeling/query.h"
 #include "labeling/shard_manifest.h"
 #include "labeling/shard_plan.h"
@@ -93,16 +95,16 @@ TEST(CompressedFlat, DecodeVertexMatchesFlatSlices) {
 TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
   WcIndex index = BuildFinalizedIndex();
   const FlatLabelSet& flat = index.flat_labels();
-  CompressedFlatLabelSet compressed = CompressedFlatLabelSet::FromFlat(flat);
-  Rng rng(5);
   size_t n = flat.NumVertices();
+  const LabelStore compressed(CompressedFlatLabelSet::FromFlat(flat), n);
+  Rng rng(5);
   for (int i = 0; i < 2000; ++i) {
     Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
     Distance expected =
         QueryLabels(flat.View(s), flat.View(t), w, QueryImpl::kMerge);
-    ASSERT_EQ(QueryCompressedMerge(compressed, s, t, w), expected)
+    ASSERT_EQ(MergeStores(compressed, s, compressed, t, w), expected)
         << "s=" << s << " t=" << t << " w=" << w;
   }
 
@@ -134,9 +136,13 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     dictionaries.emplace(dictionary.begin(), dictionary.end());
   }
   ASSERT_GT(dictionaries.size(), 1u);
+  const std::string manifest = TempPath("cf_merge.manifest");
+  ASSERT_TRUE(
+      RecordShardManifest(manifest, shard_paths, IndexContentFingerprint(wflat))
+          .ok());
   QueryEngineOptions options;
   options.num_threads = 1;
-  auto sharded = QueryEngine::OpenMmap(shard_paths, options);
+  auto sharded = QueryEngine::OpenManifest(manifest, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   ASSERT_EQ(sharded.value().decode_cache(), nullptr);
   for (Vertex s = 0; s < 3; ++s) {
@@ -150,6 +156,7 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     }
   }
   for (const std::string& p : shard_paths) std::remove(p.c_str());
+  std::remove(manifest.c_str());
 
   // Mixed varint widths: 200 quality levels push dictionary codes past
   // 127, and a 2 x 160 grid under a random vertex order pushes hub-rank
@@ -168,8 +175,9 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
       WcIndex::Build(GenerateRoadNetwork(thin, 17), random_order);
   grid.Finalize();
   const FlatLabelSet& gflat = grid.flat_labels();
-  CompressedFlatLabelSet gcomp = CompressedFlatLabelSet::FromFlat(gflat);
-  ASSERT_GT(gcomp.raw_dictionary().size(), 127u);
+  const LabelStore gcomp(CompressedFlatLabelSet::FromFlat(gflat),
+                         gflat.NumVertices());
+  ASSERT_GT(gcomp.compressed_labels().raw_dictionary().size(), 127u);
   bool wide_hub_delta = false, wide_dist = false;
   for (Vertex v = 0; v < gflat.NumVertices(); ++v) {
     const FlatLabelView view = gflat.View(v);
@@ -186,7 +194,7 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     Vertex s = static_cast<Vertex>(rng.NextBounded(gn));
     Vertex t = static_cast<Vertex>(rng.NextBounded(gn));
     Quality w = static_cast<Quality>(rng.NextInRange(1, 200));
-    ASSERT_EQ(QueryCompressedMerge(gcomp, s, t, w),
+    ASSERT_EQ(MergeStores(gcomp, s, gcomp, t, w),
               QueryLabels(gflat.View(s), gflat.View(t), w))
         << "s=" << s << " t=" << t << " w=" << w;
   }
@@ -275,10 +283,11 @@ TEST(CompressedFlat, BlobCorruptionIsBoundsCheckedAndValidatable) {
     const Vertex hit = static_cast<Vertex>(
         std::upper_bound(comp_offsets.begin(), comp_offsets.end(), at) -
         comp_offsets.begin() - 1);
+    const LabelStore store(corrupt, corrupt.NumVertices());
     for (Vertex u = 0; u < corrupt.NumVertices(); ++u) {
       for (Quality w : {1.0f, 3.0f}) {
-        (void)QueryCompressedMerge(corrupt, hit, corrupt, u, w);
-        (void)QueryCompressedMerge(corrupt, u, corrupt, hit, w);
+        (void)MergeStores(store, hit, store, u, w);
+        (void)MergeStores(store, u, store, hit, w);
       }
     }
     blob[at] = old;
@@ -291,8 +300,6 @@ TEST(CompressedFlat, EmptySet) {
   EXPECT_EQ(compressed.NumVertices(), 0u);
   EXPECT_EQ(compressed.TotalEntries(), 0u);
   EXPECT_TRUE(compressed.Validate(ValidateLevel::kDeep).ok());
-  // Out-of-range endpoints answer unreachable, mirroring WcIndex::Query.
-  EXPECT_EQ(QueryCompressedMerge(compressed, 0, 0, 1.0f), kInfDistance);
 }
 
 // ---- v3 snapshot format ----
@@ -355,7 +362,7 @@ TEST(CompressedFlat, CompressedSnapshotRoundTripsAndServesIdentically) {
 }
 
 // Migration both ways: a compressed-backend index can SaveSnapshot back to
-// the flat layout (and to .wcx), landing bit-identical to the original.
+// the flat layout, landing bit-identical to the original.
 TEST(CompressedFlat, DecompressionMigrationRoundTrips) {
   WcIndex index = BuildFinalizedIndex();
   std::string comp_path = TempPath("cf_migrate.wcsnap");
@@ -516,7 +523,7 @@ TEST(CompressedFlat, CompressedShardSetServesIdentically) {
   std::remove(written.value().manifest_path.c_str());
 }
 
-// Mixed sets: compressed and flat shard files stitched into one engine
+// Mixed sets: compressed and flat shard files recorded in one manifest
 // must agree with the unsharded index (each shard serves from whatever
 // backend its file carries). Distance queries stream every pair of
 // backends: a compressed side is merged straight from its mmap'd varint
@@ -533,11 +540,19 @@ TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
   compress.compress = true;
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, mid, n, {}, compress).ok());
   ASSERT_TRUE(WriteSnapshotShard(b, flat, mid, n, n).ok());
+  const std::string manifest = TempPath("cf_mixed.manifest");
+  ASSERT_TRUE(
+      RecordShardManifest(manifest, {a, b}, IndexContentFingerprint(flat))
+          .ok());
 
   QueryEngineOptions options;
   options.num_threads = 1;
   options.decode_cache_bytes = 4 << 20;
-  auto engine = QueryEngine::OpenMmap({a, b}, options);
+  // Checksummed: the mixed set's chained content CRCs (the compressed
+  // shard decodes for its share) reproduce the flat fingerprint.
+  SnapshotLoadOptions verify;
+  verify.verify_checksums = true;
+  auto engine = QueryEngine::OpenManifest(manifest, options, verify);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().compressed());
   ASSERT_NE(engine.value().decode_cache(), nullptr);
@@ -574,6 +589,7 @@ TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
   EXPECT_GT(engine.value().Stats().decode_misses, 0u);
   std::remove(a.c_str());
   std::remove(b.c_str());
+  std::remove(manifest.c_str());
 }
 
 // ---- decoded-label cache ----

@@ -14,18 +14,20 @@
 //   * a cold-tier QueryEngine: the compressed mmap behind a tiny
 //     decoded-label cache, queried twice per case so decode-miss and
 //     decode-hit both get checked,
-//   * a QueryEngine stitching vertex-range shard snapshots,
+//   * a QueryEngine over two even vertex-range shard snapshots, recorded
+//     in a manifest (labeling/shard_manifest.h) and opened through it,
 //   * a second QueryEngine over a label-mass-planned shard set
-//     opened through its manifest (labeling/shard_manifest.h),
+//     opened through its manifest,
 //   * a third, mixed-backend QueryEngine: one compressed shard
-//     stitched next to one flat shard,
+//     recorded next to one flat shard,
 //   * a WcServer + WcClient round trip over the wire protocol (the
 //     networked path serves the same mmap engine through a real socket),
 //     and a second round trip over the cold-tier engine,
 //   * the ConstrainedDijkstra ground truth on the raw graph.
 // Builds alternate between the sequential and the rank-batched parallel
 // pipeline, so construction is fuzzed too (and races surface under the
-// TSan CI job, which runs this suite).
+// TSan CI job, which runs this suite); every parallel build must also keep
+// exactly the sequential build's labels.
 //
 // On a mismatch the failing case is minimized — edges are greedily removed
 // while the disagreement persists — and a self-contained reproduction
@@ -218,13 +220,16 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
                     .ok());
     shard_paths.push_back(path);
   }
-  auto sharded = QueryEngine::OpenMmap(shard_paths, serve);
+  const uint64_t fingerprint = IndexContentFingerprint(flat.flat_labels());
+  const std::string manifest = dir + "/fuzz_" + tag + ".manifest";
+  EXPECT_TRUE(RecordShardManifest(manifest, shard_paths, fingerprint).ok());
+  auto sharded = QueryEngine::OpenManifest(manifest, serve);
   EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
   auto sharded_ptr = std::make_unique<QueryEngine>(
       std::move(sharded).value());
 
   // Mixed-backend shard set: the low range compressed, the high range
-  // flat, stitched by one engine with the decode cache in front of the
+  // flat, served by one engine with the decode cache in front of the
   // compressed half.
   std::vector<std::string> cshard_paths;
   for (int k = 0; k < 2; ++k) {
@@ -236,7 +241,9 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
                     .ok());
     cshard_paths.push_back(path);
   }
-  auto csharded = QueryEngine::OpenMmap(cshard_paths, cold_serve);
+  const std::string cmanifest = dir + "/fuzz_" + tag + "_c.manifest";
+  EXPECT_TRUE(RecordShardManifest(cmanifest, cshard_paths, fingerprint).ok());
+  auto csharded = QueryEngine::OpenManifest(cmanifest, cold_serve);
   EXPECT_TRUE(csharded.ok()) << csharded.status().ToString();
   EXPECT_TRUE(csharded.value().compressed());
   auto csharded_ptr =
@@ -269,6 +276,8 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
   std::remove(cfull.c_str());
   for (const std::string& p : shard_paths) std::remove(p.c_str());
   for (const std::string& p : cshard_paths) std::remove(p.c_str());
+  std::remove(manifest.c_str());
+  std::remove(cmanifest.c_str());
   return Stack{std::move(index),       std::move(flat),
                std::move(mm).value(),  std::move(cmm).value(),
                std::move(engine),      std::move(cached),
@@ -567,6 +576,16 @@ TEST(DifferentialFuzz, AllAnswerPathsAgree) {
                                std::to_string(family) + "_" +
                                    std::to_string(gi),
                                record_parents);
+      // A parallel build must keep exactly the sequential build's labels
+      // (Theorem 1's minimal index), not only answer like it: redundant
+      // entries answer correctly and would pass every check below.
+      if (build_threads > 1) {
+        WcIndexOptions sequential = WcIndexOptions::Plus();
+        sequential.record_parents = record_parents;
+        EXPECT_EQ(stack.index.labels(), WcIndex::Build(g, sequential).labels())
+            << "parallel build kept other labels: family="
+            << kFamilies[family] << " seed=" << seed;
+      }
 
       Rng rng(seed ^ 0xf022u);
       std::vector<BatchQueryInput> batch;

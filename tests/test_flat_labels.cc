@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/batch.h"
@@ -14,6 +15,7 @@
 #include "labeling/label_store.h"
 #include "labeling/query.h"
 #include "search/constrained_dijkstra.h"
+#include "serve/query_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -190,8 +192,8 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
 }
 
 TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {
-  // The ISSUE's acceptance flow: build -> finalize -> save -> load ->
-  // query, with answers identical at every stage.
+  // Build -> finalize -> snapshot -> map -> query, with answers identical
+  // at every stage.
   QualityGraph g = TestGraph(17);
   WcIndexOptions options = WcIndexOptions::Plus();
   options.num_threads = 4;
@@ -202,11 +204,11 @@ TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {
   ASSERT_TRUE(index.finalized());
   EXPECT_EQ(index.flat_labels().ToLabelSet(), reference.labels());
 
-  std::string path = TempPath("finalized_index.wcx");
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = WcIndex::Load(path);
+  std::string path = TempPath("finalized_index.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  auto loaded = WcIndex::LoadMmap(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  loaded.value().Finalize();
+  EXPECT_EQ(loaded.value().flat_labels(), index.flat_labels());
 
   Rng rng(31);
   const size_t n = g.NumVertices();
@@ -230,15 +232,23 @@ TEST(WcIndexFinalize, BatchQueryRunsOnFlatBackend) {
   WcIndex dense = WcIndex::Build(g, WcIndexOptions::Plus());
   WcIndex flat = WcIndex::Build(g, WcIndexOptions::Plus());
   flat.Finalize();
+  auto shared_flat = std::make_shared<const WcIndex>(std::move(flat));
   Rng rng(37);
   std::vector<BatchQueryInput> queries;
+  std::vector<Distance> expected;
   for (int i = 0; i < 500; ++i) {
     queries.push_back({static_cast<Vertex>(rng.NextBounded(g.NumVertices())),
                        static_cast<Vertex>(rng.NextBounded(g.NumVertices())),
                        static_cast<Quality>(rng.NextInRange(1, 7))});
+    expected.push_back(
+        dense.Query(queries.back().s, queries.back().t, queries.back().w));
   }
-  EXPECT_EQ(BatchQuery(flat, queries, 1), BatchQuery(dense, queries, 1));
-  EXPECT_EQ(BatchQuery(flat, queries, 4), BatchQuery(dense, queries, 1));
+  for (size_t threads : {1u, 4u}) {
+    QueryEngineOptions options;
+    options.num_threads = threads;
+    EXPECT_EQ(QueryEngine(shared_flat, options).Batch(queries), expected)
+        << threads << " threads";
+  }
 }
 
 TEST(WcIndexFinalize, MemoryBytesReportsFlatBackend) {

@@ -5,6 +5,7 @@
 
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/flat_label_set.h"
 #include "labeling/lcr_adapt.h"
 #include "labeling/naive_index.h"
 #include "search/wc_bfs.h"
@@ -32,7 +33,9 @@ TEST(LcrAdaptTest, MergedLabelsAreSortedAndMonotone) {
   QualityModel quality;
   QualityGraph g = GenerateRandomConnected(80, 200, quality, 3);
   LcrAdaptIndex index = LcrAdaptIndex::Build(g);
-  ASSERT_TRUE(index.labels().IsSorted());
+  ASSERT_TRUE(FlatLabelSet::FromLabelSet(index.labels())
+                  .Validate(ValidateLevel::kDeep)
+                  .ok());
   // Theorem 3-style monotonicity within each hub group.
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
     auto lv = index.labels().For(v);

@@ -13,6 +13,7 @@
 #include "graph/io.h"
 #include "graph/subgraph.h"
 #include "labeling/compressed_flat.h"
+#include "labeling/label_store.h"
 #include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
 #include "paper_fixtures.h"
@@ -69,18 +70,20 @@ TEST(MakeOrderDispatch, HybridHonorsExplicitThreshold) {
   EXPECT_NE(no_core.by_rank(), all_core.by_rank());
 }
 
-TEST(LabelSetNegative, IsSortedDetectsViolations) {
+TEST(LabelSetNegative, DeepValidateDetectsUnsortedLabels) {
   LabelSet labels(2);
   auto* lv = labels.Mutable(1);
   lv->push_back({5, 1, 1.0f});
   lv->push_back({2, 1, 2.0f});  // Hub going backwards.
-  EXPECT_FALSE(labels.IsSorted());
+  EXPECT_FALSE(
+      FlatLabelSet::FromLabelSet(labels).Validate(ValidateLevel::kDeep).ok());
 
   LabelSet labels2(2);
   auto* lv2 = labels2.Mutable(1);
   lv2->push_back({2, 3, 1.0f});
   lv2->push_back({2, 1, 2.0f});  // Distance going backwards in a group.
-  EXPECT_FALSE(labels2.IsSorted());
+  EXPECT_FALSE(
+      FlatLabelSet::FromLabelSet(labels2).Validate(ValidateLevel::kDeep).ok());
 }
 
 TEST(SubgraphCorners, MinusInfinityKeepsEverything) {
@@ -165,10 +168,10 @@ TEST(CompressedCorners, FractionalQualityDictionary) {
   Result<FlatLabelSet> decompressed = compressed.Decompress();
   ASSERT_TRUE(decompressed.ok()) << decompressed.status().ToString();
   EXPECT_EQ(decompressed.value(), index.flat_labels());
-  EXPECT_EQ(QueryCompressedMerge(compressed, 0, 2, 0.125f),
+  const LabelStore store(compressed, g.NumVertices());
+  EXPECT_EQ(MergeStores(store, 0, store, 2, 0.125f),
             index.Query(0, 2, 0.125f));
-  EXPECT_EQ(QueryCompressedMerge(compressed, 0, 2, 2.8f),
-            index.Query(0, 2, 2.8f));
+  EXPECT_EQ(MergeStores(store, 0, store, 2, 2.8f), index.Query(0, 2, 2.8f));
 }
 
 TEST(TreeDecompositionCorners, OrderWithCapIsStillPermutation) {

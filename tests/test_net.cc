@@ -30,6 +30,8 @@
 #include "core/path_index.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/shard_manifest.h"
+#include "labeling/shard_plan.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
@@ -156,18 +158,18 @@ TEST(WcServer, BitIdenticalToInProcess) {
 TEST(WcServer, ServesShardedBackendIdentically) {
   NetFixture f = MakeNetFixture(110, 280, 300, 223);
   const uint64_t n = f.index->NumVertices();
-  std::vector<std::string> paths;
-  for (int k = 0; k < 3; ++k) {
-    std::string path =
-        testing::TempDir() + "/net_shard" + std::to_string(k);
-    ASSERT_TRUE(WriteSnapshotShard(path, f.index->flat_labels(), n * k / 3,
-                                   n * (k + 1) / 3, n)
-                    .ok());
-    paths.push_back(path);
-  }
+  ShardPlanOptions thirds;
+  thirds.num_shards = 3;
+  thirds.even_vertex = true;
+  auto plan = PlanShards(f.index->flat_labels(), thirds);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto written = WriteShardSet(testing::TempDir() + "/net_shards",
+                               f.index->flat_labels(), plan.value());
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
   QueryEngineOptions options;
   options.num_threads = 2;
-  auto sharded = QueryEngine::OpenMmap(paths, options);
+  auto sharded =
+      QueryEngine::OpenManifest(written.value().manifest_path, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   WcServer server = StartServer(MakeQueryService(
       std::make_shared<const QueryEngine>(std::move(sharded).value())));
@@ -195,7 +197,10 @@ TEST(WcServer, ServesShardedBackendIdentically) {
   }
   EXPECT_EQ(cursor, n);
   EXPECT_EQ(entries, f.index->TotalEntries());
-  for (const std::string& p : paths) std::remove(p.c_str());
+  for (const std::string& p : written.value().shard_paths) {
+    std::remove(p.c_str());
+  }
+  std::remove(written.value().manifest_path.c_str());
 }
 
 TEST(WcServer, HealthAndStatsReportTheEngine) {

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "graph/generators.h"
+#include "labeling/flat_label_set.h"
 #include "labeling/pll.h"
 #include "search/wc_bfs.h"
 #include "paper_fixtures.h"
@@ -43,7 +44,9 @@ TEST(PllTest, LabelsAreSorted) {
   QualityModel quality;
   QualityGraph g = GenerateRandomConnected(100, 240, quality, 3);
   Pll pll = Pll::Build(g);
-  EXPECT_TRUE(pll.labels().IsSorted());
+  EXPECT_TRUE(FlatLabelSet::FromLabelSet(pll.labels())
+                  .Validate(ValidateLevel::kDeep)
+                  .ok());
 }
 
 TEST(PllTest, MemoryNonzero) {

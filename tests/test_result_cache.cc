@@ -22,6 +22,7 @@
 #include "graph/generators.h"
 #include "labeling/delta.h"
 #include "labeling/shard_manifest.h"
+#include "labeling/shard_plan.h"
 #include "labeling/snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
@@ -395,24 +396,28 @@ TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
   index.Finalize();
   const uint64_t n = index.NumVertices();
 
-  const std::string dir = testing::TempDir();
-  std::vector<std::string> paths;
-  for (int k = 0; k < 3; ++k) {
-    std::string path = dir + "/cache_shard" + std::to_string(k);
-    ASSERT_TRUE(WriteSnapshotShard(path, index.flat_labels(), n * k / 3,
-                                   n * (k + 1) / 3, n)
-                    .ok());
-    paths.push_back(path);
-  }
+  ShardPlanOptions thirds;
+  thirds.num_shards = 3;
+  thirds.even_vertex = true;
+  auto plan = PlanShards(index.flat_labels(), thirds);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto written = WriteShardSet(testing::TempDir() + "/cache_shards",
+                               index.flat_labels(), plan.value());
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  const std::string& manifest = written.value().manifest_path;
 
   QueryEngineOptions plain_options;
   plain_options.num_threads = 1;
-  auto plain = QueryEngine::OpenMmap(paths, plain_options);
+  auto plain = QueryEngine::OpenManifest(manifest, plain_options);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   QueryEngineOptions cached_options = plain_options;
   cached_options.cache_bytes = 64 << 10;
-  auto cached = QueryEngine::OpenMmap(paths, cached_options);
+  // Checksummed open: the engine chains the shards' content CRCs and
+  // refuses the set unless they reproduce the manifest's fingerprint.
+  SnapshotLoadOptions checked;
+  checked.verify_checksums = true;
+  auto cached = QueryEngine::OpenManifest(manifest, cached_options, checked);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   ASSERT_NE(cached.value().cache(), nullptr);
   // The sharded fingerprint is tiling-invariant: it must equal the
@@ -431,7 +436,10 @@ TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
   }
   EXPECT_GT(cached.value().Stats().cache_hits, 0u);
 
-  for (const std::string& path : paths) std::remove(path.c_str());
+  for (const std::string& path : written.value().shard_paths) {
+    std::remove(path.c_str());
+  }
+  std::remove(manifest.c_str());
 }
 
 // --------------------------------------------------- concurrency hammer

@@ -13,6 +13,7 @@
 #include "core/batch.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/shard_manifest.h"
 #include "paper_fixtures.h"
 #include "serve/query_engine.h"
 #include "util/random.h"
@@ -82,43 +83,38 @@ TEST(QueryEngine, OpenServesSnapshotIdentically) {
   std::remove(path.c_str());
 }
 
-// One full snapshot with an order is a one-shard tiling of an index:
-// OpenMmap serves it exactly like Open — §V parents reported, and kPath on
-// the parent unwind, never the greedy stepping of order-less tilings.
-TEST(QueryEngine, OpenMmapOfFullSnapshotServesLikeOpen) {
+// A snapshot with parents opens as an index: §V parents reported, and kPath
+// on the parent unwind, never the greedy stepping of order-less tilings.
+TEST(QueryEngine, OpenOfFullSnapshotUnwindsParents) {
   QualityGraph g = MakeFigure3Graph();
   WcIndexOptions build;
   build.record_parents = true;
   WcIndex built = WcIndex::Build(g, build);
   built.Finalize();
-  std::string path = TempPath("engine_open_mmap.wcsnap");
+  std::string path = TempPath("engine_open_parents.wcsnap");
   ASSERT_TRUE(built.SaveSnapshot(path).ok());
   QueryEngineOptions options;
   options.num_threads = 1;
   options.graph = std::make_shared<const QualityGraph>(g);
   auto opened = QueryEngine::Open(path, options);
-  auto mapped = QueryEngine::OpenMmap({path}, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value().has_index());
-  EXPECT_TRUE(mapped.value().ShardBalance().empty());
+  EXPECT_TRUE(opened.value().has_index());
+  EXPECT_TRUE(opened.value().ShardBalance().empty());
+  QueryEngine in_memory(std::make_shared<const WcIndex>(std::move(built)),
+                        options);
   for (Vertex s = 0; s < g.NumVertices(); ++s) {
     for (Vertex t = 0; t < g.NumVertices(); ++t) {
       for (Quality w : {1.0f, 3.0f, 5.0f}) {
         std::vector<Vertex> a, b;
         ASSERT_EQ(opened.value().PathEx(s, t, w, &a), ServeOutcome::kOk);
-        ASSERT_EQ(mapped.value().PathEx(s, t, w, &b), ServeOutcome::kOk);
+        ASSERT_EQ(in_memory.PathEx(s, t, w, &b), ServeOutcome::kOk);
         EXPECT_EQ(a, b) << s << "->" << t << " w=" << w;
       }
     }
   }
   const QueryEngineStats open_stats = opened.value().Stats();
-  const QueryEngineStats mmap_stats = mapped.value().Stats();
   EXPECT_EQ(open_stats.has_parents, 1u);
-  EXPECT_EQ(mmap_stats.has_parents, 1u);
   EXPECT_EQ(open_stats.path_fallbacks, 0u);
-  EXPECT_EQ(mmap_stats.path_fallbacks, 0u);
-  EXPECT_EQ(mmap_stats.label_bytes, open_stats.label_bytes);
   std::remove(path.c_str());
 }
 
@@ -188,30 +184,42 @@ TEST(QueryEngine, ConcurrentHammer) {
   EXPECT_EQ(stats.batches, kCallers * kRoundsPerCaller);
 }
 
-std::vector<std::string> WriteShards(const WcIndex& index, size_t shards,
-                                     const std::string& stem) {
+// Cuts `index` into `shards` even vertex ranges (empty ones when there are
+// more shards than vertices) and records them in <stem>.manifest.
+WrittenShardSet WriteShards(const WcIndex& index, size_t shards,
+                            const std::string& stem) {
   const uint64_t n = index.NumVertices();
-  std::vector<std::string> paths;
+  WrittenShardSet set;
   for (size_t k = 0; k < shards; ++k) {
     uint64_t begin = n * k / shards;
     uint64_t end = n * (k + 1) / shards;
     std::string path = TempPath(stem + ".shard" + std::to_string(k));
     EXPECT_TRUE(
         WriteSnapshotShard(path, index.flat_labels(), begin, end, n).ok());
-    paths.push_back(path);
+    set.shard_paths.push_back(path);
   }
-  return paths;
+  set.manifest_path = TempPath(stem + ".manifest");
+  auto recorded =
+      RecordShardManifest(set.manifest_path, set.shard_paths,
+                          IndexContentFingerprint(index.flat_labels()));
+  EXPECT_TRUE(recorded.ok()) << recorded.status().ToString();
+  return set;
+}
+
+void RemoveShards(const WrittenShardSet& set) {
+  for (const std::string& p : set.shard_paths) std::remove(p.c_str());
+  std::remove(set.manifest_path.c_str());
 }
 
 TEST(ShardedEngine, MatchesUnshardedAcrossShardCounts) {
   ServeFixture f = MakeFixture(130, 340, 600, 41);
   for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
-    std::vector<std::string> paths =
+    WrittenShardSet set =
         WriteShards(*f.index, shards, "match" + std::to_string(shards));
     QueryEngineOptions options;
     options.num_threads = 2;
     options.min_chunk = 32;
-    auto engine = QueryEngine::OpenMmap(paths, options);
+    auto engine = QueryEngine::OpenManifest(set.manifest_path, options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     EXPECT_EQ(engine.value().num_shards(), shards);
     EXPECT_EQ(engine.value().NumVertices(), f.index->NumVertices());
@@ -220,47 +228,48 @@ TEST(ShardedEngine, MatchesUnshardedAcrossShardCounts) {
       const BatchQueryInput& q = f.workload[i];
       ASSERT_EQ(engine.value().Query(q.s, q.t, q.w), f.expected[i]);
     }
-    for (const std::string& p : paths) std::remove(p.c_str());
+    RemoveShards(set);
   }
 }
 
-// More shards than vertices produces empty shards; the tiling validation
-// must accept them in any listing order (sort ties on begin are broken by
-// end, so [x, x) sorts before [x, y)).
-TEST(ShardedEngine, EmptyShardsAcceptedInAnyOrder) {
+// More shards than vertices produces empty shards [x, x); a manifest
+// records and serves them like any other range.
+TEST(ShardedEngine, EmptyShardsServeThroughTheirManifest) {
   QualityModel quality;
   QualityGraph g = GenerateRandomConnected(3, 3, quality, 71);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
   index.Finalize();
-  std::vector<std::string> paths = WriteShards(index, 5, "tiny");
-  std::vector<std::string> reversed(paths.rbegin(), paths.rend());
-  for (const auto& order : {paths, reversed}) {
-    auto engine = QueryEngine::OpenMmap(order);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    EXPECT_EQ(engine.value().NumVertices(), 3u);
-    for (Vertex s = 0; s < 3; ++s) {
-      for (Vertex t = 0; t < 3; ++t) {
-        EXPECT_EQ(engine.value().Query(s, t, 1.0f),
-                  index.Query(s, t, 1.0f));
-      }
+  WrittenShardSet set = WriteShards(index, 5, "tiny");
+  auto engine = QueryEngine::OpenManifest(set.manifest_path);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value().NumVertices(), 3u);
+  EXPECT_EQ(engine.value().num_shards(), 5u);
+  for (Vertex s = 0; s < 3; ++s) {
+    for (Vertex t = 0; t < 3; ++t) {
+      EXPECT_EQ(engine.value().Query(s, t, 1.0f), index.Query(s, t, 1.0f));
     }
   }
-  for (const std::string& p : paths) std::remove(p.c_str());
+  RemoveShards(set);
 }
 
-TEST(ShardedEngine, RejectsIncompleteOrInconsistentShardSets) {
+// A manifest records only files that tile one index.
+TEST(ShardedEngine, RecordingRejectsIncompleteOrInconsistentShardSets) {
   ServeFixture f = MakeFixture(90, 230, 10, 43);
-  std::vector<std::string> paths = WriteShards(*f.index, 3, "reject");
+  WrittenShardSet set = WriteShards(*f.index, 3, "reject");
+  const std::vector<std::string>& paths = set.shard_paths;
+  const uint64_t fingerprint = IndexContentFingerprint(f.index->flat_labels());
+  const std::string manifest = TempPath("reject_bad.manifest");
 
   // Missing middle shard: gap detected.
-  auto gap = QueryEngine::OpenMmap({paths[0], paths[2]});
+  auto gap = RecordShardManifest(manifest, {paths[0], paths[2]}, fingerprint);
   EXPECT_FALSE(gap.ok());
   EXPECT_EQ(gap.status().code(), StatusCode::kInvalidArgument);
 
   // Duplicate shard: overlap detected.
-  auto dup = QueryEngine::OpenMmap(
-      {paths[0], paths[1], paths[1], paths[2]});
-  EXPECT_FALSE(dup.ok());
+  EXPECT_FALSE(RecordShardManifest(
+                   manifest, {paths[0], paths[1], paths[1], paths[2]},
+                   fingerprint)
+                   .ok());
 
   // Shard of a different index: totals disagree.
   ServeFixture other = MakeFixture(60, 150, 10, 44);
@@ -268,23 +277,26 @@ TEST(ShardedEngine, RejectsIncompleteOrInconsistentShardSets) {
   ASSERT_TRUE(WriteSnapshotShard(foreign, other.index->flat_labels(), 0, 60,
                                  60)
                   .ok());
-  auto mixed = QueryEngine::OpenMmap({paths[0], paths[1], foreign});
-  EXPECT_FALSE(mixed.ok());
+  EXPECT_FALSE(
+      RecordShardManifest(manifest, {paths[0], paths[1], foreign}, fingerprint)
+          .ok());
 
   // No shards at all.
-  EXPECT_FALSE(QueryEngine::OpenMmap({}).ok());
+  EXPECT_FALSE(RecordShardManifest(manifest, {}, fingerprint).ok());
 
-  for (const std::string& p : paths) std::remove(p.c_str());
+  // None of the refusals left a manifest behind.
+  EXPECT_FALSE(QueryEngine::OpenManifest(manifest).ok());
+  RemoveShards(set);
   std::remove(foreign.c_str());
 }
 
 TEST(ShardedEngine, ConcurrentHammer) {
   ServeFixture f = MakeFixture(110, 280, 600, 47);
-  std::vector<std::string> paths = WriteShards(*f.index, 4, "hammer");
+  WrittenShardSet set = WriteShards(*f.index, 4, "hammer");
   QueryEngineOptions options;
   options.num_threads = 3;
   options.min_chunk = 16;
-  auto opened = QueryEngine::OpenMmap(paths, options);
+  auto opened = QueryEngine::OpenManifest(set.manifest_path, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const QueryEngine& engine = opened.value();
 
@@ -309,15 +321,15 @@ TEST(ShardedEngine, ConcurrentHammer) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  for (const std::string& p : paths) std::remove(p.c_str());
+  RemoveShards(set);
 }
 
 TEST(BatchQueryReroute, MatchesSerialAcrossThreadCounts) {
   ServeFixture f = MakeFixture(100, 260, 500, 53);
-  std::vector<Distance> serial = BatchQuery(*f.index, f.workload, 1);
-  EXPECT_EQ(serial, f.expected);
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    EXPECT_EQ(BatchQuery(*f.index, f.workload, threads), f.expected)
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    QueryEngineOptions options;
+    options.num_threads = threads;
+    EXPECT_EQ(QueryEngine(f.index, options).Batch(f.workload), f.expected)
         << threads << " threads";
   }
 }

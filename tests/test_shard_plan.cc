@@ -523,48 +523,6 @@ TEST(ShardManifestFormat, RejectsCorruptOrTruncatedManifest) {
   RemoveShardSet(set);
 }
 
-// ---------------------------------------------------- OpenMmap diagnostics
-
-TEST(ShardedOpenMmap, TilingErrorsNameTheShard) {
-  WcIndex index = BuildFigure3Index();
-  const FlatLabelSet& flat = index.flat_labels();
-  const uint64_t n = flat.NumVertices();
-  std::string dir = testing::TempDir();
-  std::string a = dir + "/diag_a.shard";
-  std::string b = dir + "/diag_b.shard";
-
-  // Gap: [0, 3) + [4, n).
-  ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 3, n).ok());
-  ASSERT_TRUE(WriteSnapshotShard(b, flat, 4, n, n).ok());
-  auto gap = QueryEngine::OpenMmap({a, b});
-  ASSERT_FALSE(gap.ok());
-  EXPECT_NE(gap.status().message().find("gap at vertex 3"),
-            std::string::npos)
-      << gap.status().message();
-  EXPECT_NE(gap.status().message().find("shard 1"), std::string::npos);
-  EXPECT_NE(gap.status().message().find(b), std::string::npos);
-
-  // Overlap: [0, 5) + [3, n).
-  ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 5, n).ok());
-  ASSERT_TRUE(WriteSnapshotShard(b, flat, 3, n, n).ok());
-  auto overlap = QueryEngine::OpenMmap({a, b});
-  ASSERT_FALSE(overlap.ok());
-  EXPECT_NE(overlap.status().message().find("overlap at vertex 3"),
-            std::string::npos)
-      << overlap.status().message();
-  EXPECT_NE(overlap.status().message().find(b), std::string::npos);
-
-  // Missing tail: [0, 3) alone.
-  ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 3, n).ok());
-  auto uncovered = QueryEngine::OpenMmap({a});
-  ASSERT_FALSE(uncovered.ok());
-  EXPECT_NE(uncovered.status().message().find("cover"), std::string::npos);
-  EXPECT_NE(uncovered.status().message().find(a), std::string::npos);
-
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
 // ------------------------------------------------------------- golden pins
 
 bool RegenRequested() {

@@ -6,7 +6,8 @@
 // For ~50 seeded graphs across four generator families, this suite
 // generates random valid tilings (1..8 shards, uneven cuts, singleton and
 // even empty shards), serves each through QueryEngine (shard files
-// via OpenMmap, plus the planner + manifest path via OpenManifest), and
+// recorded in a manifest, plus the planner's shard sets, both opened with
+// OpenManifest), and
 // asserts every answer matches the unsharded QueryEngine, single and
 // batch. Top-k sources and profiles whose labels sit in different shards
 // are checked against Algorithm 5 over the unsharded labels.
@@ -128,18 +129,26 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
       Rng trng(seed ^ 0xabcdu);
       for (int round = 0; round < 3; ++round) {
         std::vector<uint64_t> fences = RandomFences(trng, n);
+        const std::string stem = dir + "/tiling_" + std::to_string(seed) +
+                                 "_" + std::to_string(round);
         std::vector<std::string> paths;
         for (size_t k = 0; k + 1 < fences.size(); ++k) {
-          std::string path = dir + "/tiling_" + std::to_string(seed) + "_" +
-                             std::to_string(round) + "_" +
-                             std::to_string(k) + ".shard";
+          std::string path = stem + "_" + std::to_string(k) + ".shard";
           ASSERT_TRUE(
               WriteSnapshotShard(path, flat, fences[k], fences[k + 1], n)
                   .ok());
           paths.push_back(path);
         }
+        const std::string manifest = stem + ".manifest";
+        auto recorded =
+            RecordShardManifest(manifest, paths, IndexContentFingerprint(flat));
+        ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
         ++tilings;
-        auto sharded = QueryEngine::OpenMmap(paths, options);
+        // Checksummed: the shards' chained content CRCs must reproduce the
+        // fingerprint however the fences fall.
+        SnapshotLoadOptions verify;
+        verify.verify_checksums = true;
+        auto sharded = QueryEngine::OpenManifest(manifest, options, verify);
         ASSERT_TRUE(sharded.ok())
             << sharded.status().ToString() << " seed=" << seed
             << " round=" << round;
@@ -187,6 +196,7 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
           }
         }
         for (const std::string& path : paths) std::remove(path.c_str());
+        std::remove(manifest.c_str());
       }
 
       // The planner + manifest path: a planned shard set must be just

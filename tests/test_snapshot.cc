@@ -99,25 +99,6 @@ TEST(Snapshot, SurvivesSourceIndexDestruction) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, MmapLoadedIndexSavesFullWcx) {
-  WcIndex index = BuildFinalizedIndex();
-  std::string snap = TempPath("resave.wcsnap");
-  ASSERT_TRUE(index.SaveSnapshot(snap).ok());
-  auto mm = WcIndex::LoadMmap(snap);
-  ASSERT_TRUE(mm.ok());
-  // An mmap-loaded index has empty append-oriented labels; Save must still
-  // serialize the full index (from the flat backend), not an empty one.
-  std::string wcx = TempPath("resave.wcx");
-  ASSERT_TRUE(mm.value().Save(wcx).ok());
-  auto reloaded = WcIndex::Load(wcx);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded.value().NumVertices(), index.NumVertices());
-  EXPECT_EQ(reloaded.value().TotalEntries(), index.TotalEntries());
-  EXPECT_EQ(reloaded.value().labels(), index.labels());
-  std::remove(snap.c_str());
-  std::remove(wcx.c_str());
-}
-
 TEST(Snapshot, SaveRequiresFinalize) {
   QualityGraph g = MakeFigure3Graph();
   WcIndex index = WcIndex::Build(g);

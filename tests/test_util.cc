@@ -10,7 +10,6 @@
 #include "util/epoch_array.h"
 #include "util/flags.h"
 #include "util/random.h"
-#include "util/stats.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -166,33 +165,6 @@ TEST(Flags, ParsesDoublesAndBools) {
   Flags flags(3, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 1.0), 0.5);
   EXPECT_FALSE(flags.GetBool("verbose", true));
-}
-
-TEST(Stats, SummaryOfKnownSample) {
-  SampleStats s = Summarize({4.0, 1.0, 3.0, 2.0});
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.p50, 3.0);
-}
-
-TEST(Stats, EmptySampleIsZero) {
-  SampleStats s = Summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Stats, HumanBytesUnits) {
-  EXPECT_EQ(HumanBytes(512), "512.00 B");
-  EXPECT_EQ(HumanBytes(2048), "2.00 KB");
-  EXPECT_EQ(HumanBytes(3u << 20), "3.00 MB");
-}
-
-TEST(Stats, HumanSecondsUnits) {
-  EXPECT_EQ(HumanSeconds(0.0000005), "0.5 us");
-  EXPECT_EQ(HumanSeconds(0.012), "12.00 ms");
-  EXPECT_EQ(HumanSeconds(2.5), "2.50 s");
 }
 
 TEST(Status, OkByDefault) {

@@ -3,14 +3,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/verifier.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
 #include "labeling/label_set.h"
+#include "labeling/snapshot.h"
 #include "paper_fixtures.h"
 
 namespace wcsd {
 namespace {
+
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
+
+QualityGraph SocialGraph() {
+  QualityModel quality;
+  quality.num_levels = 4;
+  return GenerateBarabasiAlbert(120, 3, quality, 7);
+}
 
 TEST(VerifierTest, PassesGenuineIndex) {
   QualityModel quality;
@@ -94,6 +108,59 @@ TEST(VerifierTest, CompletenessCatchesMissingCoverage) {
   WcIndex good = WcIndex::Build(g, options);
   VerificationReport report = VerifyCompleteness(good, g);
   EXPECT_EQ(report.completeness_violations, 0u);
+}
+
+// A served index is checked through the labels it serves: a mapped
+// snapshot has no append-oriented labels, so reading those would check
+// nothing and pass.
+TEST(VerifierTest, ChecksTheEntriesASnapshotServes) {
+  QualityGraph g = SocialGraph();
+  WcIndex built = WcIndex::Build(g);
+  VerificationReport expected = VerifyAll(built, g);
+  ASSERT_TRUE(expected.ok()) << expected.Summary();
+  ASSERT_GT(expected.entries_checked, 0u);
+  built.Finalize();
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "flat");
+    const std::string path = TempPath("verifier_served.wcsnap");
+    SnapshotWriteOptions write;
+    write.compress = compress;
+    ASSERT_TRUE(built.SaveSnapshot(path, write).ok());
+    auto served = WcIndex::LoadMmap(path);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    VerificationReport report = VerifyAll(served.value(), g);
+    EXPECT_TRUE(report.ok()) << report.Summary();
+    EXPECT_EQ(report.entries_checked, expected.entries_checked);
+    EXPECT_EQ(report.pairs_checked, expected.pairs_checked);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(VerifierTest, FlagsADominatedEntryInASnapshot) {
+  QualityGraph g = SocialGraph();
+  WcIndex built = WcIndex::Build(g);
+  // Plant a twin one step longer behind some vertex's first entry: same
+  // hub and quality, so the label stays sorted, but the twin is dominated.
+  LabelSet labels = built.labels();
+  Vertex v = 0;
+  while (labels.For(v).size() < 2) ++v;
+  std::vector<LabelEntry>* lv = labels.Mutable(v);
+  LabelEntry twin = lv->front();
+  ++twin.dist;
+  lv->insert(lv->begin() + 1, twin);
+  ASSERT_TRUE(FlatLabelSet::FromLabelSet(labels)
+                  .Validate(ValidateLevel::kDeep)
+                  .ok());
+  const std::string path = TempPath("verifier_dominated.wcsnap");
+  ASSERT_TRUE(WriteSnapshot(path, FlatLabelSet::FromLabelSet(labels),
+                            &built.order())
+                  .ok());
+  auto served = WcIndex::LoadMmap(path);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  VerificationReport report = VerifyAll(served.value(), g);
+  EXPECT_FALSE(report.ok()) << report.Summary();
+  EXPECT_GE(report.dominated_entries, 1u) << report.Summary();
+  std::remove(path.c_str());
 }
 
 TEST(VerifierTest, SummaryMentionsVerdict) {

@@ -73,7 +73,10 @@ TEST_P(WcIndexPropertyTest, SoundCompleteMinimal) {
 TEST_P(WcIndexPropertyTest, LabelsSorted) {
   QualityGraph g = MakeGraph();
   WcIndex index = BuildIndex(g);
-  EXPECT_TRUE(index.labels().IsSorted());
+  // Deep validation checks (hub asc, dist asc) order per vertex.
+  EXPECT_TRUE(FlatLabelSet::FromLabelSet(index.labels())
+                  .Validate(ValidateLevel::kDeep)
+                  .ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(

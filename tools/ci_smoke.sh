@@ -8,9 +8,10 @@
 #
 # Sections (the default runs all of them, in this order):
 #   cli       build/query/verify/snapshot/serve round trips, a 4-thread
-#             build byte-identical to the sequential one, the compressed
-#             snapshot + cold-tier answer-CRC equivalence, sharded serving
-#   crash     snapshot rewrite crashed at the commit point leaves the old
+#             build byte-identical to the sequential one, and one answer
+#             CRC across the flat, compressed, cold-tier, even-sharded and
+#             planned-sharded backends
+#   crash     a `build` crashed at the snapshot commit point leaves the old
 #             file byte-identical and still serving
 #   net       TCP serving: query families over a live socket, graph-less
 #             server refuses kPath cleanly
@@ -52,31 +53,44 @@ banner() { printf '\n=== ci_smoke: %s ===\n' "$1"; }
 # the same snapshot contents must produce the same CRC on every backend.
 crc_of() { sed -n 's/.*answers crc32c=\([0-9a-f]*\).*/\1/p'; }
 
-# Base fixtures shared by every section: a small road graph, its index,
-# flat + compressed snapshots, an even 3-shard split, and a planned
-# (label-mass-balanced) shard set. Idempotent.
+# Prints a command's report on stderr and passes it on through stdout. (A
+# `tee /dev/stderr` would truncate a stderr redirected to a file.)
+report_of() {
+  local report
+  report=$("$@")
+  printf '%s\n' "$report" >&2
+  printf '%s\n' "$report"
+}
+
+# The answer CRC of one `serve` batch run, its report shown on stderr.
+serve_crc() { report_of "$CLI" serve "$@" | crc_of; }
+
+# Base fixtures shared by every section: a small road graph, its snapshot,
+# a compressed re-encoding, and an even and a planned (label-mass-balanced)
+# 3-shard set. Idempotent.
 make_fixtures() {
-  if [ ! -f ci.wcx ]; then
+  if [ ! -f ci.wcsnap ]; then
     "$CLI" generate --out=ci.edges --kind=road --n=400 --levels=5
-    "$CLI" build --graph=ci.edges --index=ci.wcx --threads=0
+    "$CLI" build --graph=ci.edges --index=ci.wcsnap --threads=0
   fi
-  [ -f ci.wcsnap ] || "$CLI" snapshot --index=ci.wcx --out=ci.wcsnap
-  [ -f ci_c.wcsnap ] || "$CLI" snapshot --index=ci.wcx --out=ci_c.wcsnap --compress
-  [ -f ci.shard0 ] || "$CLI" snapshot --index=ci.wcx --out=ci --shards=3
-  [ -f ci_planned.manifest ] || "$CLI" shard --index=ci.wcx --out=ci_planned --shards=3
+  [ -f ci_c.wcsnap ] || "$CLI" snapshot --index=ci.wcsnap --out=ci_c.wcsnap --compress
+  [ -f ci_even.manifest ] || "$CLI" shard --index=ci.wcsnap --out=ci_even --shards=3 --even
+  [ -f ci_planned.manifest ] || "$CLI" shard --index=ci.wcsnap --out=ci_planned --shards=3
 }
 
 section_cli() {
   banner "CLI round trips"
   make_fixtures
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2
-  "$CLI" query --index=ci.wcx --s=1 --w=2 --topk=5
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --profile --thresholds=1,2,3,4,5
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2 --path --graph=ci.edges
-  "$CLI" verify --graph=ci.edges --index=ci.wcx
+  "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2
+  "$CLI" query --index=ci.wcsnap --s=1 --w=2 --topk=5
+  "$CLI" query --index=ci.wcsnap --s=1 --t=42 --profile --thresholds=1,2,3,4,5
+  "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2 --path --graph=ci.edges
+  "$CLI" stats --index=ci.wcsnap
+  "$CLI" verify --graph=ci.edges --index=ci.wcsnap
+  "$CLI" verify --graph=ci.edges --index=ci_c.wcsnap
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --verify
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --cache-mb=8
-  "$CLI" serve --snapshot=ci.shard0,ci.shard1,ci.shard2 --queries=20000
+  "$CLI" serve --manifest=ci_even.manifest --queries=20000
   "$CLI" serve --snapshot=ci.wcsnap --verify-level=directory --queries=1000
   "$CLI" serve --manifest=ci_planned.manifest --queries=20000 --verify --cache-mb=8
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --w=2 --cache-mb=4
@@ -85,23 +99,24 @@ section_cli() {
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --w=2 --path --graph=ci.edges
 
   banner "parallel build is byte-identical to the sequential one"
-  "$CLI" build --graph=ci.edges --index=ci_tree1.wcx --order=tree --threads=1
-  "$CLI" build --graph=ci.edges --index=ci_tree4.wcx --order=tree --threads=4 --batch=3
-  cmp ci_tree1.wcx ci_tree4.wcx
+  "$CLI" build --graph=ci.edges --index=ci_tree1.wcsnap --order=tree --threads=1
+  "$CLI" build --graph=ci.edges --index=ci_tree4.wcsnap --order=tree --threads=4 --batch=3
+  cmp ci_tree1.wcsnap ci_tree4.wcsnap
 
-  banner "compressed snapshot + cold tier answer CRCs"
-  flat_crc=$("$CLI" serve --snapshot=ci.wcsnap --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)
-  comp_crc=$("$CLI" serve --snapshot=ci_c.wcsnap --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)
-  cold_crc=$("$CLI" serve --snapshot=ci_c.wcsnap --cold-tier --decode-cache-mb=8 \
-    --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)
-  test -n "$flat_crc"
-  test "$flat_crc" = "$comp_crc"
-  test "$flat_crc" = "$cold_crc"
+  banner "flat, compressed, cold-tier and shard-set answer CRCs"
+  flat_crc=$(serve_crc --snapshot=ci.wcsnap --queries=20000 --seed=11 --verify)
+  comp_crc=$(serve_crc --snapshot=ci_c.wcsnap --queries=20000 --seed=11 --verify)
+  cold_crc=$(serve_crc --snapshot=ci_c.wcsnap --cold-tier --decode-cache-mb=8 \
+    --queries=20000 --seed=11 --verify)
+  even_crc=$(serve_crc --manifest=ci_even.manifest --queries=20000 --seed=11 --verify)
+  planned_crc=$(serve_crc --manifest=ci_planned.manifest --queries=20000 --seed=11 --verify)
   # A compressed planned shard set serves the same workload bit-identically.
-  [ -f ci_cplanned.manifest ] || "$CLI" shard --index=ci.wcx --out=ci_cplanned --shards=3 --compress
-  cshard_crc=$("$CLI" serve --manifest=ci_cplanned.manifest --queries=20000 --seed=11 --verify \
-    | tee /dev/stderr | crc_of)
-  test "$flat_crc" = "$cshard_crc"
+  [ -f ci_cplanned.manifest ] || "$CLI" shard --index=ci_c.wcsnap --out=ci_cplanned --shards=3 --compress
+  cshard_crc=$(serve_crc --manifest=ci_cplanned.manifest --queries=20000 --seed=11 --verify)
+  test -n "$flat_crc"
+  for crc in "$comp_crc" "$cold_crc" "$even_crc" "$planned_crc" "$cshard_crc"; do
+    test "$flat_crc" = "$crc"
+  done
   # --cold-tier on an uncompressed snapshot must be refused, not silently flat.
   if "$CLI" serve --snapshot=ci.wcsnap --cold-tier --queries=100; then
     echo "cold-tier serving unexpectedly accepted an uncompressed snapshot"
@@ -115,7 +130,7 @@ section_crash() {
   cp ci.wcsnap ci_before.wcsnap
   set +e
   WCSD_FAILPOINTS="atomic_file.rename=crash" \
-    "$CLI" snapshot --index=ci.wcx --out=ci.wcsnap
+    "$CLI" build --graph=ci.edges --index=ci.wcsnap --threads=0
   status=$?
   set -e
   test "$status" -eq 42
@@ -125,8 +140,10 @@ section_crash() {
   ls ci.wcsnap.tmp.* >/dev/null
   rm -f ci.wcsnap.tmp.*
   "$CLI" serve --snapshot=ci.wcsnap --queries=5000 --verify
-  # Recovery: a clean rewrite over the survivor must succeed.
-  "$CLI" snapshot --index=ci.wcx --out=ci.wcsnap
+  # Recovery: a clean rewrite over the survivor must succeed; re-encoding
+  # the compressed twin back to flat reproduces the build's bytes.
+  "$CLI" snapshot --index=ci_c.wcsnap --out=ci.wcsnap
+  cmp ci.wcsnap ci_before.wcsnap
   "$CLI" serve --snapshot=ci.wcsnap --queries=5000 --verify
 }
 
@@ -219,6 +236,12 @@ section_live() {
     echo "update unexpectedly accepted a mismatched base fingerprint"
     exit 1
   fi
+  # The compressed twin carries the same content: a delta authored against
+  # it updates either encoding to the same bytes.
+  "$CLI" delta --out=ci3.delta --base-snapshot=ci_c.wcsnap --add=5,200,4
+  "$CLI" update --snapshot=ci_c.wcsnap --graph=ci.edges --delta=ci3.delta --out=ci_up_c.wcsnap
+  "$CLI" update --snapshot=ci.wcsnap --graph=ci.edges --delta=ci3.delta --out=ci_up.wcsnap
+  cmp ci_up.wcsnap ci_up_c.wcsnap
 }
 
 section_manifest() {
@@ -249,6 +272,10 @@ section_degraded() {
   grep -q "answered online via the fallback graph" fallback.out
 }
 
+# Runs a command under the cold-tier section's address-space cap (the
+# ulimit applies inside the subshell only).
+capped() { (ulimit -v "$CAP_KB" && "$@"); }
+
 # Memory-capped cold-tier smoke. The ~20k-vertex road index carries ~5.7M
 # label entries: ~94 MiB as a flat snapshot, ~19 MiB compressed. Under a
 # 64 MiB `ulimit -v` cap (RLIMIT_AS counts file-backed mmap) the flat
@@ -258,32 +285,29 @@ section_degraded() {
 section_coldtier() {
   banner "memory-capped cold-tier serving"
   CAP_KB=65536
-  if [ ! -f mem.wcx ]; then
+  if [ ! -f mem.wcsnap ]; then
     "$CLI" generate --out=mem.edges --kind=road --n=20000 --levels=5
-    "$CLI" build --graph=mem.edges --index=mem.wcx --threads=0
+    "$CLI" build --graph=mem.edges --index=mem.wcsnap --threads=0
   fi
-  [ -f mem.wcsnap ] || "$CLI" snapshot --index=mem.wcx --out=mem.wcsnap
-  [ -f mem_c.wcsnap ] || "$CLI" snapshot --index=mem.wcx --out=mem_c.wcsnap --compress
+  [ -f mem_c.wcsnap ] || "$CLI" snapshot --index=mem.wcsnap --out=mem_c.wcsnap --compress
   ls -la mem.wcsnap mem_c.wcsnap
   # Reference answers from the uncapped flat backend.
-  flat_crc=$("$CLI" serve --snapshot=mem.wcsnap --queries=20000 --seed=7 --verify \
-    | tee /dev/stderr | crc_of)
+  flat_crc=$(serve_crc --snapshot=mem.wcsnap --queries=20000 --seed=7 --verify)
   test -n "$flat_crc"
   # Both capped runs use one pool thread: the default of one per core adds
   # thread stacks and malloc arenas that overrun the cap on multi-core
   # hosts whatever the snapshot.
   # The flat snapshot must not fit under the cap: the working set IS the cap's
-  # point. (ulimit applies inside the subshell only.)
-  if (ulimit -v "$CAP_KB" && "$CLI" serve --snapshot=mem.wcsnap --threads=1 \
-      --queries=100 --seed=7); then
+  # point.
+  if capped "$CLI" serve --snapshot=mem.wcsnap --threads=1 --queries=100 --seed=7; then
     echo "flat serving unexpectedly fit under the ${CAP_KB} kB cap"
     exit 1
   fi
   # Cold-tier serving under the same cap answers the full workload,
   # --verify clean, with the exact flat-backend CRC.
-  cold_out=$( (ulimit -v "$CAP_KB" && "$CLI" serve --snapshot=mem_c.wcsnap \
+  cold_out=$(report_of capped "$CLI" serve --snapshot=mem_c.wcsnap \
     --cold-tier --decode-cache-mb=8 --threads=1 --queries=20000 --seed=7 \
-    --verify) | tee /dev/stderr )
+    --verify)
   cold_crc=$(printf '%s\n' "$cold_out" | crc_of)
   test "$flat_crc" = "$cold_crc"
   # Distance queries stream the mmap'd varint bytes: the reported cold

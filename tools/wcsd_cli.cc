@@ -1,17 +1,21 @@
 // wcsd — command-line front end for the library.
 //
+// Every index file is a snapshot (labeling/snapshot.h); a shard set is
+// always named by its manifest.
+//
 // Subcommands:
 //   build     --graph=<file> --index=<out> [--order=degree|tree|hybrid]
 //             [--threads=<n>] [--batch=<n>] [--format=edges|dimacs]
-//             build and save a WC-INDEX; --threads=0 uses all cores via the
-//             rank-batched parallel pipeline (identical output), --batch
-//             overrides the auto batch schedule
+//             build a WC-INDEX and save it as a snapshot; --threads=0 uses
+//             all cores via the rank-batched parallel pipeline
+//             (byte-identical output), --batch overrides the auto batch
+//             schedule
 //   query     (--index=<file> | --manifest=<file>) --s=<v> --t=<v> --w=<q>
 //             [--cache-mb=M] [--path --graph=<file>]
 //             [--topk=K [--candidates=v1,v2,...]]
 //             [--profile --thresholds=w1,w2,...]
-//             answer one query through the serving engine, over a saved
-//             index or a mapped shard set (see `shard`); --cache-mb enables
+//             answer one query through the serving engine, over a
+//             snapshot or a shard set (see `shard`); --cache-mb enables
 //             the dominance-aware result cache. --path prints the route.
 //             --topk ranks the candidates (default: every vertex) by
 //             constrained distance from --s and keeps the K closest;
@@ -32,15 +36,14 @@
 //             kNotSupported, surfaced as an Unimplemented status)
 //   stats     --index=<file>                 label statistics
 //   verify    --graph=<file> --index=<file>  brute-force Theorem 1 checks
+//             over the labels the snapshot serves
 //   generate  --out=<file> --kind=road|social [--n=...] [--levels=...]
 //             [--seed=...]                   write a synthetic dataset
-//   snapshot  --index=<file> --out=<file> [--shards=N] [--compress]
-//             convert a saved index into the page-aligned, checksummed,
-//             mmap'able snapshot format; --shards=N writes N vertex-range
-//             shard files <out>.shard0 .. <out>.shard{N-1} instead;
-//             --compress stores the labels delta/varint-encoded (v3
-//             sections, labeling/compressed_flat.h) — served straight off
-//             the blob, bit-identical answers, ~3x smaller at rest
+//   snapshot  --index=<file> --out=<file> [--compress]
+//             re-encode a snapshot: --compress stores the labels
+//             delta/varint-encoded (v3 sections, labeling/compressed_flat.h)
+//             — served straight off the blob, bit-identical answers, ~3x
+//             smaller at rest; without it the labels come out flat
 //   shard     --index=<file> --out=<stem> (--shards=N | --max-bytes=B)
 //             [--even] [--compress]
 //             plan label-mass-balanced shard boundaries (greedy prefix-sum
@@ -65,7 +68,7 @@
 //             --snapshot) with a new content fingerprint, and --out-graph
 //             writes the updated edge list so graph and snapshot stay
 //             paired for the next update
-//   serve     --snapshot=<file>[,<file>,...] | --manifest=<file>
+//   serve     --snapshot=<file> | --manifest=<file>
 //             [--graph=<file>]
 //             [--queries=N] [--threads=T] [--cache-mb=M]
 //             [--seed=S] [--levels=L]
@@ -77,9 +80,8 @@
 //             [--quarantine [--fallback-graph=<file>]]
 //             [--watch [--delta=<file>]]
 //             [--cold-tier] [--decode-cache-mb=M]
-//             mmap the snapshot(s) — several files are stitched as
-//             vertex-range shards, and --manifest opens a whole validated
-//             shard set in one step — and either drive a random local batch
+//             mmap one snapshot, or (--manifest) a whole validated shard
+//             set in one step, and either drive a random local batch
 //             workload (default) or, with --listen, serve the wire
 //             protocol (net/wire.h) on PORT until SIGINT (immediate stop),
 //             SIGTERM (graceful drain: finish in-flight work, then exit),
@@ -120,14 +122,14 @@
 //
 // Examples:
 //   wcsd_cli generate --out=g.edges --kind=road --n=10000 --levels=5
-//   wcsd_cli build --graph=g.edges --index=g.wcx --order=hybrid
-//   wcsd_cli query --index=g.wcx --s=3 --t=99 --w=2
-//   wcsd_cli snapshot --index=g.wcx --out=g.wcsnap
+//   wcsd_cli build --graph=g.edges --index=g.wcsnap --order=hybrid
+//   wcsd_cli query --index=g.wcsnap --s=3 --t=99 --w=2
+//   wcsd_cli snapshot --index=g.wcsnap --out=g_c.wcsnap --compress
 //   wcsd_cli serve --snapshot=g.wcsnap --queries=100000 --threads=4
-//   wcsd_cli shard --index=g.wcx --out=g --shards=4
+//   wcsd_cli shard --index=g.wcsnap --out=g --shards=4
 //   wcsd_cli serve --manifest=g.manifest --listen=9000
 //   wcsd_cli delta --out=g.delta --base-snapshot=g.wcsnap --add=3,99,4
-//   wcsd_cli update --snapshot=g.wcsnap --graph=g.edges --delta=g.delta \
+//   wcsd_cli update --snapshot=g.wcsnap --graph=g.edges --delta=g.delta
 //       --out=g.wcsnap --out-graph=g.edges
 //   wcsd_cli serve --snapshot=g.wcsnap --listen=9000 --watch --cache-mb=64
 
@@ -225,7 +227,8 @@ int CmdBuild(const Flags& flags) {
       "built in %.2f s (merge %.2f s): %zu vertices, %zu entries, %zu bytes\n",
       timer.Seconds(), index.build_stats().merge_seconds, index.NumVertices(),
       index.TotalEntries(), index.MemoryBytes());
-  Status st = index.Save(out);
+  index.Finalize();
+  Status st = index.SaveSnapshot(out);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
@@ -481,16 +484,13 @@ bool ParseCacheBytes(const Flags& flags, size_t* bytes) {
   return true;
 }
 
-/// Opens the engine a local `query` runs on: a saved index (--index) or a
-/// mapped shard set (--manifest).
+/// Opens the engine a local `query` runs on: a snapshot (--index) or a
+/// shard set (--manifest).
 Result<QueryEngine> OpenQueryEngine(const Flags& flags,
                                     const QueryEngineOptions& options) {
   std::string manifest = flags.GetString("manifest", "");
   if (!manifest.empty()) return QueryEngine::OpenManifest(manifest, options);
-  auto index = WcIndex::Load(flags.GetString("index", ""));
-  if (!index.ok()) return index.status();
-  return QueryEngine(std::make_shared<const WcIndex>(std::move(index).value()),
-                     options);
+  return QueryEngine::Open(flags.GetString("index", ""), options);
 }
 
 /// True (after printing why) when the engine refused a request.
@@ -578,19 +578,40 @@ int CmdQuery(const Flags& flags) {
   return 0;
 }
 
-int CmdStats(const Flags& flags) {
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
+/// Maps the snapshot at `path`, printing why when it cannot.
+std::optional<WcIndex> LoadIndex(const std::string& path) {
+  auto loaded = WcIndex::LoadMmap(path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
-  const WcIndex& index = loaded.value();
-  LabelStats stats = ComputeLabelStats(index.labels());
-  std::printf("vertices: %zu\n", index.NumVertices());
+  return std::move(loaded).value();
+}
+
+/// The flat labels `index` serves; a compressed index decompresses (a
+/// mapped compressed snapshot holds no flat labels at all).
+std::optional<FlatLabelSet> ServedFlatLabels(const WcIndex& index) {
+  if (!index.compressed()) return index.flat_labels();
+  auto flat = index.compressed_labels().Decompress();
+  if (!flat.ok()) {
+    std::fprintf(stderr, "error: %s\n", flat.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return std::move(flat).value();
+}
+
+int CmdStats(const Flags& flags) {
+  std::optional<WcIndex> index = LoadIndex(flags.GetString("index", ""));
+  if (!index) return 1;
+  std::optional<FlatLabelSet> flat = ServedFlatLabels(*index);
+  if (!flat) return 1;
+  const LabelSet labels = flat->ToLabelSet();
+  LabelStats stats = ComputeLabelStats(labels);
+  std::printf("vertices: %zu\n", index->NumVertices());
   std::printf("%s\n", stats.Summary().c_str());
-  std::printf("bytes: %zu\n", index.MemoryBytes());
+  std::printf("bytes: %zu\n", index->MemoryBytes());
   std::printf("label-size histogram (bucket = [2^i, 2^(i+1))):\n");
-  auto histogram = LabelSizeHistogram(index.labels());
+  auto histogram = LabelSizeHistogram(labels);
   for (size_t i = 0; i < histogram.size(); ++i) {
     std::printf("  [%6zu, %6zu): %zu\n", size_t{1} << i, size_t{1} << (i + 1),
                 histogram[i]);
@@ -604,12 +625,9 @@ int CmdVerify(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  VerificationReport report = VerifyAll(loaded.value(), graph.value());
+  std::optional<WcIndex> index = LoadIndex(flags.GetString("index", ""));
+  if (!index) return 1;
+  VerificationReport report = VerifyAll(*index, graph.value());
   std::printf("%s\n", report.Summary().c_str());
   return report.ok() ? 0 : 1;
 }
@@ -655,9 +673,8 @@ int CmdGenerate(const Flags& flags) {
 }
 
 int CmdSnapshot(const Flags& flags) {
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+  if (flags.Has("shards")) {
+    std::fprintf(stderr, "error: cut shard sets with `shard --even`\n");
     return 1;
   }
   std::string out = flags.GetString("out", "");
@@ -665,51 +682,21 @@ int CmdSnapshot(const Flags& flags) {
     std::fprintf(stderr, "error: --out is required\n");
     return 1;
   }
-  WcIndex& index = loaded.value();
-  index.Finalize();
+  std::optional<WcIndex> index = LoadIndex(flags.GetString("index", ""));
+  if (!index) return 1;
   SnapshotWriteOptions write_options;
   write_options.compress = flags.GetBool("compress", false);
-  int64_t shards = flags.GetInt("shards", 0);
-  if (shards < 0) {
-    std::fprintf(stderr, "error: --shards must be >= 0\n");
+  Status st = index->SaveSnapshot(out, write_options);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
-  if (shards <= 1) {
-    Status st = index.SaveSnapshot(out, write_options);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s: %zu vertices, %zu entries\n", out.c_str(),
-                index.NumVertices(), index.TotalEntries());
-    return 0;
-  }
-  uint64_t n = index.NumVertices();
-  for (int64_t k = 0; k < shards; ++k) {
-    uint64_t begin = n * static_cast<uint64_t>(k) /
-                     static_cast<uint64_t>(shards);
-    uint64_t end = n * static_cast<uint64_t>(k + 1) /
-                   static_cast<uint64_t>(shards);
-    std::string path = out + ".shard" + std::to_string(k);
-    Status st = WriteSnapshotShard(path, index.flat_labels(), begin, end, n,
-                                   /*parents=*/{}, write_options);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s: vertices [%llu, %llu)\n", path.c_str(),
-                static_cast<unsigned long long>(begin),
-                static_cast<unsigned long long>(end));
-  }
+  std::printf("wrote %s: %zu vertices, %zu entries\n", out.c_str(),
+              index->NumVertices(), index->TotalEntries());
   return 0;
 }
 
 int CmdShard(const Flags& flags) {
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
   std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "error: --out is required\n");
@@ -722,9 +709,11 @@ int CmdShard(const Flags& flags) {
                  "error: pass exactly one of --shards=N or --max-bytes=B\n");
     return 1;
   }
-  WcIndex& index = loaded.value();
-  index.Finalize();
-  const FlatLabelSet& flat = index.flat_labels();
+  std::optional<WcIndex> index = LoadIndex(flags.GetString("index", ""));
+  if (!index) return 1;
+  std::optional<FlatLabelSet> served = ServedFlatLabels(*index);
+  if (!served) return 1;
+  const FlatLabelSet& flat = *served;
 
   ShardPlanOptions options;
   options.num_shards = static_cast<size_t>(shards);
@@ -767,8 +756,8 @@ int CmdShard(const Flags& flags) {
   }
   std::printf("wrote %s: %zu shards, %zu vertices, %zu entries (%.2f s)\n",
               written.value().manifest_path.c_str(),
-              plan.value().shards.size(), index.NumVertices(),
-              index.TotalEntries(), timer.Seconds());
+              plan.value().shards.size(), index->NumVertices(),
+              index->TotalEntries(), timer.Seconds());
   return 0;
 }
 
@@ -858,13 +847,9 @@ int CmdDelta(const Flags& flags) {
   DeltaLog log;
   std::string base = flags.GetString("base-snapshot", "");
   if (!base.empty()) {
-    auto mapped = LoadSnapshotMmap(base);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   mapped.status().ToString().c_str());
-      return 1;
-    }
-    log.base_fingerprint = IndexContentFingerprint(mapped.value().labels);
+    std::optional<WcIndex> index = LoadIndex(base);
+    if (!index) return 1;
+    log.base_fingerprint = index->ContentFingerprint();
   }
   DeltaBatch batch;
   if (!AppendDeltaRecords(flags.GetString("add", ""), DeltaOp::kInsert, 3, 3,
@@ -902,24 +887,17 @@ int CmdUpdate(const Flags& flags) {
                  "error: --snapshot, --delta, and --out are required\n");
     return 1;
   }
-  auto mapped = LoadSnapshotMmap(snapshot);
-  if (!mapped.ok()) {
-    std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
-    return 1;
-  }
-  MappedSnapshot& mm = mapped.value();
-  if (!mm.info.IsFullRange() || !mm.info.has_order) {
-    std::fprintf(stderr,
-                 "error: update wants a full snapshot with a stored vertex "
-                 "order (shard files cannot be updated in place)\n");
-    return 1;
-  }
+  // A shard file has no vertex order, so only a whole snapshot updates.
+  std::optional<WcIndex> base = LoadIndex(snapshot);
+  if (!base) return 1;
+  std::optional<FlatLabelSet> flat = ServedFlatLabels(*base);
+  if (!flat) return 1;
   auto log = ReadDeltaLog(delta_path);
   if (!log.ok()) {
     std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
     return 1;
   }
-  const uint64_t old_fingerprint = IndexContentFingerprint(mm.labels);
+  const uint64_t old_fingerprint = IndexContentFingerprint(*flat);
   if (log.value().base_fingerprint != 0 &&
       log.value().base_fingerprint != old_fingerprint) {
     std::fprintf(stderr,
@@ -935,14 +913,12 @@ int CmdUpdate(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  if (graph.value().NumVertices() != mm.info.num_vertices_total) {
+  if (graph.value().NumVertices() != base->NumVertices()) {
     std::fprintf(stderr,
                  "error: --graph has %zu vertices but the snapshot serves "
-                 "%llu — update wants the exact graph the snapshot was "
+                 "%zu — update wants the exact graph the snapshot was "
                  "built from\n",
-                 graph.value().NumVertices(),
-                 static_cast<unsigned long long>(
-                     mm.info.num_vertices_total));
+                 graph.value().NumVertices(), base->NumVertices());
     return 1;
   }
   WcIndexOptions options = WcIndexOptions::Plus();
@@ -963,8 +939,8 @@ int CmdUpdate(const Flags& flags) {
   options.num_threads = static_cast<size_t>(threads);
 
   Timer timer;
-  DynamicWcIndex dyn(graph.value(), VertexOrder(mm.order_by_rank),
-                     mm.labels.ToLabelSet(), options);
+  DynamicWcIndex dyn(graph.value(), base->order(), flat->ToLabelSet(),
+                     options);
   const bool incremental = dyn.Apply(log.value());
   std::string out_graph = flags.GetString("out-graph", "");
   if (!out_graph.empty()) {
@@ -994,18 +970,6 @@ int CmdUpdate(const Flags& flags) {
       static_cast<unsigned long long>(old_fingerprint),
       static_cast<unsigned long long>(new_fingerprint));
   return 0;
-}
-
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> parts;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    size_t comma = list.find(',', begin);
-    if (comma == std::string::npos) comma = list.size();
-    if (comma > begin) parts.push_back(list.substr(begin, comma - begin));
-    begin = comma + 1;
-  }
-  return parts;
 }
 
 /// 0 = keep serving, SIGINT = stop now, SIGTERM = drain gracefully.
@@ -1111,13 +1075,13 @@ int RunWireServer(std::shared_ptr<const QueryService> service,
 }
 
 /// Opens the serving engine for `serve` (and re-opens it on --watch
-/// reloads): the snapshot file(s) as a tiling, or a manifest's shard set.
+/// reloads): one snapshot, or a manifest's shard set.
 Result<std::shared_ptr<const QueryEngine>> OpenServeEngine(
-    const std::vector<std::string>& paths, const std::string& manifest,
+    const std::string& snapshot, const std::string& manifest,
     const QueryEngineOptions& options, const SnapshotLoadOptions& load,
     const DegradedOpenOptions& degraded) {
   auto engine = manifest.empty()
-                    ? QueryEngine::OpenMmap(paths, options, load)
+                    ? QueryEngine::Open(snapshot, options, load)
                     : QueryEngine::OpenManifest(manifest, options, load,
                                                 degraded);
   if (!engine.ok()) return engine.status();
@@ -1125,10 +1089,9 @@ Result<std::shared_ptr<const QueryEngine>> OpenServeEngine(
 }
 
 int CmdServe(const Flags& flags) {
-  std::vector<std::string> paths =
-      SplitCommaList(flags.GetString("snapshot", ""));
+  std::string snapshot = flags.GetString("snapshot", "");
   std::string manifest = flags.GetString("manifest", "");
-  if (paths.empty() == manifest.empty()) {
+  if (snapshot.empty() == manifest.empty()) {
     std::fprintf(stderr,
                  "error: pass exactly one of --snapshot or --manifest\n");
     return 1;
@@ -1242,7 +1205,7 @@ int CmdServe(const Flags& flags) {
   }
 
   Timer load_timer;
-  auto opened = OpenServeEngine(paths, manifest, options, load, degraded);
+  auto opened = OpenServeEngine(snapshot, manifest, options, load, degraded);
   if (!opened.ok()) {
     std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
     return 1;
@@ -1287,7 +1250,7 @@ int CmdServe(const Flags& flags) {
     // No explicit Rebind here: the engine already bound the shared cache
     // to its fingerprint at open (the unconditional-Rebind contract).
     auto swappable = std::make_shared<SwappableQueryService>(current);
-    const std::string watch_path = manifest.empty() ? paths[0] : manifest;
+    const std::string watch_path = manifest.empty() ? snapshot : manifest;
     const std::string delta_path = flags.GetString("delta", "");
     int64_t last_mtime = FileMtimeNs(watch_path);
 
@@ -1332,7 +1295,7 @@ int CmdServe(const Flags& flags) {
         };
       }
       auto reopened =
-          OpenServeEngine(paths, manifest, next_options, load, degraded);
+          OpenServeEngine(snapshot, manifest, next_options, load, degraded);
       if (!reopened.ok()) {
         // Keep serving the old generation; the operator sees why.
         std::fprintf(stderr, "reload failed (still serving generation %llu): %s\n",
