@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -59,45 +59,31 @@ uint64_t NextJitter(uint64_t* state) {
   return x * 0x2545F4914F6CDD1DULL;
 }
 
-}  // namespace
-
-Result<WcClient> WcClient::Connect(const std::string& host, uint16_t port,
-                                   int timeout_ms) {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
-  if (inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host address " + host);
-  }
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return ErrnoStatus("socket");
-  if (timeout_ms > 0) {
-    // SO_SNDTIMEO also bounds connect(2) on Linux, so one pair of options
-    // covers the legacy per-syscall timeout story. (The options overload
-    // narrows these to the remaining end-to-end budget before every
-    // syscall instead.)
-    timeval tv;
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status st = ErrnoStatus("connect " + host + ":" + std::to_string(port));
-    close(fd);
-    return st;
-  }
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return WcClient(fd);
+uint64_t JitterSeed(const WcClientOptions& options) {
+  return options.jitter_seed != 0 ? options.jitter_seed
+                                  : 0x9E3779B97F4A7C15ULL;
 }
 
-Result<WcClient> WcClient::ConnectOnce(const std::string& host,
-                                       uint16_t port,
-                                       uint64_t deadline_at_ms) {
-  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
+/// Sleeps one retry backoff (~*backoff, halved then jittered) and doubles
+/// *backoff up to options.backoff_max_ms. Returns false, without
+/// sleeping, when the sleep would reach `deadline_at_ms` (0 = none).
+bool Backoff(const WcClientOptions& options, uint64_t deadline_at_ms,
+             uint64_t* backoff, uint64_t* jitter) {
+  const uint64_t sleep_ms =
+      *backoff / 2 + NextJitter(jitter) % (*backoff / 2 + 1);
+  if (deadline_at_ms != 0 && NowMs() + sleep_ms >= deadline_at_ms) {
+    return false;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+  *backoff = std::min(*backoff * 2,
+                      std::max<uint64_t>(1, options.backoff_max_ms));
+  return true;
+}
+
+/// Opens one TCP connection; connect(2) gets what is left of the budget
+/// until `deadline_at_ms` (0 = unbounded).
+Result<int> OpenSocket(const std::string& host, uint16_t port,
+                       uint64_t deadline_at_ms) {
   sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -134,41 +120,46 @@ Result<WcClient> WcClient::ConnectOnce(const std::string& host,
   }
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return WcClient(fd);
+  return fd;
 }
+
+/// The kQueryReply decoder Query and QueryPipelined share.
+bool DecodeDistance(std::span<const uint8_t> payload, Distance* dist) {
+  net::QueryReplyPayload reply{};
+  if (!net::QueryReplyFrame::Decode(payload, &reply)) return false;
+  *dist = reply.dist;
+  return true;
+}
+
+Status MalformedReply() {
+  return Status::Corruption("malformed reply payload from server");
+}
+
+}  // namespace
+
+WcClient::WcClient(int fd, const WcClientOptions& options)
+    : fd_(fd), options_(options), jitter_state_(JitterSeed(options)) {}
 
 Result<WcClient> WcClient::Connect(const std::string& host, uint16_t port,
                                    const WcClientOptions& options) {
+  WCSD_RETURN_NOT_OK(CheckSerializationByteOrder());
   const uint64_t deadline_at =
       options.deadline_ms != 0 ? NowMs() + options.deadline_ms : 0;
-  uint64_t jitter = options.jitter_seed != 0 ? options.jitter_seed
-                                             : 0x9E3779B97F4A7C15ULL;
+  uint64_t jitter = JitterSeed(options);
   uint64_t backoff = std::max<uint64_t>(1, options.backoff_base_ms);
   for (uint32_t attempt = 0;; ++attempt) {
-    Result<WcClient> connected = ConnectOnce(host, port, deadline_at);
-    if (connected.ok()) {
-      WcClient client = std::move(connected).value();
-      client.options_ = options;
-      client.jitter_state_ = jitter;
-      return client;
-    }
-    const StatusCode code = connected.status().code();
+    Result<int> fd = OpenSocket(host, port, deadline_at);
+    if (fd.ok()) return WcClient(fd.value(), options);
+    const StatusCode code = fd.status().code();
     // Bad addresses never get better, and a spent deadline has no budget
     // left to sleep on. Everything else (refused, unreachable, reset
     // mid-handshake) is the transient class connect retries exist for.
     if (attempt >= options.max_retries ||
         code == StatusCode::kInvalidArgument ||
-        code == StatusCode::kDeadlineExceeded) {
-      return connected;
+        code == StatusCode::kDeadlineExceeded ||
+        !Backoff(options, deadline_at, &backoff, &jitter)) {
+      return fd.status();
     }
-    uint64_t sleep_ms = backoff / 2 + NextJitter(&jitter) % (backoff / 2 + 1);
-    if (deadline_at != 0) {
-      const uint64_t now = NowMs();
-      if (now + sleep_ms >= deadline_at) return connected;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    backoff = std::min(backoff * 2, std::max<uint64_t>(
-                                        1, options.backoff_max_ms));
   }
 }
 
@@ -193,6 +184,10 @@ WcClient& WcClient::operator=(WcClient&& other) noexcept {
   return *this;
 }
 
+WcClient::~WcClient() {
+  if (fd_ >= 0) close(fd_);
+}
+
 void WcClient::BeginRequest() {
   deadline_at_ms_ =
       options_.deadline_ms != 0 ? NowMs() + options_.deadline_ms : 0;
@@ -213,35 +208,6 @@ Status WcClient::ArmTimeout(int which) {
   if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1000;
   setsockopt(fd_, SOL_SOCKET, which, &tv, sizeof(tv));
   return Status::OK();
-}
-
-template <typename T>
-Result<T> WcClient::RetryLoop(const std::function<Result<T>()>& attempt) {
-  uint64_t backoff = std::max<uint64_t>(1, options_.backoff_base_ms);
-  for (uint32_t tries = 0;; ++tries) {
-    last_wire_error_ = WireError::kOk;
-    Result<T> result = attempt();
-    // Only kOverloaded is retry-safe on a live connection: the server
-    // explicitly never executed the request and kept the stream healthy.
-    // IO errors are NOT retried here — after a torn send the request may
-    // have executed, and this transport has no request dedup.
-    if (result.ok() || tries >= options_.max_retries ||
-        last_wire_error_ != WireError::kOverloaded) {
-      return result;
-    }
-    uint64_t sleep_ms =
-        backoff / 2 + NextJitter(&jitter_state_) % (backoff / 2 + 1);
-    if (deadline_at_ms_ != 0 && NowMs() + sleep_ms >= deadline_at_ms_) {
-      return result;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    backoff =
-        std::min(backoff * 2, std::max<uint64_t>(1, options_.backoff_max_ms));
-  }
-}
-
-WcClient::~WcClient() {
-  if (fd_ >= 0) close(fd_);
 }
 
 Status WcClient::SendBytes(const void* data, size_t size) {
@@ -292,17 +258,17 @@ Result<WireFrame> WcClient::ReadRawFrame() {
     return Status::OK();
   };
 
+  uint8_t head[sizeof(WireHeader)] = {};
+  WCSD_RETURN_NOT_OK(read_exact(head, sizeof(head)));
   WireFrame frame;
-  WCSD_RETURN_NOT_OK(read_exact(reinterpret_cast<uint8_t*>(&frame.header),
-                                sizeof(frame.header)));
-  if (frame.header.magic != net::kWireMagic) {
-    return Status::Corruption("bad frame magic from server");
-  }
-  if (frame.header.version != net::kWireVersion) {
-    return Status::Corruption("unsupported protocol version from server");
-  }
-  if (frame.header.payload_bytes > net::kMaxPayloadBytes) {
-    return Status::Corruption("oversized frame from server");
+  const uint8_t* payload = nullptr;
+  // ParseFrame checks a bare header as soon as it is complete: one that
+  // passes reads kNeedMore, or kOk when no payload follows.
+  const WireError framing = net::FramingError(net::ParseFrame(
+      head, sizeof(head), net::kMaxPayloadBytes, &frame.header, &payload));
+  if (framing != WireError::kOk) {
+    return Status::Corruption(std::string(net::WireErrorName(framing)) +
+                              " from server");
   }
   frame.payload.resize(frame.header.payload_bytes);
   if (!frame.payload.empty()) {
@@ -317,8 +283,8 @@ Status WcClient::ShutdownSend() {
   return Status::OK();
 }
 
-Result<WireFrame> WcClient::ReadReply(MsgType expected,
-                                      uint64_t request_id) {
+Result<WireFrame> WcClient::ReadReply(MsgType expected, uint64_t first_id,
+                                      uint64_t end_id) {
   Result<WireFrame> frame = ReadRawFrame();
   if (!frame.ok()) return frame;
   const WireHeader& header = frame.value().header;
@@ -330,176 +296,132 @@ Result<WireFrame> WcClient::ReadReply(MsgType expected,
       header.status != static_cast<uint8_t>(WireError::kOk)) {
     return Status::Corruption("unexpected reply type from server");
   }
-  if (header.request_id != request_id) {
+  if (header.request_id < first_id || header.request_id >= end_id) {
     return Status::Corruption("reply id does not match request");
   }
   return frame;
 }
 
-Result<Distance> WcClient::Query(Vertex s, Vertex t, Quality w) {
+template <typename T, typename Encode, typename Decode>
+Result<T> WcClient::Call(MsgType reply_type, size_t records, Encode encode,
+                         Decode decode) {
+  if (records > net::kMaxBatchQueries) {
+    // A bigger batch does not fit one frame (a framing error that closes
+    // the connection), and bigger top-k or profile requests would get
+    // replies that do not; fail the call instead and keep the stream
+    // healthy.
+    return Status::InvalidArgument(
+        "request of " + std::to_string(records) +
+        " records exceeds the wire frame limit of " +
+        std::to_string(net::kMaxBatchQueries) + "; split it across frames");
+  }
   BeginRequest();
-  return RetryLoop<Distance>([&]() -> Result<Distance> {
+  uint64_t backoff = std::max<uint64_t>(1, options_.backoff_base_ms);
+  for (uint32_t tries = 0;; ++tries) {
     const uint64_t id = next_request_id_++;
     std::vector<uint8_t> out;
-    net::AppendQueryRequest(&out, id, s, t, w);
+    encode(&out, id);
     WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-    Result<WireFrame> reply = ReadReply(MsgType::kQueryReply, id);
-    if (!reply.ok()) return reply.status();
-    if (reply.value().payload.size() != sizeof(net::QueryReplyPayload)) {
-      return Status::Corruption("bad query reply payload");
+    last_wire_error_ = WireError::kOk;
+    Result<WireFrame> reply = ReadReply(reply_type, id, id + 1);
+    if (reply.ok()) {
+      T value{};
+      if (!decode(std::span<const uint8_t>(reply.value().payload), &value)) {
+        return MalformedReply();
+      }
+      return value;
     }
-    net::QueryReplyPayload payload;
-    std::memcpy(&payload, reply.value().payload.data(), sizeof(payload));
-    return Distance{payload.dist};
-  });
+    // Only kOverloaded is retry-safe on a live connection: the server
+    // explicitly never executed the request and kept the stream healthy.
+    // IO errors are NOT retried here — after a torn send the request may
+    // have executed, and this transport has no request dedup.
+    if (tries >= options_.max_retries ||
+        last_wire_error_ != WireError::kOverloaded ||
+        !Backoff(options_, deadline_at_ms_, &backoff, &jitter_state_)) {
+      return reply.status();
+    }
+  }
+}
+
+Result<Distance> WcClient::Query(Vertex s, Vertex t, Quality w) {
+  return Call<Distance>(
+      MsgType::kQueryReply, 1,
+      [&](std::vector<uint8_t>* out, uint64_t id) {
+        net::AppendQueryRequest(out, id, s, t, w);
+      },
+      DecodeDistance);
 }
 
 Result<std::vector<Distance>> WcClient::Batch(
     const std::vector<BatchQueryInput>& queries) {
-  if (queries.size() > net::kMaxBatchQueries) {
-    // An oversized frame would be a FRAMING error server-side (it closes
-    // the connection); fail the call instead and keep the stream healthy.
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(queries.size()) +
-        " queries exceeds the wire frame limit of " +
-        std::to_string(net::kMaxBatchQueries) + "; split it across frames");
-  }
-  BeginRequest();
-  return RetryLoop<std::vector<Distance>>(
-      [&]() -> Result<std::vector<Distance>> {
-        const uint64_t id = next_request_id_++;
-        std::vector<uint8_t> out;
-        net::AppendBatchRequest(&out, id, queries);
-        WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-        Result<WireFrame> reply = ReadReply(MsgType::kBatchQueryReply, id);
-        if (!reply.ok()) return reply.status();
-        const std::vector<uint8_t>& payload = reply.value().payload;
-        uint32_t count = 0;
-        if (payload.size() < sizeof(count)) {
-          return Status::Corruption("bad batch reply payload");
-        }
-        std::memcpy(&count, payload.data(), sizeof(count));
-        if (count != queries.size() ||
-            payload.size() !=
-                sizeof(count) + uint64_t{count} * sizeof(uint32_t)) {
-          return Status::Corruption("batch reply count mismatch");
-        }
-        std::vector<Distance> results(count);
-        if (count > 0) {
-          std::memcpy(results.data(), payload.data() + sizeof(count),
-                      uint64_t{count} * sizeof(uint32_t));
-        }
-        return results;
+  return Call<std::vector<Distance>>(
+      MsgType::kBatchQueryReply, queries.size(),
+      [&](std::vector<uint8_t>* out, uint64_t id) {
+        net::AppendBatchRequest(out, id, queries);
+      },
+      [&](std::span<const uint8_t> payload, std::vector<Distance>* results) {
+        return net::BatchReplyFrame::Decode(payload, results) &&
+               results->size() == queries.size();
       });
 }
 
 Result<std::vector<RankedCandidate>> WcClient::TopK(
     Vertex source, const std::vector<Vertex>& candidates, Quality w,
     uint32_t k) {
-  if (candidates.size() > net::kMaxTopKCandidates) {
-    return Status::InvalidArgument(
-        "candidate set of " + std::to_string(candidates.size()) +
-        " exceeds the wire frame limit of " +
-        std::to_string(net::kMaxTopKCandidates) + "; split it across frames");
-  }
-  BeginRequest();
-  return RetryLoop<std::vector<RankedCandidate>>(
-      [&]() -> Result<std::vector<RankedCandidate>> {
-        const uint64_t id = next_request_id_++;
-        std::vector<uint8_t> out;
-        net::AppendTopKRequest(&out, id, source, candidates, w, k);
-        WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-        Result<WireFrame> reply = ReadReply(MsgType::kTopKReply, id);
-        if (!reply.ok()) return reply.status();
-        const std::vector<uint8_t>& payload = reply.value().payload;
-        uint32_t count = 0;
-        if (payload.size() < sizeof(count)) {
-          return Status::Corruption("bad top-k reply payload");
-        }
-        std::memcpy(&count, payload.data(), sizeof(count));
-        if (count > candidates.size() || count > k ||
-            payload.size() !=
-                sizeof(count) +
-                    uint64_t{count} * sizeof(net::RankedCandidatePayload)) {
-          return Status::Corruption("top-k reply count mismatch");
-        }
-        std::vector<RankedCandidate> ranked(count);
-        if (count > 0) {
-          std::memcpy(ranked.data(), payload.data() + sizeof(count),
-                      uint64_t{count} * sizeof(net::RankedCandidatePayload));
-        }
-        return ranked;
+  return Call<std::vector<RankedCandidate>>(
+      MsgType::kTopKReply, candidates.size(),
+      [&](std::vector<uint8_t>* out, uint64_t id) {
+        net::AppendTopKRequest(out, id, source, candidates, w, k);
+      },
+      [&](std::span<const uint8_t> payload,
+          std::vector<RankedCandidate>* ranked) {
+        return net::TopKReplyFrame::Decode(payload, ranked) &&
+               ranked->size() <= std::min<size_t>(k, candidates.size());
       });
 }
 
 Result<std::vector<ProfilePoint>> WcClient::Profile(
     Vertex s, Vertex t, const std::vector<Quality>& thresholds) {
-  if (thresholds.size() > net::kMaxProfileThresholds) {
-    return Status::InvalidArgument(
-        "threshold list of " + std::to_string(thresholds.size()) +
-        " exceeds the wire frame limit of " +
-        std::to_string(net::kMaxProfileThresholds) +
-        "; split it across frames");
-  }
-  BeginRequest();
-  return RetryLoop<std::vector<ProfilePoint>>(
-      [&]() -> Result<std::vector<ProfilePoint>> {
-        const uint64_t id = next_request_id_++;
-        std::vector<uint8_t> out;
-        net::AppendProfileRequest(&out, id, s, t, thresholds);
-        WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-        Result<WireFrame> reply = ReadReply(MsgType::kProfileReply, id);
-        if (!reply.ok()) return reply.status();
-        const std::vector<uint8_t>& payload = reply.value().payload;
-        uint32_t count = 0;
-        if (payload.size() < sizeof(count)) {
-          return Status::Corruption("bad profile reply payload");
-        }
-        std::memcpy(&count, payload.data(), sizeof(count));
-        // Positional alignment is the contract; a count mismatch means the
-        // reply cannot be trusted at all.
-        if (count != thresholds.size() ||
-            payload.size() !=
-                sizeof(count) +
-                    uint64_t{count} * sizeof(net::ProfilePointPayload)) {
-          return Status::Corruption("profile reply count mismatch");
-        }
-        std::vector<ProfilePoint> profile(count);
-        if (count > 0) {
-          std::memcpy(profile.data(), payload.data() + sizeof(count),
-                      uint64_t{count} * sizeof(net::ProfilePointPayload));
-        }
-        return profile;
+  return Call<std::vector<ProfilePoint>>(
+      MsgType::kProfileReply, thresholds.size(),
+      [&](std::vector<uint8_t>* out, uint64_t id) {
+        net::AppendProfileRequest(out, id, s, t, thresholds);
+      },
+      [&](std::span<const uint8_t> payload,
+          std::vector<ProfilePoint>* profile) {
+        return net::ProfileReplyFrame::Decode(payload, profile) &&
+               profile->size() == thresholds.size();
       });
 }
 
 Result<std::vector<Vertex>> WcClient::Path(Vertex s, Vertex t, Quality w) {
-  BeginRequest();
-  return RetryLoop<std::vector<Vertex>>(
-      [&]() -> Result<std::vector<Vertex>> {
-        const uint64_t id = next_request_id_++;
-        std::vector<uint8_t> out;
-        net::AppendPathRequest(&out, id, s, t, w);
-        WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-        Result<WireFrame> reply = ReadReply(MsgType::kPathReply, id);
-        if (!reply.ok()) return reply.status();
-        const std::vector<uint8_t>& payload = reply.value().payload;
-        uint32_t count = 0;
-        if (payload.size() < sizeof(count)) {
-          return Status::Corruption("bad path reply payload");
-        }
-        std::memcpy(&count, payload.data(), sizeof(count));
-        if (payload.size() !=
-            sizeof(count) + uint64_t{count} * sizeof(uint32_t)) {
-          return Status::Corruption("path reply count mismatch");
-        }
-        std::vector<Vertex> path(count);
-        if (count > 0) {
-          std::memcpy(path.data(), payload.data() + sizeof(count),
-                      uint64_t{count} * sizeof(uint32_t));
-        }
-        return path;
+  return Call<std::vector<Vertex>>(
+      MsgType::kPathReply, 1,
+      [&](std::vector<uint8_t>* out, uint64_t id) {
+        net::AppendPathRequest(out, id, s, t, w);
+      },
+      [](std::span<const uint8_t> payload, std::vector<Vertex>* path) {
+        return net::PathReplyFrame::Decode(payload, path);
       });
+}
+
+Result<WireStats> WcClient::Stats() {
+  return Call<WireStats>(
+      MsgType::kStatsReply, 0, net::AppendStatsRequest,
+      [](std::span<const uint8_t> payload, WireStats* stats) {
+        net::StatsReplyPrefix prefix{};
+        if (!net::StatsReplyFrame::Decode(payload, &stats->shards, &prefix)) {
+          return false;
+        }
+        static_cast<net::StatsReplyPayload&>(*stats) = prefix.stats;
+        return true;
+      });
+}
+
+Result<net::HealthReplyPayload> WcClient::Health() {
+  return Call<net::HealthReplyPayload>(MsgType::kHealthReply, 0,
+                                       net::AppendHealthRequest,
+                                       net::HealthReplyFrame::Decode);
 }
 
 Result<std::vector<Distance>> WcClient::QueryPipelined(
@@ -525,97 +447,17 @@ Result<std::vector<Distance>> WcClient::QueryPipelined(
 
   WCSD_RETURN_NOT_OK(send_some(std::min(window, queries.size())));
   for (size_t received = 0; received < queries.size(); ++received) {
-    Result<WireFrame> frame = ReadRawFrame();
+    Result<WireFrame> frame =
+        ReadReply(MsgType::kQueryReply, base_id, base_id + queries.size());
     if (!frame.ok()) return frame.status();
-    const WireHeader& header = frame.value().header;
-    if (static_cast<MsgType>(header.type) == MsgType::kError) {
-      return StatusFromError(static_cast<WireError>(header.status));
+    if (!DecodeDistance(frame.value().payload,
+                        &results[frame.value().header.request_id - base_id])) {
+      return MalformedReply();
     }
-    if (static_cast<MsgType>(header.type) != MsgType::kQueryReply ||
-        header.request_id < base_id ||
-        header.request_id >= base_id + queries.size() ||
-        frame.value().payload.size() != sizeof(net::QueryReplyPayload)) {
-      return Status::Corruption("unexpected pipelined reply");
-    }
-    net::QueryReplyPayload payload;
-    std::memcpy(&payload, frame.value().payload.data(), sizeof(payload));
-    results[header.request_id - base_id] = payload.dist;
     // Keep the window full: one reply in, one request out.
     WCSD_RETURN_NOT_OK(send_some(std::min(sent + 1, queries.size())));
   }
   return results;
-}
-
-Result<WireStats> WcClient::Stats() {
-  BeginRequest();
-  const uint64_t id = next_request_id_++;
-  std::vector<uint8_t> out;
-  net::AppendStatsRequest(&out, id);
-  WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-  Result<WireFrame> reply = ReadReply(MsgType::kStatsReply, id);
-  if (!reply.ok()) return reply.status();
-  const std::vector<uint8_t>& bytes = reply.value().payload;
-  if (bytes.size() < net::StatsReplyBytes(0)) {
-    return Status::Corruption("bad stats reply payload");
-  }
-  net::StatsReplyPayload payload;
-  std::memcpy(&payload, bytes.data(), sizeof(payload));
-  uint32_t shard_count;
-  std::memcpy(&shard_count, bytes.data() + sizeof(payload),
-              sizeof(shard_count));
-  if (bytes.size() != net::StatsReplyBytes(shard_count)) {
-    return Status::Corruption("bad stats reply shard section");
-  }
-  WireStats stats;
-  stats.num_vertices = payload.num_vertices;
-  stats.queries = payload.queries;
-  stats.reachable = payload.reachable;
-  stats.batches = payload.batches;
-  stats.cache_hits = payload.cache_hits;
-  stats.cache_misses = payload.cache_misses;
-  stats.cache_inserts = payload.cache_inserts;
-  stats.cache_evictions = payload.cache_evictions;
-  stats.overload_rejections = payload.overload_rejections;
-  stats.deadline_rejections = payload.deadline_rejections;
-  stats.shard_unavailable = payload.shard_unavailable;
-  stats.generation = payload.generation;
-  stats.draining = payload.draining != 0;
-  stats.has_parents = payload.has_parents != 0;
-  stats.path_fallbacks = payload.path_fallbacks;
-  stats.compressed = payload.compressed != 0;
-  stats.decode_hits = payload.decode_hits;
-  stats.decode_misses = payload.decode_misses;
-  stats.cold_pageins = payload.cold_pageins;
-  stats.label_bytes = payload.label_bytes;
-  stats.uncompressed_label_bytes = payload.uncompressed_label_bytes;
-  stats.shards.resize(shard_count);
-  if (shard_count > 0) {
-    std::memcpy(stats.shards.data(), bytes.data() + net::StatsReplyBytes(0),
-                uint64_t{shard_count} * sizeof(net::ShardBalancePayload));
-  }
-  return stats;
-}
-
-Result<WireHealth> WcClient::HealthEx() {
-  BeginRequest();
-  const uint64_t id = next_request_id_++;
-  std::vector<uint8_t> out;
-  net::AppendHealthRequest(&out, id);
-  WCSD_RETURN_NOT_OK(SendBytes(out.data(), out.size()));
-  Result<WireFrame> reply = ReadReply(MsgType::kHealthReply, id);
-  if (!reply.ok()) return reply.status();
-  if (reply.value().payload.size() != sizeof(net::HealthReplyPayload)) {
-    return Status::Corruption("bad health reply payload");
-  }
-  net::HealthReplyPayload payload;
-  std::memcpy(&payload, reply.value().payload.data(), sizeof(payload));
-  return WireHealth{payload.num_vertices, payload.draining != 0};
-}
-
-Result<uint64_t> WcClient::Health() {
-  Result<WireHealth> health = HealthEx();
-  if (!health.ok()) return health.status();
-  return uint64_t{health.value().num_vertices};
 }
 
 }  // namespace wcsd

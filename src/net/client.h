@@ -1,12 +1,19 @@
 // WcClient: the wire-protocol client library (net/wire.h).
 //
 // Blocking sockets, two call shapes:
-//   * sync      — Query/Batch/Stats/Health send one request frame and wait
-//                 for its reply;
+//   * sync      — Query/Batch/TopK/Profile/Path/Stats/Health send one
+//                 request frame and wait for its reply;
 //   * pipelined — QueryPipelined keeps a window of single-query frames in
 //                 flight on the one connection, overlapping the network
 //                 round trip with the server's work. Replies are matched by
 //                 request id, not arrival order.
+// Every sync call takes one request path: assign the id, encode and send
+// the frame, read and check the reply header, decode the payload with the
+// net/wire codec, and retry only kOverloaded. The client never sizes a
+// payload itself; it adds only each family's count rule (a batch reply
+// has one distance per query, a top-k reply at most min(k, candidates)
+// records, a profile reply one point per threshold), and a reply that
+// breaks its shape or its rule is a Corruption status.
 // A connection is not thread-safe; open one WcClient per caller thread
 // (the server multiplexes any number of connections).
 //
@@ -21,14 +28,14 @@
 // kDeadlineExceeded are NOT retried — the former will keep failing until
 // the shard is repaired, the latter means the budget is already spent.
 //
-// The raw escape hatches (SendBytes/ReadRawFrame) exist for protocol tests
-// and tooling that must speak malformed or future frames on purpose.
+// The raw escape hatches (SendBytes/ReadRawFrame/ShutdownSend) exist for
+// protocol tests and tooling that must speak malformed or future frames on
+// purpose.
 
 #ifndef WCSD_NET_CLIENT_H_
 #define WCSD_NET_CLIENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,62 +46,20 @@
 
 namespace wcsd {
 
-/// One decoded frame, payload copied out of the stream.
+/// One frame read off the socket, payload copied out of the stream.
 struct WireFrame {
   net::WireHeader header;
   std::vector<uint8_t> payload;
 };
 
-/// Server counters as reported over the wire (kStatsReply): the engine
-/// counters, the result-cache counters (zero when the server's engine
-/// serves uncached), plus the per-shard balance section (empty when the
-/// server's engine is not sharded).
-struct WireStats {
-  uint64_t num_vertices = 0;
-  uint64_t queries = 0;
-  uint64_t reachable = 0;
-  uint64_t batches = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_inserts = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t overload_rejections = 0;
-  uint64_t deadline_rejections = 0;
-  uint64_t shard_unavailable = 0;
-  /// Hot-swap generation serving when the stats were read; 0 when the
-  /// server's service is not swappable, monotone per server otherwise.
-  uint64_t generation = 0;
-  bool draining = false;
-  /// True when the served index carries §V parent quads; false is the
-  /// explicit degraded parent-less mode (e.g. a v1 snapshot).
-  bool has_parents = false;
-  /// Path unwind steps the server resolved through the graph fallback.
-  uint64_t path_fallbacks = 0;
-  /// True when the engine serves the compressed label backend (a v3
-  /// compressed snapshot, or any compressed shard).
-  bool compressed = false;
-  /// Decoded-label cache counters (zero without a decode cache; distance
-  /// queries never consult it). cold_pageins counts label reads that
-  /// walked mmap-backed compressed bytes: each streamed side of a distance
-  /// query, each decode-cache miss, each decode without a cache.
-  uint64_t decode_hits = 0;
-  uint64_t decode_misses = 0;
-  uint64_t cold_pageins = 0;
-  /// Label mass actually served vs. the same labels' flat-backend mass;
-  /// the ratio is the compression ratio (equal on the flat backend).
-  uint64_t label_bytes = 0;
-  uint64_t uncompressed_label_bytes = 0;
+/// A decoded kStatsReply: the server's counters (net::StatsReplyPayload)
+/// and its per-shard balance records (empty when the server's engine is
+/// not sharded).
+struct WireStats : net::StatsReplyPayload {
   std::vector<net::ShardBalancePayload> shards;
 };
 
-/// Decoded kHealthReply.
-struct WireHealth {
-  uint64_t num_vertices = 0;
-  bool draining = false;
-};
-
-/// Reliability policy for a connection. Defaults are fully backward
-/// compatible: no deadline, no retries.
+/// Reliability policy for a connection. Defaults: no deadline, no retries.
 struct WcClientOptions {
   /// End-to-end budget for every public call (and for Connect itself),
   /// spanning all sends, receives, and retry backoffs within the call.
@@ -116,20 +81,12 @@ struct WcClientOptions {
 class WcClient {
  public:
   /// Connects to host:port. `host` must be a numeric IPv4 address or
-  /// "localhost". `timeout_ms` > 0 bounds connect and every subsequent
-  /// send/receive (SO_SNDTIMEO/SO_RCVTIMEO); an expired deadline surfaces
-  /// as a clean IoError instead of a hang. 0 = fully blocking. (Legacy
-  /// shape: per-syscall timeouts, not an end-to-end deadline — prefer the
-  /// options overload.)
+  /// "localhost". options.deadline_ms bounds the whole connect (all
+  /// attempts and backoffs), options.max_retries retries refused
+  /// connections with exponential backoff + jitter, and the returned
+  /// client applies the same policy to every call.
   static Result<WcClient> Connect(const std::string& host, uint16_t port,
-                                  int timeout_ms = 0);
-
-  /// Connects with a reliability policy: options.deadline_ms bounds the
-  /// whole connect (all attempts and backoffs), options.max_retries
-  /// retries refused connections with exponential backoff + jitter, and
-  /// the returned client applies the same policy to every call.
-  static Result<WcClient> Connect(const std::string& host, uint16_t port,
-                                  const WcClientOptions& options);
+                                  const WcClientOptions& options = {});
 
   WcClient(WcClient&& other) noexcept;
   WcClient& operator=(WcClient&& other) noexcept;
@@ -139,12 +96,15 @@ class WcClient {
   Result<Distance> Query(Vertex s, Vertex t, Quality w);
 
   /// All queries in one kBatchQuery frame; results positionally aligned.
+  /// More than net::kMaxBatchQueries queries fail the call (InvalidArgument)
+  /// without touching the connection.
   Result<std::vector<Distance>> Batch(
       const std::vector<BatchQueryInput>& queries);
 
   /// All queries as individual kQuery frames with up to `window` in flight
   /// at once; results positionally aligned. This is the low-latency shape
-  /// for streams of independent queries.
+  /// for streams of independent queries. The deadline applies; retries do
+  /// not (replies already consumed cannot be safely replayed).
   Result<std::vector<Distance>> QueryPipelined(
       const std::vector<BatchQueryInput>& queries, size_t window = 64);
 
@@ -167,12 +127,9 @@ class WcClient {
 
   Result<WireStats> Stats();
 
-  /// Round-trips a kHealth frame; returns the served vertex count.
-  Result<uint64_t> Health();
-
-  /// Round-trips a kHealth frame; returns the full decoded payload
-  /// (vertex count plus the draining flag).
-  Result<WireHealth> HealthEx();
+  /// Round-trips a kHealth frame: the served vertex count and whether the
+  /// server is draining.
+  Result<net::HealthReplyPayload> Health();
 
   // ---- raw protocol access (tests, tooling) ----
 
@@ -188,15 +145,22 @@ class WcClient {
   Status ShutdownSend();
 
  private:
-  explicit WcClient(int fd) : fd_(fd) {}
+  WcClient(int fd, const WcClientOptions& options);
 
-  static Result<WcClient> ConnectOnce(const std::string& host, uint16_t port,
-                                      uint64_t deadline_at_ms);
+  /// The one request path (see the file comment). `records` is the
+  /// request's record count, checked against net::kMaxBatchQueries before
+  /// anything is sent; `encode(out, id)` appends the request frame and
+  /// `decode(payload, &value)` fills the result, false for a reply that
+  /// breaks its shape or its family's count rule.
+  template <typename T, typename Encode, typename Decode>
+  Result<T> Call(net::MsgType reply_type, size_t records, Encode encode,
+                 Decode decode);
 
-  /// Reads one frame and checks it is `expected` with status kOk and the
-  /// given request id; turns kError frames into a clean Status (recording
-  /// the wire error so the retry loop can tell kOverloaded apart).
-  Result<WireFrame> ReadReply(net::MsgType expected, uint64_t request_id);
+  /// Reads one frame and checks it is `expected` with status kOk and a
+  /// request id in [first_id, end_id); turns kError frames into a clean
+  /// Status (recording the wire error so Call can tell kOverloaded apart).
+  Result<WireFrame> ReadReply(net::MsgType expected, uint64_t first_id,
+                              uint64_t end_id);
 
   /// Arms the whole-request deadline for one public call: deadline_at_ms_
   /// = now + options.deadline_ms (0 = unbounded). Every send/receive
@@ -205,11 +169,6 @@ class WcClient {
   /// Checks the remaining budget and narrows the socket timeout to it.
   /// `which` is SO_SNDTIMEO or SO_RCVTIMEO.
   Status ArmTimeout(int which);
-  /// Runs `attempt` under the retry policy: retries only kOverloaded
-  /// rejections, with exponential backoff + jitter, never past the
-  /// deadline.
-  template <typename T>
-  Result<T> RetryLoop(const std::function<Result<T>()>& attempt);
 
   int fd_ = -1;
   uint64_t next_request_id_ = 1;

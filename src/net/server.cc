@@ -12,7 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -370,16 +370,9 @@ struct WcServer::Impl {
         if (st != FrameStatus::kOk) {
           // Framing error: the stream is poisoned. Reply once and close.
           // The oversized case has a trustworthy header, so echo its id.
-          WireError error = st == FrameStatus::kBadMagic
-                                ? WireError::kBadMagic
-                            : st == FrameStatus::kBadVersion
-                                ? WireError::kBadVersion
-                                : WireError::kOversizedFrame;
-          uint64_t id =
-              st == FrameStatus::kOversized ? header.request_id : 0;
-          net::AppendFrame(&conn.out, MsgType::kError, error, id, nullptr,
-                           0);
-          protocol_errors.fetch_add(1, std::memory_order_relaxed);
+          SendError(conn,
+                    st == FrameStatus::kOversized ? header.request_id : 0,
+                    net::FramingError(st));
           conn.close_after_flush = true;
           break;
         }
@@ -428,254 +421,178 @@ struct WcServer::Impl {
       return true;
     }
 
-    void HandleFrame(Connection& conn, const WireHeader& header,
-                     const uint8_t* payload) {
-      const WcServerOptions& options = server->options;
-      const QueryService& service = *server->service;
-      auto reject = [&](WireError error) {
-        net::AppendFrame(&conn.out, MsgType::kError, error,
-                         header.request_id, nullptr, 0);
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      };
-      // Load shedding sends a clean error frame too, but it is not a
-      // protocol error: the request was well-formed and never executed,
-      // and the stream stays healthy for a backed-off retry.
-      auto shed = [&](WireError error) {
-        net::AppendFrame(&conn.out, MsgType::kError, error,
-                         header.request_id, nullptr, 0);
-      };
-      const MsgType type = static_cast<MsgType>(header.type);
-      const bool is_query_frame =
-          type == MsgType::kQuery || type == MsgType::kBatchQuery ||
-          type == MsgType::kTopK || type == MsgType::kProfile ||
-          type == MsgType::kPath;
-      if (is_query_frame) {
-        // Admission control. Stats/health frames are exempt: they are tiny
-        // and exactly what an operator needs while the server is unhappy.
-        if (options.overload_shed_reply_bytes != 0 &&
-            conn.out.size() - conn.out_sent >
-                options.overload_shed_reply_bytes) {
-          shed(WireError::kOverloaded);
+    /// Sends an error frame in place of a reply and counts it. Refusals of
+    /// well-formed frames (overload, deadline, shard unavailable, not
+    /// supported) are not protocol errors: the request never executed and
+    /// the stream stays healthy.
+    void SendError(Connection& conn, uint64_t request_id, WireError error) {
+      net::AppendFrame(&conn.out, MsgType::kError, error, request_id,
+                       nullptr, 0);
+      switch (error) {
+        case WireError::kOverloaded:
           overload_rejections.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        if (options.request_deadline_ms != 0 &&
-            NowMs() - conn.arrival_ms > options.request_deadline_ms) {
-          shed(WireError::kDeadlineExceeded);
+          break;
+        case WireError::kDeadlineExceeded:
           deadline_rejections.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
+          break;
+        case WireError::kShardUnavailable:
+          shard_unavailable_rejections.fetch_add(1,
+                                                 std::memory_order_relaxed);
+          break;
+        case WireError::kNotSupported:
+          break;
+        default:
+          protocol_errors.fetch_add(1, std::memory_order_relaxed);
       }
-      switch (type) {
+    }
+
+    /// Admission control for a query frame asking for `work` records: the
+    /// error it is shed with, or kOk. Stats and health frames skip it:
+    /// they are tiny and exactly what an operator needs while the server
+    /// is unhappy.
+    WireError Admission(const Connection& conn, size_t work) const {
+      const WcServerOptions& options = server->options;
+      if (options.overload_shed_reply_bytes != 0 &&
+          conn.out.size() - conn.out_sent >
+              options.overload_shed_reply_bytes) {
+        return WireError::kOverloaded;
+      }
+      if (options.request_deadline_ms != 0 &&
+          NowMs() - conn.arrival_ms > options.request_deadline_ms) {
+        return WireError::kDeadlineExceeded;
+      }
+      // A batched query, a top-k candidate and a profile threshold are one
+      // query's worth of work each; the batch knob governs them all.
+      if (options.max_batch_queries != 0 &&
+          work > options.max_batch_queries) {
+        return WireError::kOverloaded;
+      }
+      return WireError::kOk;
+    }
+
+    /// Serves one frame: decode, admission, the service call, then the
+    /// encoded reply or one error frame.
+    void HandleFrame(Connection& conn, const WireHeader& header,
+                     const uint8_t* bytes) {
+      const std::span<const uint8_t> payload(bytes, header.payload_bytes);
+      const uint64_t id = header.request_id;
+      const QueryService& service = *server->service;
+      // A query frame is served only if it decoded (else kBadPayload) and
+      // passed admission (else the error it was shed with).
+      auto admitted = [&](bool decoded, size_t work) {
+        const WireError error =
+            decoded ? Admission(conn, work) : WireError::kBadPayload;
+        if (error == WireError::kOk) return true;
+        SendError(conn, id, error);
+        return false;
+      };
+      ServeOutcome outcome = ServeOutcome::kOk;
+      switch (static_cast<MsgType>(header.type)) {
         case MsgType::kQuery: {
-          if (header.payload_bytes != sizeof(net::QueryPayload)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          net::QueryPayload q;
-          std::memcpy(&q, payload, sizeof(q));
+          net::QueryPayload q{};
+          if (!admitted(net::QueryFrame::Decode(payload, &q), 1)) return;
           net::QueryReplyPayload reply{kInfDistance};
-          if (service.QueryEx(q.s, q.t, q.w, &reply.dist) !=
-              ServeOutcome::kOk) {
-            shed(WireError::kShardUnavailable);
-            shard_unavailable_rejections.fetch_add(
-                1, std::memory_order_relaxed);
-            return;
+          outcome = service.QueryEx(q.s, q.t, q.w, &reply.dist);
+          if (outcome == ServeOutcome::kOk) {
+            net::QueryReplyFrame::Append(&conn.out, id, reply);
           }
-          net::AppendFrame(&conn.out, MsgType::kQueryReply, WireError::kOk,
-                           header.request_id, &reply, sizeof(reply));
           break;
         }
         case MsgType::kBatchQuery: {
-          uint32_t count = 0;
-          if (header.payload_bytes < sizeof(count)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          std::memcpy(&count, payload, sizeof(count));
-          if (header.payload_bytes !=
-              sizeof(count) + uint64_t{count} * sizeof(net::QueryPayload)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          if (options.max_batch_queries != 0 &&
-              count > options.max_batch_queries) {
-            shed(WireError::kOverloaded);
-            overload_rejections.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          std::vector<BatchQueryInput> queries(count);
-          if (count > 0) {
-            std::memcpy(queries.data(), payload + sizeof(count),
-                        uint64_t{count} * sizeof(net::QueryPayload));
-          }
+          std::vector<BatchQueryInput> queries;
+          const bool decoded = net::BatchFrame::Decode(payload, &queries);
+          if (!admitted(decoded, queries.size())) return;
           std::vector<Distance> results;
-          if (service.BatchEx(queries, &results) != ServeOutcome::kOk) {
-            shed(WireError::kShardUnavailable);
-            shard_unavailable_rejections.fetch_add(
-                1, std::memory_order_relaxed);
-            return;
+          outcome = service.BatchEx(queries, &results);
+          if (outcome == ServeOutcome::kOk) {
+            net::BatchReplyFrame::Append(&conn.out, id, {}, results);
           }
-          net::AppendBatchReply(&conn.out, header.request_id, results);
           break;
         }
         case MsgType::kTopK: {
-          net::TopKRequestPayload prefix;
-          if (header.payload_bytes < sizeof(prefix)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          std::memcpy(&prefix, payload, sizeof(prefix));
-          if (header.payload_bytes !=
-              sizeof(prefix) + uint64_t{prefix.count} * sizeof(uint32_t)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          // One candidate is one query's worth of work; the batch
-          // admission knob governs it too.
-          if (options.max_batch_queries != 0 &&
-              prefix.count > options.max_batch_queries) {
-            shed(WireError::kOverloaded);
-            overload_rejections.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          std::vector<Vertex> candidates(prefix.count);
-          if (prefix.count > 0) {
-            std::memcpy(candidates.data(), payload + sizeof(prefix),
-                        uint64_t{prefix.count} * sizeof(uint32_t));
-          }
+          net::TopKRequestPayload request{};
+          std::vector<Vertex> candidates;
+          const bool decoded =
+              net::TopKFrame::Decode(payload, &candidates, &request);
+          if (!admitted(decoded, candidates.size())) return;
           std::vector<RankedCandidate> ranked;
-          const ServeOutcome outcome = service.TopKEx(
-              prefix.source, candidates, prefix.w, prefix.k, &ranked);
-          if (outcome != ServeOutcome::kOk) {
-            if (outcome == ServeOutcome::kNotSupported) {
-              shed(WireError::kNotSupported);
-            } else {
-              shed(WireError::kShardUnavailable);
-              shard_unavailable_rejections.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            return;
+          outcome = service.TopKEx(request.source, candidates, request.w,
+                                   request.k, &ranked);
+          if (outcome == ServeOutcome::kOk) {
+            net::TopKReplyFrame::Append(&conn.out, id, {}, ranked);
           }
-          net::AppendTopKReply(&conn.out, header.request_id, ranked);
           break;
         }
         case MsgType::kProfile: {
-          net::ProfileRequestPayload prefix;
-          if (header.payload_bytes < sizeof(prefix)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          std::memcpy(&prefix, payload, sizeof(prefix));
-          if (header.payload_bytes !=
-              sizeof(prefix) + uint64_t{prefix.count} * sizeof(float)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          if (options.max_batch_queries != 0 &&
-              prefix.count > options.max_batch_queries) {
-            shed(WireError::kOverloaded);
-            overload_rejections.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          std::vector<Quality> thresholds(prefix.count);
-          if (prefix.count > 0) {
-            std::memcpy(thresholds.data(), payload + sizeof(prefix),
-                        uint64_t{prefix.count} * sizeof(float));
-          }
+          net::ProfileRequestPayload request{};
+          std::vector<Quality> thresholds;
+          const bool decoded =
+              net::ProfileFrame::Decode(payload, &thresholds, &request);
+          if (!admitted(decoded, thresholds.size())) return;
           std::vector<ProfilePoint> profile;
-          const ServeOutcome outcome =
-              service.ProfileEx(prefix.s, prefix.t, thresholds, &profile);
-          if (outcome != ServeOutcome::kOk) {
-            if (outcome == ServeOutcome::kNotSupported) {
-              shed(WireError::kNotSupported);
-            } else {
-              shed(WireError::kShardUnavailable);
-              shard_unavailable_rejections.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            return;
+          outcome =
+              service.ProfileEx(request.s, request.t, thresholds, &profile);
+          if (outcome == ServeOutcome::kOk) {
+            net::ProfileReplyFrame::Append(&conn.out, id, {}, profile);
           }
-          net::AppendProfileReply(&conn.out, header.request_id, profile);
           break;
         }
         case MsgType::kPath: {
-          if (header.payload_bytes != sizeof(net::QueryPayload)) {
-            reject(WireError::kBadPayload);
-            return;
-          }
-          net::QueryPayload q;
-          std::memcpy(&q, payload, sizeof(q));
+          net::QueryPayload q{};
+          if (!admitted(net::PathFrame::Decode(payload, &q), 1)) return;
           std::vector<Vertex> path;
-          const ServeOutcome outcome = service.PathEx(q.s, q.t, q.w, &path);
-          if (outcome != ServeOutcome::kOk) {
-            if (outcome == ServeOutcome::kNotSupported) {
-              shed(WireError::kNotSupported);
-            } else {
-              shed(WireError::kShardUnavailable);
-              shard_unavailable_rejections.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            return;
+          outcome = service.PathEx(q.s, q.t, q.w, &path);
+          if (outcome == ServeOutcome::kOk) {
+            net::PathReplyFrame::Append(&conn.out, id, {}, path);
           }
-          net::AppendPathReply(&conn.out, header.request_id, path);
           break;
         }
         case MsgType::kStats: {
-          if (header.payload_bytes != 0) {
-            reject(WireError::kBadPayload);
-            return;
+          if (!payload.empty()) {
+            return SendError(conn, id, WireError::kBadPayload);
           }
-          QueryEngineStats stats = service.Stats();
+          const QueryEngineStats stats = service.Stats();
           const WcServerStats server_stats = server->Aggregate();
-          net::StatsReplyPayload reply{
-              service.NumVertices(),
-              stats.queries,
-              stats.reachable,
-              stats.batches,
-              stats.cache_hits,
-              stats.cache_misses,
-              stats.cache_inserts,
-              stats.cache_evictions,
-              server_stats.overload_rejections,
-              server_stats.deadline_rejections,
-              stats.shard_unavailable,
-              stats.generation,
-              server->draining.load(std::memory_order_relaxed) ? 1u : 0u,
+          const net::StatsReplyPrefix prefix{
+              {service.NumVertices(), stats.queries, stats.reachable,
+               stats.batches, stats.cache_hits, stats.cache_misses,
+               stats.cache_inserts, stats.cache_evictions,
+               server_stats.overload_rejections,
+               server_stats.deadline_rejections, stats.shard_unavailable,
+               stats.generation, server_stats.draining ? 1u : 0u, 0,
+               stats.has_parents, stats.path_fallbacks, stats.compressed,
+               stats.decode_hits, stats.decode_misses, stats.cold_pageins,
+               stats.label_bytes, stats.uncompressed_label_bytes},
               0,
-              stats.has_parents,
-              stats.path_fallbacks,
-              stats.compressed,
-              stats.decode_hits,
-              stats.decode_misses,
-              stats.cold_pageins,
-              stats.label_bytes,
-              stats.uncompressed_label_bytes};
+              0};
           std::vector<net::ShardBalancePayload> shards;
           for (const ShardBalanceEntry& shard : service.ShardBalance()) {
             shards.push_back(net::ShardBalancePayload{
                 shard.vertex_begin, shard.vertex_end, shard.entry_count,
                 shard.label_bytes, shard.quarantined ? 1u : 0u, 0});
           }
-          net::AppendStatsReply(&conn.out, header.request_id, reply, shards);
+          net::StatsReplyFrame::Append(&conn.out, id, prefix, shards);
           break;
         }
         case MsgType::kHealth: {
-          if (header.payload_bytes != 0) {
-            reject(WireError::kBadPayload);
-            return;
+          if (!payload.empty()) {
+            return SendError(conn, id, WireError::kBadPayload);
           }
-          net::HealthReplyPayload reply{
-              service.NumVertices(),
-              server->draining.load(std::memory_order_relaxed) ? 1u : 0u,
-              0};
-          net::AppendFrame(&conn.out, MsgType::kHealthReply, WireError::kOk,
-                           header.request_id, &reply, sizeof(reply));
+          net::HealthReplyFrame::Append(
+              &conn.out, id,
+              {service.NumVertices(),
+               server->draining.load(std::memory_order_relaxed) ? 1u : 0u,
+               0});
           break;
         }
         default:
-          reject(WireError::kUnknownType);
-          return;
+          return SendError(conn, id, WireError::kUnknownType);
+      }
+      if (outcome != ServeOutcome::kOk) {
+        return SendError(conn, id,
+                         outcome == ServeOutcome::kNotSupported
+                             ? WireError::kNotSupported
+                             : WireError::kShardUnavailable);
       }
       frames_served.fetch_add(1, std::memory_order_relaxed);
     }

@@ -32,178 +32,31 @@ const char* WireErrorName(WireError error) {
   return "unknown error";
 }
 
-namespace {
-
-/// Grows `out` by one frame's worth of bytes, writes the header, and
-/// returns the offset where the payload goes.
-size_t AppendHeader(std::vector<uint8_t>* out, MsgType type,
-                    WireError status, uint64_t request_id,
-                    size_t payload_bytes) {
+void AppendFrame(std::vector<uint8_t>* out, MsgType type, WireError status,
+                 uint64_t request_id, const void* payload,
+                 size_t payload_bytes, const void* records,
+                 size_t records_bytes) {
   // Contract (wire.h): no legitimate frame exceeds kMaxPayloadBytes, and
   // the header field is 32-bit — a silent mod-2^32 truncation here would
   // desync the stream, so fail loudly instead.
-  assert(payload_bytes <= kMaxPayloadBytes);
-  WireHeader header;
-  header.magic = kWireMagic;
-  header.version = kWireVersion;
-  header.type = static_cast<uint8_t>(type);
-  header.status = static_cast<uint8_t>(status);
-  header.request_id = request_id;
-  header.payload_bytes = static_cast<uint32_t>(payload_bytes);
-  header.reserved = 0;
-  size_t at = out->size();
-  out->resize(at + sizeof(header) + payload_bytes);
-  std::memcpy(out->data() + at, &header, sizeof(header));
-  return at + sizeof(header);
-}
-
-}  // namespace
-
-void AppendFrame(std::vector<uint8_t>* out, MsgType type, WireError status,
-                 uint64_t request_id, const void* payload,
-                 size_t payload_bytes) {
-  size_t at = AppendHeader(out, type, status, request_id, payload_bytes);
-  if (payload_bytes > 0) {
-    std::memcpy(out->data() + at, payload, payload_bytes);
+  const size_t bytes = payload_bytes + records_bytes;
+  assert(bytes <= kMaxPayloadBytes);
+  const WireHeader header{kWireMagic,
+                          kWireVersion,
+                          static_cast<uint8_t>(type),
+                          static_cast<uint8_t>(status),
+                          request_id,
+                          static_cast<uint32_t>(bytes),
+                          0};
+  const size_t at = out->size();
+  out->resize(at + sizeof(header) + bytes);
+  uint8_t* into = out->data() + at;
+  std::memcpy(into, &header, sizeof(header));
+  into += sizeof(header);
+  if (payload_bytes > 0) std::memcpy(into, payload, payload_bytes);
+  if (records_bytes > 0) {
+    std::memcpy(into + payload_bytes, records, records_bytes);
   }
-}
-
-void AppendQueryRequest(std::vector<uint8_t>* out, uint64_t request_id,
-                        Vertex s, Vertex t, Quality w) {
-  QueryPayload payload{s, t, w};
-  AppendFrame(out, MsgType::kQuery, WireError::kOk, request_id, &payload,
-              sizeof(payload));
-}
-
-void AppendBatchRequest(std::vector<uint8_t>* out, uint64_t request_id,
-                        std::span<const BatchQueryInput> queries) {
-  const uint32_t count = static_cast<uint32_t>(queries.size());
-  // Written straight into `out` — a 16 MiB max-size batch should not pay
-  // for a staging copy of its own payload.
-  size_t at = AppendHeader(out, MsgType::kBatchQuery, WireError::kOk,
-                           request_id,
-                           sizeof(count) + queries.size() * sizeof(QueryPayload));
-  std::memcpy(out->data() + at, &count, sizeof(count));
-  if (!queries.empty()) {
-    std::memcpy(out->data() + at + sizeof(count), queries.data(),
-                queries.size() * sizeof(QueryPayload));
-  }
-}
-
-void AppendBatchReply(std::vector<uint8_t>* out, uint64_t request_id,
-                      std::span<const Distance> results) {
-  const uint32_t count = static_cast<uint32_t>(results.size());
-  size_t at = AppendHeader(out, MsgType::kBatchQueryReply, WireError::kOk,
-                           request_id,
-                           sizeof(count) + results.size() * sizeof(uint32_t));
-  std::memcpy(out->data() + at, &count, sizeof(count));
-  if (!results.empty()) {
-    std::memcpy(out->data() + at + sizeof(count), results.data(),
-                results.size() * sizeof(uint32_t));
-  }
-}
-
-void AppendStatsReply(std::vector<uint8_t>* out, uint64_t request_id,
-                      const StatsReplyPayload& stats,
-                      std::span<const ShardBalancePayload> shards) {
-  const uint32_t count = static_cast<uint32_t>(shards.size());
-  const uint32_t reserved = 0;
-  size_t at = AppendHeader(out, MsgType::kStatsReply, WireError::kOk,
-                           request_id, StatsReplyBytes(shards.size()));
-  std::memcpy(out->data() + at, &stats, sizeof(stats));
-  at += sizeof(stats);
-  std::memcpy(out->data() + at, &count, sizeof(count));
-  at += sizeof(count);
-  std::memcpy(out->data() + at, &reserved, sizeof(reserved));
-  at += sizeof(reserved);
-  if (!shards.empty()) {
-    std::memcpy(out->data() + at, shards.data(),
-                shards.size() * sizeof(ShardBalancePayload));
-  }
-}
-
-void AppendTopKRequest(std::vector<uint8_t>* out, uint64_t request_id,
-                       Vertex source, std::span<const Vertex> candidates,
-                       Quality w, uint32_t k) {
-  TopKRequestPayload prefix{source, w, k,
-                            static_cast<uint32_t>(candidates.size())};
-  size_t at = AppendHeader(out, MsgType::kTopK, WireError::kOk, request_id,
-                           sizeof(prefix) +
-                               candidates.size() * sizeof(uint32_t));
-  std::memcpy(out->data() + at, &prefix, sizeof(prefix));
-  if (!candidates.empty()) {
-    std::memcpy(out->data() + at + sizeof(prefix), candidates.data(),
-                candidates.size() * sizeof(uint32_t));
-  }
-}
-
-void AppendProfileRequest(std::vector<uint8_t>* out, uint64_t request_id,
-                          Vertex s, Vertex t,
-                          std::span<const Quality> thresholds) {
-  ProfileRequestPayload prefix{s, t,
-                               static_cast<uint32_t>(thresholds.size())};
-  size_t at = AppendHeader(out, MsgType::kProfile, WireError::kOk,
-                           request_id,
-                           sizeof(prefix) + thresholds.size() * sizeof(float));
-  std::memcpy(out->data() + at, &prefix, sizeof(prefix));
-  if (!thresholds.empty()) {
-    std::memcpy(out->data() + at + sizeof(prefix), thresholds.data(),
-                thresholds.size() * sizeof(float));
-  }
-}
-
-void AppendPathRequest(std::vector<uint8_t>* out, uint64_t request_id,
-                       Vertex s, Vertex t, Quality w) {
-  QueryPayload payload{s, t, w};
-  AppendFrame(out, MsgType::kPath, WireError::kOk, request_id, &payload,
-              sizeof(payload));
-}
-
-void AppendTopKReply(std::vector<uint8_t>* out, uint64_t request_id,
-                     std::span<const RankedCandidate> ranked) {
-  const uint32_t count = static_cast<uint32_t>(ranked.size());
-  size_t at =
-      AppendHeader(out, MsgType::kTopKReply, WireError::kOk, request_id,
-                   sizeof(count) + ranked.size() * sizeof(RankedCandidate));
-  std::memcpy(out->data() + at, &count, sizeof(count));
-  if (!ranked.empty()) {
-    std::memcpy(out->data() + at + sizeof(count), ranked.data(),
-                ranked.size() * sizeof(RankedCandidate));
-  }
-}
-
-void AppendProfileReply(std::vector<uint8_t>* out, uint64_t request_id,
-                        std::span<const ProfilePoint> profile) {
-  const uint32_t count = static_cast<uint32_t>(profile.size());
-  size_t at =
-      AppendHeader(out, MsgType::kProfileReply, WireError::kOk, request_id,
-                   sizeof(count) + profile.size() * sizeof(ProfilePoint));
-  std::memcpy(out->data() + at, &count, sizeof(count));
-  if (!profile.empty()) {
-    std::memcpy(out->data() + at + sizeof(count), profile.data(),
-                profile.size() * sizeof(ProfilePoint));
-  }
-}
-
-void AppendPathReply(std::vector<uint8_t>* out, uint64_t request_id,
-                     std::span<const Vertex> path) {
-  const uint32_t count = static_cast<uint32_t>(path.size());
-  size_t at =
-      AppendHeader(out, MsgType::kPathReply, WireError::kOk, request_id,
-                   sizeof(count) + path.size() * sizeof(uint32_t));
-  std::memcpy(out->data() + at, &count, sizeof(count));
-  if (!path.empty()) {
-    std::memcpy(out->data() + at + sizeof(count), path.data(),
-                path.size() * sizeof(uint32_t));
-  }
-}
-
-void AppendStatsRequest(std::vector<uint8_t>* out, uint64_t request_id) {
-  AppendFrame(out, MsgType::kStats, WireError::kOk, request_id, nullptr, 0);
-}
-
-void AppendHealthRequest(std::vector<uint8_t>* out, uint64_t request_id) {
-  AppendFrame(out, MsgType::kHealth, WireError::kOk, request_id, nullptr, 0);
 }
 
 FrameStatus ParseFrame(const uint8_t* data, size_t size, size_t max_payload,
@@ -218,6 +71,56 @@ FrameStatus ParseFrame(const uint8_t* data, size_t size, size_t max_payload,
   }
   *payload = data + sizeof(WireHeader);
   return FrameStatus::kOk;
+}
+
+WireError FramingError(FrameStatus status) {
+  switch (status) {
+    case FrameStatus::kBadMagic:
+      return WireError::kBadMagic;
+    case FrameStatus::kBadVersion:
+      return WireError::kBadVersion;
+    case FrameStatus::kOversized:
+      return WireError::kOversizedFrame;
+    case FrameStatus::kNeedMore:
+    case FrameStatus::kOk:
+      break;
+  }
+  return WireError::kOk;
+}
+
+void AppendQueryRequest(std::vector<uint8_t>* out, uint64_t request_id,
+                        Vertex s, Vertex t, Quality w) {
+  QueryFrame::Append(out, request_id, {s, t, w});
+}
+
+void AppendBatchRequest(std::vector<uint8_t>* out, uint64_t request_id,
+                        std::span<const BatchQueryInput> queries) {
+  BatchFrame::Append(out, request_id, {}, queries);
+}
+
+void AppendStatsRequest(std::vector<uint8_t>* out, uint64_t request_id) {
+  AppendFrame(out, MsgType::kStats, WireError::kOk, request_id, nullptr, 0);
+}
+
+void AppendHealthRequest(std::vector<uint8_t>* out, uint64_t request_id) {
+  AppendFrame(out, MsgType::kHealth, WireError::kOk, request_id, nullptr, 0);
+}
+
+void AppendTopKRequest(std::vector<uint8_t>* out, uint64_t request_id,
+                       Vertex source, std::span<const Vertex> candidates,
+                       Quality w, uint32_t k) {
+  TopKFrame::Append(out, request_id, {source, w, k, 0}, candidates);
+}
+
+void AppendProfileRequest(std::vector<uint8_t>* out, uint64_t request_id,
+                          Vertex s, Vertex t,
+                          std::span<const Quality> thresholds) {
+  ProfileFrame::Append(out, request_id, {s, t, 0}, thresholds);
+}
+
+void AppendPathRequest(std::vector<uint8_t>* out, uint64_t request_id,
+                       Vertex s, Vertex t, Quality w) {
+  PathFrame::Append(out, request_id, {s, t, w});
 }
 
 }  // namespace net

@@ -1,4 +1,5 @@
-// The WCSD wire protocol: length-prefixed little-endian binary frames.
+// The WCSD wire protocol: length-prefixed little-endian binary frames, and
+// the one codec that encodes and decodes every payload.
 //
 // Versioned like labeling/snapshot.h: every frame starts with a fixed
 // 24-byte header carrying magic, protocol version, message type, a status
@@ -11,6 +12,16 @@
 // All fields are little-endian fixed-width, the same contract as the
 // on-disk formats (util/endian.h): hosts that can serve a snapshot can
 // speak the protocol with plain struct reads, no per-field marshalling.
+//
+// Every payload has one of two shapes, and this module is the only one
+// that knows which type has which:
+//   fixed    exactly one POD struct (FixedFrame);
+//   counted  a fixed prefix whose u32 `count` field says how many
+//            fixed-size records follow, exactly sizeof(prefix) +
+//            count * sizeof(record) bytes (CountedFrame).
+// The server and the client encode and decode through the per-type
+// aliases below (QueryFrame ... StatsReplyFrame) and never size a payload
+// themselves; ParseFrame is the one header check.
 //
 // Message types and payloads (sizes in bytes):
 //   kQuery       (12)  u32 s, u32 t, f32 w
@@ -73,8 +84,8 @@
 // Framing errors (bad magic, bad version, oversized length) poison the
 // byte stream — the receiver cannot trust where the next frame starts — so
 // the server replies with one kError frame and closes. Payload errors
-// (wrong payload size for the type, unknown type, batch count mismatch)
-// are frame-local: the server replies kError with the offending request id
+// (a payload that is not its type's shape, an unknown type) are
+// frame-local: the server replies kError with the offending request id
 // and the connection keeps serving.
 
 #ifndef WCSD_NET_WIRE_H_
@@ -82,7 +93,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch.h"
@@ -176,19 +189,21 @@ struct WireHeader {
 };
 static_assert(sizeof(WireHeader) == 24);
 
-/// kQuery payload. Matches BatchQueryInput's layout so batch payloads can
-/// be copied in bulk.
+/// kQuery / kPath payload, and one kBatchQuery record (BatchQueryInput has
+/// the same layout).
 struct QueryPayload {
   uint32_t s;
   uint32_t t;
   float w;
 };
 static_assert(sizeof(QueryPayload) == 12);
-static_assert(sizeof(BatchQueryInput) == sizeof(QueryPayload));
 
-/// Most queries one kBatchQuery frame can carry under kMaxPayloadBytes.
-/// Clients must split larger workloads across frames (WcClient::Batch
-/// rejects bigger inputs rather than poison the stream).
+/// Most records (queries, top-k candidates or profile thresholds) one
+/// request frame may carry: what one kBatchQuery frame holds under
+/// kMaxPayloadBytes. One cap for every family keeps each reply under the
+/// limit too (a record answers with at most 8 bytes), so one number
+/// governs how much work one frame may request. WcClient refuses larger
+/// requests without sending them; split them across frames.
 inline constexpr size_t kMaxBatchQueries =
     (kMaxPayloadBytes - sizeof(uint32_t)) / sizeof(QueryPayload);
 
@@ -198,7 +213,7 @@ struct QueryReplyPayload {
 };
 static_assert(sizeof(QueryReplyPayload) == 4);
 
-/// kTopK request fixed prefix; `count` candidate vertex ids follow.
+/// kTopK request prefix; `count` candidate vertex ids follow.
 struct TopKRequestPayload {
   uint32_t source;
   float w;
@@ -207,16 +222,7 @@ struct TopKRequestPayload {
 };
 static_assert(sizeof(TopKRequestPayload) == 16);
 
-/// One kTopKReply record. Matches core/batch.h RankedCandidate so replies
-/// can be encoded and decoded with bulk copies.
-struct RankedCandidatePayload {
-  uint32_t vertex;
-  uint32_t dist;
-};
-static_assert(sizeof(RankedCandidatePayload) == 8);
-static_assert(sizeof(RankedCandidate) == sizeof(RankedCandidatePayload));
-
-/// kProfile request fixed prefix; `count` f32 thresholds follow.
+/// kProfile request prefix; `count` f32 thresholds follow.
 struct ProfileRequestPayload {
   uint32_t s;
   uint32_t t;
@@ -224,27 +230,11 @@ struct ProfileRequestPayload {
 };
 static_assert(sizeof(ProfileRequestPayload) == 12);
 
-/// One kProfileReply record, positionally aligned with the request's
-/// thresholds. Matches core/batch.h ProfilePoint for bulk copies.
-struct ProfilePointPayload {
-  float w;
-  uint32_t dist;
-};
-static_assert(sizeof(ProfilePointPayload) == 8);
-static_assert(sizeof(ProfilePoint) == sizeof(ProfilePointPayload));
-
-/// Most candidates / thresholds one kTopK / kProfile frame can carry.
-/// Deliberately the same cap as kMaxBatchQueries (the batch cap is the
-/// tighter of the two per-element limits), so one knob governs "how much
-/// work may one frame request".
-inline constexpr size_t kMaxTopKCandidates = kMaxBatchQueries;
-inline constexpr size_t kMaxProfileThresholds = kMaxBatchQueries;
-
-/// kStatsReply fixed prefix: the serving engine's aggregate counters,
+/// kStatsReply counters: the serving engine's aggregate counters,
 /// including the result-cache counters (all zero when the server's engine
-/// runs without a cache). The wire payload continues with u32 shard_count,
-/// u32 reserved, and shard_count ShardBalancePayload records (empty for
-/// unsharded engines).
+/// runs without a cache). On the wire they are followed by u32
+/// shard_count, u32 reserved, and shard_count ShardBalancePayload records
+/// (StatsReplyPrefix, empty for unsharded engines).
 struct StatsReplyPayload {
   uint64_t num_vertices;
   uint64_t queries;
@@ -290,12 +280,6 @@ struct ShardBalancePayload {
 };
 static_assert(sizeof(ShardBalancePayload) == 40);
 
-/// Bytes of a kStatsReply payload carrying `shard_count` balance records.
-inline constexpr size_t StatsReplyBytes(size_t shard_count) {
-  return sizeof(StatsReplyPayload) + 2 * sizeof(uint32_t) +
-         shard_count * sizeof(ShardBalancePayload);
-}
-
 /// kHealthReply payload: nonzero vertex count doubles as "index mapped".
 /// `draining` flips to 1 the moment graceful drain begins, so load
 /// balancers can steer new traffic away while in-flight work completes.
@@ -306,15 +290,144 @@ struct HealthReplyPayload {
 };
 static_assert(sizeof(HealthReplyPayload) == 16);
 
-// ------------------------------------------------------------- encoding
+// ------------------------------------------------------------- framing
 
-/// Appends one frame (header + payload copy) to `out`. `payload_bytes`
-/// must not exceed kMaxPayloadBytes (asserted): the header field is
-/// 32-bit, and a silently truncated length would desync the stream.
+/// Appends one frame: the header, `payload_bytes` from `payload`, then
+/// `records_bytes` from `records` (a counted frame's records, copied
+/// straight into `out` with no staging copy). The payload total must not
+/// exceed kMaxPayloadBytes (asserted): the header field is 32-bit, and a
+/// silently truncated length would desync the stream.
 void AppendFrame(std::vector<uint8_t>* out, MsgType type, WireError status,
                  uint64_t request_id, const void* payload,
-                 size_t payload_bytes);
+                 size_t payload_bytes, const void* records = nullptr,
+                 size_t records_bytes = 0);
 
+/// Outcome of trying to delimit one frame in a byte stream.
+enum class FrameStatus {
+  kNeedMore,    // fewer bytes than one complete frame; read more
+  kOk,          // *header/*payload describe one complete frame
+  kBadMagic,    // stream poisoned: close after an error frame
+  kBadVersion,  // stream poisoned: close after an error frame
+  kOversized,   // announced payload exceeds max_payload: close
+};
+
+/// Attempts to parse one frame from [data, data + size). On kOk, fills
+/// `header` and points `payload` at the payload bytes inside the input
+/// (no copy; valid only while the input buffer is). Magic, version and
+/// length are validated as soon as the header is complete, so a poisoned
+/// stream is detected without waiting for the announced payload to arrive
+/// (a bare header that passes reads kNeedMore, or kOk without a payload).
+FrameStatus ParseFrame(const uint8_t* data, size_t size, size_t max_payload,
+                       WireHeader* header, const uint8_t** payload);
+
+/// The wire error a framing failure is reported with (kBadMagic,
+/// kBadVersion or kOversizedFrame); kOk for kOk and kNeedMore.
+WireError FramingError(FrameStatus status);
+
+// ---------------------------------------------------------------- codec
+
+/// A frame whose payload is exactly one `Payload`.
+template <MsgType kType, typename Payload>
+struct FixedFrame {
+  static_assert(std::is_trivially_copyable_v<Payload>);
+
+  static void Append(std::vector<uint8_t>* out, uint64_t request_id,
+                     const Payload& payload) {
+    AppendFrame(out, kType, WireError::kOk, request_id, &payload,
+                sizeof(payload));
+  }
+
+  /// False unless `payload` is exactly one Payload.
+  static bool Decode(std::span<const uint8_t> payload, Payload* out) {
+    if (payload.size() != sizeof(Payload)) return false;
+    std::memcpy(out, payload.data(), sizeof(Payload));
+    return true;
+  }
+};
+
+/// A frame whose payload is a `Prefix` with a u32 `count` field, then
+/// `count` `Record`s. Records are copied in bulk, so a Record's layout is
+/// its wire layout.
+template <MsgType kType, typename PrefixT, typename RecordT>
+struct CountedFrame {
+  using Prefix = PrefixT;
+  using Record = RecordT;
+  static constexpr MsgType kMsgType = kType;
+  static_assert(std::is_trivially_copyable_v<Prefix> &&
+                std::is_trivially_copyable_v<Record>);
+
+  /// Appends one frame: `prefix` with its count set to records.size(),
+  /// then the records.
+  static void Append(std::vector<uint8_t>* out, uint64_t request_id,
+                     Prefix prefix, std::span<const Record> records) {
+    prefix.count = static_cast<uint32_t>(records.size());
+    AppendFrame(out, kType, WireError::kOk, request_id, &prefix,
+                sizeof(prefix), records.data(), records.size_bytes());
+  }
+
+  /// Decodes `payload` into *records, and its prefix into *prefix when
+  /// given. Returns false, before anything is sized by the count, unless
+  /// the payload is exactly sizeof(Prefix) + count * sizeof(Record) bytes.
+  static bool Decode(std::span<const uint8_t> payload,
+                     std::vector<Record>* records, Prefix* prefix = nullptr) {
+    Prefix local{};
+    if (prefix == nullptr) prefix = &local;
+    if (payload.size() < sizeof(Prefix)) return false;
+    std::memcpy(prefix, payload.data(), sizeof(Prefix));
+    const std::span<const uint8_t> body = payload.subspan(sizeof(Prefix));
+    if (body.size() != uint64_t{prefix->count} * sizeof(Record)) return false;
+    records->resize(prefix->count);
+    if (!body.empty()) std::memcpy(records->data(), body.data(), body.size());
+    return true;
+  }
+};
+
+/// The prefix of a counted frame that carries nothing but its count.
+struct CountPrefix {
+  uint32_t count;
+};
+
+/// kStatsReply prefix: the counters, then the number of
+/// ShardBalancePayload records that follow.
+struct StatsReplyPrefix {
+  StatsReplyPayload stats;
+  uint32_t count;
+  uint32_t reserved;  // zero
+};
+static_assert(sizeof(StatsReplyPrefix) == 176);
+
+// Records copied in bulk: each core type's layout is its wire layout.
+static_assert(sizeof(Vertex) == 4 && sizeof(Distance) == 4 &&
+              sizeof(Quality) == 4);
+static_assert(sizeof(BatchQueryInput) == sizeof(QueryPayload) &&
+              offsetof(BatchQueryInput, w) == offsetof(QueryPayload, w));
+static_assert(sizeof(RankedCandidate) == 8 &&
+              offsetof(RankedCandidate, dist) == 4);
+static_assert(sizeof(ProfilePoint) == 8 && offsetof(ProfilePoint, dist) == 4);
+
+// Each message type's shape. kStats and kHealth carry no payload; kError
+// carries none either (its status byte is the message).
+using QueryFrame = FixedFrame<MsgType::kQuery, QueryPayload>;
+using PathFrame = FixedFrame<MsgType::kPath, QueryPayload>;
+using QueryReplyFrame = FixedFrame<MsgType::kQueryReply, QueryReplyPayload>;
+using HealthReplyFrame =
+    FixedFrame<MsgType::kHealthReply, HealthReplyPayload>;
+using BatchFrame =
+    CountedFrame<MsgType::kBatchQuery, CountPrefix, BatchQueryInput>;
+using BatchReplyFrame =
+    CountedFrame<MsgType::kBatchQueryReply, CountPrefix, Distance>;
+using TopKFrame = CountedFrame<MsgType::kTopK, TopKRequestPayload, Vertex>;
+using TopKReplyFrame =
+    CountedFrame<MsgType::kTopKReply, CountPrefix, RankedCandidate>;
+using ProfileFrame =
+    CountedFrame<MsgType::kProfile, ProfileRequestPayload, Quality>;
+using ProfileReplyFrame =
+    CountedFrame<MsgType::kProfileReply, CountPrefix, ProfilePoint>;
+using PathReplyFrame = CountedFrame<MsgType::kPathReply, CountPrefix, Vertex>;
+using StatsReplyFrame = CountedFrame<MsgType::kStatsReply, StatsReplyPrefix,
+                                     ShardBalancePayload>;
+
+/// Request encoders, one line each over the frames above.
 void AppendQueryRequest(std::vector<uint8_t>* out, uint64_t request_id,
                         Vertex s, Vertex t, Quality w);
 void AppendBatchRequest(std::vector<uint8_t>* out, uint64_t request_id,
@@ -329,45 +442,6 @@ void AppendProfileRequest(std::vector<uint8_t>* out, uint64_t request_id,
                           std::span<const Quality> thresholds);
 void AppendPathRequest(std::vector<uint8_t>* out, uint64_t request_id,
                        Vertex s, Vertex t, Quality w);
-
-/// Appends a kBatchQueryReply frame, writing the count and distances
-/// straight into `out` (batch payloads are the big ones; no staging copy).
-void AppendBatchReply(std::vector<uint8_t>* out, uint64_t request_id,
-                      std::span<const Distance> results);
-
-/// Appends a kTopKReply / kProfileReply / kPathReply frame (u32 count +
-/// bulk-copied records, like AppendBatchReply).
-void AppendTopKReply(std::vector<uint8_t>* out, uint64_t request_id,
-                     std::span<const RankedCandidate> ranked);
-void AppendProfileReply(std::vector<uint8_t>* out, uint64_t request_id,
-                        std::span<const ProfilePoint> profile);
-void AppendPathReply(std::vector<uint8_t>* out, uint64_t request_id,
-                     std::span<const Vertex> path);
-
-/// Appends a kStatsReply frame: the fixed counter prefix plus the
-/// per-shard balance section.
-void AppendStatsReply(std::vector<uint8_t>* out, uint64_t request_id,
-                      const StatsReplyPayload& stats,
-                      std::span<const ShardBalancePayload> shards);
-
-// ------------------------------------------------------------- decoding
-
-/// Outcome of trying to delimit one frame in a byte stream.
-enum class FrameStatus {
-  kNeedMore,    // fewer bytes than one complete frame; read more
-  kOk,          // *header/*payload describe one complete frame
-  kBadMagic,    // stream poisoned: close after an error frame
-  kBadVersion,  // stream poisoned: close after an error frame
-  kOversized,   // announced payload exceeds max_payload: close
-};
-
-/// Attempts to parse one frame from [data, data + size). On kOk, fills
-/// `header` and points `payload` at the payload bytes inside the input
-/// (no copy; valid only while the input buffer is). Magic and version are
-/// validated as soon as the header is complete, so a poisoned stream is
-/// detected without waiting for the announced payload to arrive.
-FrameStatus ParseFrame(const uint8_t* data, size_t size, size_t max_payload,
-                       WireHeader* header, const uint8_t** payload);
 
 }  // namespace net
 }  // namespace wcsd

@@ -143,9 +143,11 @@ Status AtomicFileWriter::Commit() {
   // file — which is still a complete file, never a torn one.
   WCSD_RETURN_NOT_OK(
       CheckFailpoint("atomic_file.dirsync", "fsync parent of " + path_));
-  size_t slash = path_.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path_.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const size_t slash = path_.rfind('/');
+  // A file directly under the root keeps the root itself ("/" for "/f").
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path_.substr(0, slash == 0 ? 1 : slash);
   int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd >= 0) {
     // Directory fsync is best-effort: some filesystems refuse it, and the

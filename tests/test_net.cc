@@ -16,12 +16,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,7 +179,7 @@ TEST(WcServer, ServesShardedBackendIdentically) {
 
   auto health = client.Health();
   ASSERT_TRUE(health.ok());
-  EXPECT_EQ(health.value(), n);
+  EXPECT_EQ(health.value().num_vertices, n);
   auto batch = client.Batch(f.workload);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch.value(), f.expected);
@@ -213,7 +215,8 @@ TEST(WcServer, HealthAndStatsReportTheEngine) {
 
   auto health = client.Health();
   ASSERT_TRUE(health.ok()) << health.status().ToString();
-  EXPECT_EQ(health.value(), f.index->NumVertices());
+  EXPECT_EQ(health.value().num_vertices, f.index->NumVertices());
+  EXPECT_EQ(health.value().draining, 0u);
 
   for (size_t i = 0; i < 10; ++i) {
     const BatchQueryInput& q = f.workload[i];
@@ -439,15 +442,11 @@ TEST(WcServer, HalfCloseStillDeliversLargeBufferedReply) {
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame.value().header.type,
             static_cast<uint8_t>(MsgType::kBatchQueryReply));
-  ASSERT_EQ(frame.value().payload.size(),
-            sizeof(uint32_t) + sizeof(uint32_t) * big.size());
+  std::vector<Distance> dists;
+  ASSERT_TRUE(net::BatchReplyFrame::Decode(frame.value().payload, &dists));
+  ASSERT_EQ(dists.size(), big.size());
   for (size_t i : {size_t{0}, big.size() / 2, big.size() - 1}) {
-    uint32_t dist;
-    std::memcpy(&dist,
-                frame.value().payload.data() + sizeof(uint32_t) +
-                    i * sizeof(uint32_t),
-                sizeof(dist));
-    EXPECT_EQ(dist, f.expected[i % f.workload.size()]) << "query " << i;
+    EXPECT_EQ(dists[i], f.expected[i % f.workload.size()]) << "query " << i;
   }
   EXPECT_FALSE(client.ReadRawFrame().ok());  // clean EOF after the drain
 }
@@ -550,9 +549,8 @@ TEST(WcServer, LongReadPassStreamsRepliesBeforeItEnds) {
     ASSERT_EQ(frame.value().header.type,
               static_cast<uint8_t>(MsgType::kQueryReply));
     ASSERT_EQ(frame.value().header.request_id, id);
-    ASSERT_EQ(frame.value().payload.size(), sizeof(net::QueryReplyPayload));
-    net::QueryReplyPayload reply;
-    std::memcpy(&reply, frame.value().payload.data(), sizeof(reply));
+    net::QueryReplyPayload reply{};
+    ASSERT_TRUE(net::QueryReplyFrame::Decode(frame.value().payload, &reply));
     EXPECT_EQ(reply.dist, f.expected[id % f.workload.size()]) << id;
   };
   expect_reply(0);
@@ -562,6 +560,149 @@ TEST(WcServer, LongReadPassStreamsRepliesBeforeItEnds) {
   gated->Open(1 + kBurst);
   for (uint64_t id = 2; id <= kBurst; ++id) expect_reply(id);
   EXPECT_FALSE(gated->timed_out());
+}
+
+/// Answers every counted reply family with one record more than its count
+/// rule allows.
+class OverCountingService final : public QueryService {
+ public:
+  Distance Query(Vertex, Vertex, Quality) const override { return 0; }
+  std::vector<Distance> Batch(
+      const std::vector<BatchQueryInput>& queries) const override {
+    return std::vector<Distance>(queries.size() + 1, 0);
+  }
+  uint64_t NumVertices() const override { return 8; }
+  QueryEngineStats Stats() const override { return {}; }
+  ServeOutcome TopKEx(Vertex, std::span<const Vertex> candidates, Quality,
+                      size_t k,
+                      std::vector<RankedCandidate>* out) const override {
+    out->assign(std::min(k, candidates.size()) + 1, RankedCandidate{1, 1});
+    return ServeOutcome::kOk;
+  }
+  ServeOutcome ProfileEx(Vertex, Vertex, std::span<const Quality> thresholds,
+                         std::vector<ProfilePoint>* out) const override {
+    out->assign(thresholds.size() + 1, ProfilePoint{1.0f, 1});
+    return ServeOutcome::kOk;
+  }
+};
+
+// A reply that breaks its family's count rule cannot be trusted at all:
+// the client returns Corruption, and the well-framed stream keeps serving.
+TEST(WcClient, ReplyBreakingItsCountRuleIsCorruption) {
+  WcServer server = StartServer(std::make_shared<const OverCountingService>());
+  WcClient client = ConnectTo(server);
+
+  // A batch reply must carry one distance per query.
+  EXPECT_EQ(client.Batch({{0, 1, 1.0f}, {1, 2, 1.0f}}).status().code(),
+            StatusCode::kCorruption);
+  // A top-k reply carries at most k records ...
+  EXPECT_EQ(client.TopK(0, {1, 2, 3}, 1.0f, 2).status().code(),
+            StatusCode::kCorruption);
+  // ... and at most one per candidate.
+  EXPECT_EQ(client.TopK(0, {1}, 1.0f, 5).status().code(),
+            StatusCode::kCorruption);
+  // A profile reply carries one point per threshold.
+  EXPECT_EQ(client.Profile(0, 1, {1.0f, 2.0f}).status().code(),
+            StatusCode::kCorruption);
+
+  auto d = client.Query(0, 1, 1.0f);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d.value(), 0u);
+}
+
+// ---------------------------------------------------------------- codec
+
+template <typename T>
+std::string BytesOf(const T* data, size_t n) {
+  return std::string(reinterpret_cast<const char*>(data), n * sizeof(T));
+}
+
+/// The codec contract for one counted frame type, without a socket:
+/// encoding then decoding gives back the input, and the decoder refuses a
+/// short prefix, a count whose records overrun the payload, trailing
+/// bytes, and a count of 0xFFFFFFFF, allocating nothing for any of them.
+template <typename Frame>
+void ExpectCountedCodec(const char* name, typename Frame::Prefix prefix,
+                        const std::vector<typename Frame::Record>& records) {
+  using Prefix = typename Frame::Prefix;
+  using Record = typename Frame::Record;
+  SCOPED_TRACE(name);
+  std::vector<uint8_t> out;
+  Frame::Append(&out, 77, prefix, records);
+  WireHeader header;
+  const uint8_t* at = nullptr;
+  ASSERT_EQ(net::ParseFrame(out.data(), out.size(), net::kMaxPayloadBytes,
+                            &header, &at),
+            net::FrameStatus::kOk);
+  EXPECT_EQ(header.type, static_cast<uint8_t>(Frame::kMsgType));
+  EXPECT_EQ(header.request_id, 77u);
+  const std::vector<uint8_t> payload(at, at + header.payload_bytes);
+
+  Prefix decoded_prefix{};
+  std::vector<Record> decoded;
+  ASSERT_TRUE(Frame::Decode(payload, &decoded, &decoded_prefix));
+  prefix.count = static_cast<uint32_t>(records.size());
+  EXPECT_EQ(BytesOf(&decoded_prefix, 1), BytesOf(&prefix, 1));
+  EXPECT_EQ(BytesOf(decoded.data(), decoded.size()),
+            BytesOf(records.data(), records.size()));
+
+  auto refused = [](const std::vector<uint8_t>& bytes) {
+    std::vector<Record> none;
+    Prefix ignored{};
+    return !Frame::Decode(bytes, &none, &ignored) && none.capacity() == 0;
+  };
+  auto with_count = [&](uint32_t count) {
+    std::vector<uint8_t> bytes = payload;
+    std::memcpy(bytes.data() + offsetof(Prefix, count), &count,
+                sizeof(count));
+    return bytes;
+  };
+  EXPECT_TRUE(refused(std::vector<uint8_t>(
+      payload.begin(), payload.begin() + sizeof(Prefix) - 1)));
+  EXPECT_TRUE(refused(with_count(static_cast<uint32_t>(records.size() + 1))));
+  std::vector<uint8_t> trailing = payload;
+  trailing.push_back(0);
+  EXPECT_TRUE(refused(trailing));
+  EXPECT_TRUE(refused(with_count(0xFFFFFFFFu)));
+}
+
+TEST(WireCodec, CountedFramesRoundTripAndRefuseMalformedPayloads) {
+  ExpectCountedCodec<net::BatchFrame>("kBatchQuery", {},
+                                      {{0, 6, 1.0f}, {2, 5, 2.5f}});
+  ExpectCountedCodec<net::BatchReplyFrame>("kBatchQueryReply", {},
+                                           {3, kInfDistance, 0});
+  ExpectCountedCodec<net::TopKFrame>("kTopK", {4, 2.0f, 3, 0}, {1, 2, 3, 9});
+  ExpectCountedCodec<net::TopKReplyFrame>("kTopKReply", {},
+                                          {{1, 1}, {3, 1}, {2, 2}});
+  ExpectCountedCodec<net::ProfileFrame>("kProfile", {0, 4, 0},
+                                        {1.0f, 2.5f, 5.0f});
+  ExpectCountedCodec<net::ProfileReplyFrame>(
+      "kProfileReply", {}, {{1.0f, 2}, {4.0f, kInfDistance}});
+  ExpectCountedCodec<net::PathReplyFrame>("kPathReply", {}, {2, 3, 5});
+  ExpectCountedCodec<net::PathReplyFrame>("kPathReply, unreachable", {}, {});
+  net::StatsReplyPrefix stats{};
+  stats.stats.num_vertices = 7;
+  stats.stats.queries = 4;
+  stats.stats.label_bytes = 123;
+  ExpectCountedCodec<net::StatsReplyFrame>(
+      "kStatsReply", stats, {{0, 3, 10, 400, 0, 0}, {3, 7, 12, 480, 1, 0}});
+}
+
+TEST(WireCodec, FixedFramesRefuseAnyOtherSize) {
+  std::vector<uint8_t> out;
+  net::AppendPathRequest(&out, 5, 2, 5, 2.0f);
+  const std::vector<uint8_t> payload(out.begin() + sizeof(WireHeader),
+                                     out.end());
+  net::QueryPayload q{};
+  ASSERT_TRUE(net::PathFrame::Decode(payload, &q));
+  EXPECT_EQ(q.s, 2u);
+  EXPECT_EQ(q.t, 5u);
+  EXPECT_EQ(q.w, 2.0f);
+  EXPECT_FALSE(net::PathFrame::Decode(
+      std::span<const uint8_t>(payload).first(payload.size() - 1), &q));
+  std::vector<uint8_t> longer = payload;
+  longer.push_back(0);
+  EXPECT_FALSE(net::PathFrame::Decode(longer, &q));
 }
 
 // ------------------------------------------------------------ malformed
@@ -589,12 +730,10 @@ TEST(WcServerMalformed, BadMagicGetsErrorFrameThenClose) {
   WcServer server = StartServer(MakeQueryService(fx.engine));
   WcClient client = ConnectTo(server);
 
-  WireHeader bad = {};
-  bad.magic = 0xdeadbeef;
-  bad.version = net::kWireVersion;
-  bad.type = static_cast<uint8_t>(MsgType::kQuery);
-  bad.request_id = 7;
-  ASSERT_TRUE(client.SendBytes(&bad, sizeof(bad)).ok());
+  std::vector<uint8_t> out;
+  net::AppendQueryRequest(&out, 7, 0, 1, 1.0f);
+  out[0] ^= 0xFF;  // clobber the magic (offset 0, u32 LE)
+  ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
   auto frame = client.ReadRawFrame();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame.value().header.type, static_cast<uint8_t>(MsgType::kError));
@@ -634,13 +773,14 @@ TEST(WcServerMalformed, OversizedLengthRejectedBeforeAllocation) {
       StartServer(MakeQueryService(fx.engine), /*max_payload=*/4096);
   WcClient client = ConnectTo(server);
 
-  WireHeader bad = {};
-  bad.magic = net::kWireMagic;
-  bad.version = net::kWireVersion;
-  bad.type = static_cast<uint8_t>(MsgType::kBatchQuery);
-  bad.request_id = 42;
-  bad.payload_bytes = 0xFFFFFF00;  // never arrives; header alone rejects
-  ASSERT_TRUE(client.SendBytes(&bad, sizeof(bad)).ok());
+  std::vector<uint8_t> out;
+  net::AppendFrame(&out, MsgType::kBatchQuery, WireError::kOk, 42, nullptr,
+                   0);
+  // Announce a payload that never arrives; the header alone rejects it.
+  const uint32_t announced = 0xFFFFFF00;
+  std::memcpy(out.data() + offsetof(WireHeader, payload_bytes), &announced,
+              sizeof(announced));
+  ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
   auto frame = client.ReadRawFrame();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame.value().header.status,
@@ -697,24 +837,63 @@ TEST(WcServerMalformed, BadPayloadSizeKeepsConnectionServing) {
   fx.ExpectServes(client);
 }
 
-TEST(WcServerMalformed, BatchCountMismatchKeepsConnectionServing) {
+// A counted request whose payload is not its shape — shorter than its
+// prefix, or a count that disagrees with the records it carries — gets
+// kBadPayload, and the same connection keeps serving. One row per counted
+// request type.
+TEST(WcServerMalformed, CountedRequestMismatchKeepsConnectionServing) {
   MalformedFixture fx;
   WcServer server = StartServer(MakeQueryService(fx.engine));
   WcClient client = ConnectTo(server);
 
-  // Announces 10 queries but carries 2.
-  std::vector<uint8_t> payload(4 + 2 * sizeof(net::QueryPayload), 0);
-  uint32_t count = 10;
-  std::memcpy(payload.data(), &count, sizeof(count));
-  std::vector<uint8_t> out;
-  net::AppendFrame(&out, MsgType::kBatchQuery, WireError::kOk, 13,
-                   payload.data(), payload.size());
-  ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
-  auto frame = client.ReadRawFrame();
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame.value().header.status,
-            static_cast<uint8_t>(WireError::kBadPayload));
-  fx.ExpectServes(client);
+  struct Row {
+    MsgType type;
+    std::vector<uint8_t> frame;  // a well-formed request with 2 records
+    size_t prefix_bytes;
+    size_t count_offset;
+  };
+  std::vector<Row> rows(3);
+  rows[0] = {MsgType::kBatchQuery, {}, sizeof(net::CountPrefix),
+             offsetof(net::CountPrefix, count)};
+  net::AppendBatchRequest(&rows[0].frame, 0,
+                          std::vector<BatchQueryInput>{{0, 1, 1.0f},
+                                                       {1, 2, 1.0f}});
+  rows[1] = {MsgType::kTopK, {}, sizeof(net::TopKRequestPayload),
+             offsetof(net::TopKRequestPayload, count)};
+  net::AppendTopKRequest(&rows[1].frame, 0, 0, std::vector<Vertex>{1, 2},
+                         1.0f, 2);
+  rows[2] = {MsgType::kProfile, {}, sizeof(net::ProfileRequestPayload),
+             offsetof(net::ProfileRequestPayload, count)};
+  net::AppendProfileRequest(&rows[2].frame, 0, 0, 1,
+                            std::vector<Quality>{1.0f, 2.0f});
+
+  uint64_t id = 100;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(static_cast<int>(row.type));
+    std::vector<uint8_t> payload(row.frame.begin() + sizeof(WireHeader),
+                                 row.frame.end());
+    std::vector<uint8_t> out;
+    // A prefix cut one byte short.
+    net::AppendFrame(&out, row.type, WireError::kOk, ++id, payload.data(),
+                     row.prefix_bytes - 1);
+    // Announces 10 records but carries 2.
+    const uint32_t count = 10;
+    std::memcpy(payload.data() + row.count_offset, &count, sizeof(count));
+    net::AppendFrame(&out, row.type, WireError::kOk, ++id, payload.data(),
+                     payload.size());
+    ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
+    for (uint64_t expected_id : {id - 1, id}) {
+      auto frame = client.ReadRawFrame();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      EXPECT_EQ(frame.value().header.type,
+                static_cast<uint8_t>(MsgType::kError));
+      EXPECT_EQ(frame.value().header.status,
+                static_cast<uint8_t>(WireError::kBadPayload));
+      EXPECT_EQ(frame.value().header.request_id, expected_id);
+    }
+    fx.ExpectServes(client);
+  }
+  EXPECT_EQ(server.stats().protocol_errors, 2 * rows.size());
 }
 
 TEST(WcServerMalformed, UnknownTypeKeepsConnectionServing) {
@@ -852,53 +1031,51 @@ TEST(WireGolden, ServerRepliesAreByteStable) {
          "WCSD_REGEN_WIRE_GOLDEN=1";
 }
 
-// Decoding the pinned reply stream must yield the paper's answers — the
-// semantic half of the golden contract (the byte compare is the format
-// half).
+// Decoding the pinned reply stream with the codec the client uses must
+// yield the paper's answers — the semantic half of the golden contract (the
+// byte compare is the format half).
 TEST(WireGolden, GoldenRepliesDecodeToPaperAnswers) {
   std::string golden = ReadFileBytes(GoldenPath("wire_replies.bin"));
   const uint8_t* data = reinterpret_cast<const uint8_t*>(golden.data());
   size_t at = 0;
-  auto next = [&](MsgType expected_type) -> const uint8_t* {
+  // The next frame's payload; empty when the golden is stale.
+  auto next = [&](MsgType expected_type) -> std::span<const uint8_t> {
     WireHeader header;
     const uint8_t* payload = nullptr;
     EXPECT_EQ(net::ParseFrame(data + at, golden.size() - at,
                               net::kMaxPayloadBytes, &header, &payload),
               net::FrameStatus::kOk);
-    if (payload == nullptr) return nullptr;  // stale golden: stop decoding
+    if (payload == nullptr) return {};
     EXPECT_EQ(header.type, static_cast<uint8_t>(expected_type));
     at += sizeof(WireHeader) + header.payload_bytes;
-    return payload;
+    return {payload, header.payload_bytes};
   };
-
-  const uint8_t* health_payload = next(MsgType::kHealthReply);
-  ASSERT_NE(health_payload, nullptr);
-  net::HealthReplyPayload health;
-  std::memcpy(&health, health_payload, sizeof(health));
   QualityGraph g = MakeFigure3Graph();
-  EXPECT_EQ(health.num_vertices, g.NumVertices());
 
-  const uint8_t* query_payload = next(MsgType::kQueryReply);
-  ASSERT_NE(query_payload, nullptr);
-  net::QueryReplyPayload query;
-  std::memcpy(&query, query_payload, sizeof(query));
+  net::HealthReplyPayload health{};
+  ASSERT_TRUE(
+      net::HealthReplyFrame::Decode(next(MsgType::kHealthReply), &health));
+  EXPECT_EQ(health.num_vertices, g.NumVertices());
+  EXPECT_EQ(health.draining, 0u);
+
+  net::QueryReplyPayload query{};
+  ASSERT_TRUE(
+      net::QueryReplyFrame::Decode(next(MsgType::kQueryReply), &query));
   EXPECT_EQ(query.dist, 2u);  // the paper's dist(2, 5 | w >= 2) spot check
 
-  const uint8_t* batch = next(MsgType::kBatchQueryReply);
-  ASSERT_NE(batch, nullptr);
-  uint32_t count;
-  std::memcpy(&count, batch, sizeof(count));
-  EXPECT_EQ(count, 3u);
+  std::vector<Distance> batch;
+  ASSERT_TRUE(
+      net::BatchReplyFrame::Decode(next(MsgType::kBatchQueryReply), &batch));
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[1], query.dist);  // the batch repeats the single query
 
-  const uint8_t* stats_payload = next(MsgType::kStatsReply);
-  ASSERT_NE(stats_payload, nullptr);
-  net::StatsReplyPayload stats;
-  std::memcpy(&stats, stats_payload, sizeof(stats));
+  net::StatsReplyPrefix prefix{};
+  std::vector<net::ShardBalancePayload> shards;
+  ASSERT_TRUE(net::StatsReplyFrame::Decode(next(MsgType::kStatsReply),
+                                           &shards, &prefix));
+  const net::StatsReplyPayload& stats = prefix.stats;
   EXPECT_EQ(stats.num_vertices, g.NumVertices());
-  uint32_t shard_count;
-  std::memcpy(&shard_count, stats_payload + sizeof(stats),
-              sizeof(shard_count));
-  EXPECT_EQ(shard_count, 0u);  // the golden server is unsharded
+  EXPECT_TRUE(shards.empty());  // the golden server is unsharded
   EXPECT_EQ(stats.queries, 4u);   // 1 single + 3 batched
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.cache_hits, 0u);  // the golden server serves uncached
@@ -910,7 +1087,6 @@ TEST(WireGolden, GoldenRepliesDecodeToPaperAnswers) {
   // v5: the golden server is not swappable, so its generation is 0.
   EXPECT_EQ(stats.generation, 0u);
   EXPECT_EQ(stats.draining, 0u);
-  EXPECT_EQ(health.draining, 0u);
   // v6: fig3_golden.wcsnap is a v1 snapshot without parent quads, so the
   // server must report the degraded parent-less mode explicitly. The stats
   // frame precedes the kPath frame in the script, so fallbacks are 0 here.
@@ -919,46 +1095,34 @@ TEST(WireGolden, GoldenRepliesDecodeToPaperAnswers) {
 
   // v6 top-k: distances from v0 at w=1 are v1:1, v3:1, v2:2 (ties break by
   // vertex id).
-  const uint8_t* topk_payload = next(MsgType::kTopKReply);
-  ASSERT_NE(topk_payload, nullptr);
-  std::memcpy(&count, topk_payload, sizeof(count));
-  ASSERT_EQ(count, 3u);
+  std::vector<RankedCandidate> ranked;
+  ASSERT_TRUE(net::TopKReplyFrame::Decode(next(MsgType::kTopKReply), &ranked));
+  ASSERT_EQ(ranked.size(), 3u);
   const uint32_t expected_topk[3][2] = {{1, 1}, {3, 1}, {2, 2}};
   for (size_t i = 0; i < 3; ++i) {
-    net::RankedCandidatePayload ranked;
-    std::memcpy(&ranked,
-                topk_payload + sizeof(count) + i * sizeof(ranked),
-                sizeof(ranked));
-    EXPECT_EQ(ranked.vertex, expected_topk[i][0]) << "rank " << i;
-    EXPECT_EQ(ranked.dist, expected_topk[i][1]) << "rank " << i;
+    EXPECT_EQ(ranked[i].vertex, expected_topk[i][0]) << "rank " << i;
+    EXPECT_EQ(ranked[i].dist, expected_topk[i][1]) << "rank " << i;
   }
 
   // v6 profile: the paper's (v0, v4) trade-off curve — d = 2/3/4 at
   // w = 1/2/3, unreachable past w = 3.
-  const uint8_t* profile_payload = next(MsgType::kProfileReply);
-  ASSERT_NE(profile_payload, nullptr);
-  std::memcpy(&count, profile_payload, sizeof(count));
-  ASSERT_EQ(count, 5u);
+  std::vector<ProfilePoint> profile;
+  ASSERT_TRUE(net::ProfileReplyFrame::Decode(next(MsgType::kProfileReply),
+                                             &profile));
+  ASSERT_EQ(profile.size(), 5u);
   const uint32_t expected_profile[5] = {2, 3, 4, kInfDistance,
                                         kInfDistance};
   for (size_t i = 0; i < 5; ++i) {
-    net::ProfilePointPayload point;
-    std::memcpy(&point,
-                profile_payload + sizeof(count) + i * sizeof(point),
-                sizeof(point));
-    EXPECT_EQ(point.w, static_cast<float>(i + 1)) << "threshold " << i;
-    EXPECT_EQ(point.dist, expected_profile[i]) << "threshold " << i;
+    EXPECT_EQ(profile[i].quality, static_cast<float>(i + 1))
+        << "threshold " << i;
+    EXPECT_EQ(profile[i].dist, expected_profile[i]) << "threshold " << i;
   }
 
   // v6 path: a valid w>=2 route for the paper's dist(2, 5 | w >= 2) = 2
   // spot check — exactly dist+1 vertices, endpoints included.
-  const uint8_t* path_payload = next(MsgType::kPathReply);
-  ASSERT_NE(path_payload, nullptr);
-  std::memcpy(&count, path_payload, sizeof(count));
-  ASSERT_EQ(count, 3u);
-  std::vector<Vertex> path(count);
-  std::memcpy(path.data(), path_payload + sizeof(count),
-              count * sizeof(Vertex));
+  std::vector<Vertex> path;
+  ASSERT_TRUE(net::PathReplyFrame::Decode(next(MsgType::kPathReply), &path));
+  ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path.front(), 2u);
   EXPECT_EQ(path.back(), 5u);
   EXPECT_TRUE(IsValidWPath(g, path, 2.0f));

@@ -51,9 +51,14 @@ class ParallelBuildIdentityTest : public testing::TestWithParam<IdentityCase> {
 
 std::string IdentityCaseName(const testing::TestParamInfo<IdentityCase>& info) {
   auto [graph_kind, ordering, threads, batch] = info.param;
-  return "g" + std::to_string(graph_kind) +
-         (ordering == Ordering::kTreeDecomposition ? "tree" : "") + "t" +
-         std::to_string(threads) + "b" + std::to_string(batch);
+  std::string name = "g";
+  name += std::to_string(graph_kind);
+  if (ordering == Ordering::kTreeDecomposition) name += "tree";
+  name += 't';
+  name += std::to_string(threads);
+  name += 'b';
+  name += std::to_string(batch);
+  return name;
 }
 
 TEST_P(ParallelBuildIdentityTest, MatchesSequentialBitForBit) {

@@ -198,7 +198,8 @@ TEST(Reactor, DrainStopsAllReactors) {
 
   // No reactor accepts after drain: connects are refused or die on first
   // use (a racing accept queue entry may still let connect(2) succeed).
-  auto late = WcClient::Connect("127.0.0.1", server.port(), 500);
+  auto late = WcClient::Connect("127.0.0.1", server.port(),
+                                WcClientOptions{.deadline_ms = 500});
   if (late.ok()) {
     auto q = late.value().Query(0, 1, 1.0f);
     EXPECT_FALSE(q.ok());

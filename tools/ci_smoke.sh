@@ -14,11 +14,13 @@
 #   crash     a `build` crashed at the snapshot commit point leaves the old
 #             file byte-identical and still serving
 #   net       TCP serving: query families over a live socket, graph-less
-#             server refuses kPath cleanly
+#             server refuses kPath cleanly, out-of-range --max-batch and
+#             --retries and the retired --timeout-ms are refused
 #   reactors  SO_REUSEPORT per-core serving answers match
 #   live      delta + offline update + SIGHUP hot reload, crash-safe update
 #   manifest  planned shard set served over TCP, SIGTERM graceful drain
-#   degraded  corrupt shard: strict open refuses, --quarantine serves the rest
+#   degraded  corrupt shard: strict open refuses, --quarantine reports the
+#             batch that touches it as refused, --fallback-graph answers it
 #   coldtier  memory-capped cold-tier proof: under a ulimit -v cap the flat
 #             snapshot cannot even mmap while --cold-tier answers 20k
 #             verified queries with the flat backend's exact answer CRC
@@ -35,7 +37,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR=$2; shift 2 ;;
     --build-dir=*) BUILD_DIR=${1#*=}; shift ;;
     -h|--help)
-      sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) SECTIONS+=("$1"); shift ;;
   esac
@@ -162,8 +164,25 @@ section_net() {
   "$CLI" query --connect=127.0.0.1:39117 --s=1 --w=2 --topk=5
   "$CLI" query --connect=127.0.0.1:39117 --s=1 --t=42 --profile --thresholds=1,2,3,4,5
   "$CLI" query --connect=127.0.0.1:39117 --s=1 --t=42 --w=2 --path
+  # --deadline-ms replaced the per-syscall --timeout-ms.
+  if "$CLI" query --connect=127.0.0.1:39117 --s=1 --t=42 --w=2 --timeout-ms=100; then
+    echo "query unexpectedly accepted the retired --timeout-ms"
+    exit 1
+  fi
+  # The retry count is 32-bit; a wider --retries must be refused, not
+  # wrapped to 0.
+  if "$CLI" query --connect=127.0.0.1:39117 --s=1 --t=42 --w=2 --retries=4294967296; then
+    echo "query unexpectedly accepted --retries=4294967296"
+    exit 1
+  fi
   kill -INT "$server_pid"
   wait "$server_pid"
+  # The admission limit is 32-bit; a wider --max-batch must be refused,
+  # not wrapped to 0 ("no limit").
+  if "$CLI" serve --snapshot=ci.wcsnap --listen=0 --max-batch=4294967296 --max-seconds=1; then
+    echo "serve unexpectedly accepted --max-batch=4294967296"
+    exit 1
+  fi
   # A server started WITHOUT --graph must refuse kPath frames cleanly
   # (kNotSupported), not drop the connection.
   "$CLI" serve --snapshot=ci.wcsnap --listen=39121 --max-seconds=30 &
@@ -267,9 +286,21 @@ section_degraded() {
   fi
   "$CLI" serve --manifest=ci_planned.manifest --quarantine --queries=20000 | tee degraded.out
   grep -q "DEGRADED: 1 of 3 shards quarantined" degraded.out
+  # The random batch touches the quarantined range, so it is refused whole:
+  # reported as refused, with no throughput figure and no answer CRC.
+  grep -q "refused the batch of 20000 queries: it touches a quarantined shard range" degraded.out
+  if grep -q "answers crc32c" degraded.out; then
+    echo "a refused batch was reported as answered"
+    exit 1
+  fi
   "$CLI" serve --manifest=ci_planned.manifest --quarantine \
     --fallback-graph=ci.edges --queries=20000 | tee fallback.out
   grep -q "answered online via the fallback graph" fallback.out
+  # The fallback answers every query: some are reachable, and the run has a CRC.
+  reachable=$(sed -n 's/.*, \([0-9][0-9]*\) reachable,.*/\1/p' fallback.out)
+  test -n "$reachable"
+  test "$reachable" -gt 0
+  test -n "$(crc_of < fallback.out)"
 }
 
 # Runs a command under the cold-tier section's address-space cap (the

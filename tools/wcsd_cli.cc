@@ -23,14 +23,15 @@
 //             the given thresholds via the interval kernel (one label merge
 //             per distinct certified interval, not per threshold)
 //   query     --connect=<host:port> --s=<v> --t=<v> --w=<q>
-//             [--timeout-ms=5000] [--deadline-ms=D] [--retries=R]
+//             [--deadline-ms=5000] [--retries=R]
 //             [--topk=K [--candidates=...]]
 //             [--profile --thresholds=...] [--path]
 //             answer one query over the wire protocol from a running
-//             `serve --listen` server; --deadline-ms bounds the whole call
-//             end to end and --retries retries connect failures and
-//             kOverloaded rejections with backoff (both via
-//             WcClientOptions). --topk/--profile/--path speak the v6
+//             `serve --listen` server; --deadline-ms bounds the connect and
+//             then the whole call end to end (0 = unbounded) and --retries
+//             retries connect failures and kOverloaded rejections with
+//             backoff (both via WcClientOptions); the old per-syscall
+//             --timeout-ms is refused. --topk/--profile/--path speak the v6
 //             kTopK/kProfile/kPath frames (--path needs the server started
 //             with `serve --graph`; servers without one refuse with
 //             kNotSupported, surfaced as an Unimplemented status)
@@ -138,6 +139,7 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -366,22 +368,27 @@ int CmdRemoteQuery(const Flags& flags, const std::string& connect) {
                  connect.c_str());
     return 1;
   }
-  int timeout_ms = static_cast<int>(flags.GetInt("timeout-ms", 5000));
-  int64_t deadline_ms = flags.GetInt("deadline-ms", 0);
+  if (flags.Has("timeout-ms")) {
+    std::fprintf(stderr,
+                 "error: --timeout-ms is gone; --deadline-ms bounds the "
+                 "connect and the whole call (default 5000)\n");
+    return 1;
+  }
+  int64_t deadline_ms = flags.GetInt("deadline-ms", 5000);
   int64_t retries = flags.GetInt("retries", 0);
   if (deadline_ms < 0 || retries < 0) {
     std::fprintf(stderr, "error: --deadline-ms/--retries must be >= 0\n");
     return 1;
   }
-  Result<WcClient> client = Status::Unavailable("unconnected");
-  if (deadline_ms > 0 || retries > 0) {
-    WcClientOptions options;
-    options.deadline_ms = static_cast<uint64_t>(deadline_ms);
-    options.max_retries = static_cast<uint32_t>(retries);
-    client = WcClient::Connect(host, port, options);
-  } else {
-    client = WcClient::Connect(host, port, timeout_ms);
+  if (retries > int64_t{UINT32_MAX}) {
+    std::fprintf(stderr,
+                 "error: --retries wants a count in [0, 4294967295]\n");
+    return 1;
   }
+  WcClientOptions options;
+  options.deadline_ms = static_cast<uint64_t>(deadline_ms);
+  options.max_retries = static_cast<uint32_t>(retries);
+  Result<WcClient> client = WcClient::Connect(host, port, options);
   if (!client.ok()) {
     std::fprintf(stderr, "error: %s\n", client.status().ToString().c_str());
     return 1;
@@ -406,12 +413,14 @@ int CmdRemoteQuery(const Flags& flags, const std::string& connect) {
         return 1;
       }
     } else {
-      auto n = client.value().Health();
-      if (!n.ok()) {
-        std::fprintf(stderr, "error: %s\n", n.status().ToString().c_str());
+      auto health = client.value().Health();
+      if (!health.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     health.status().ToString().c_str());
         return 1;
       }
-      if (!ResolveCandidates(flags, s, static_cast<size_t>(n.value()),
+      if (!ResolveCandidates(flags, s,
+                             static_cast<size_t>(health.value().num_vertices),
                              &candidates)) {
         return 1;
       }
@@ -1018,10 +1027,15 @@ int RunWireServer(std::shared_ptr<const QueryService> service,
     std::fprintf(stderr, "error: serve timeouts/limits must be >= 0\n");
     return 1;
   }
+  if (max_batch > int64_t{UINT32_MAX}) {
+    std::fprintf(stderr,
+                 "error: --max-batch wants a count in [0, 4294967295]\n");
+    return 1;
+  }
   options.idle_timeout_ms = static_cast<uint64_t>(idle_ms);
   options.header_timeout_ms = static_cast<uint64_t>(header_ms);
   options.request_deadline_ms = static_cast<uint64_t>(deadline_ms);
-  options.max_batch_queries = static_cast<size_t>(max_batch);
+  options.max_batch_queries = static_cast<uint32_t>(max_batch);
   options.drain_deadline_ms = static_cast<uint64_t>(drain_ms);
   int64_t reactors = flags.GetInt("reactors", 1);
   if (reactors < 1 || reactors > 1024) {
@@ -1339,9 +1353,18 @@ int CmdServe(const Flags& flags) {
                         static_cast<Quality>(rng.NextInRange(1, levels))});
   }
   Timer batch_timer;
-  size_t reachable = 0;
-  std::vector<Distance> answers = current->Batch(workload);
+  std::vector<Distance> answers;
+  const ServeOutcome outcome = current->BatchEx(workload, &answers);
   double serve_seconds = batch_timer.Seconds();
+  if (outcome != ServeOutcome::kOk) {
+    // A degraded engine refuses a batch touching a quarantined range
+    // whole; there are no answers to count or checksum.
+    std::printf("refused the batch of %zu queries: it touches a quarantined "
+                "shard range\n",
+                workload.size());
+    return 0;
+  }
+  size_t reachable = 0;
   for (Distance d : answers) {
     if (d != kInfDistance) ++reachable;
   }
