@@ -580,7 +580,7 @@ void BM_ZipfServeThroughput(benchmark::State& state) {
   const bool cached = state.range(2) != 0;
   QueryEngineOptions options;
   options.num_threads = 1;
-  options.cache_bytes = cached ? (8u << 20) : 0;
+  if (cached) options.shared_cache = std::make_shared<ResultCache>(8u << 20);
   auto opened = QueryEngine::Open(f.snap_path, options);
   if (!opened.ok()) {
     state.SkipWithError("engine open failed");
@@ -649,14 +649,14 @@ void BM_HotSwapLatency(benchmark::State& state) {
 BENCHMARK(BM_HotSwapLatency)->Unit(benchmark::kNanosecond);
 
 // Post-swap cache-hit retention: one shared cache filled by generation A,
-// delta-invalidated scoped to a one-edge upgrade, then replayed through
-// generation B. post_swap_hit_rate is what scoped invalidation preserves;
-// a wholesale Rebind would replay this workload fully cold.
+// handed to B by OpenNextGeneration with a one-edge upgrade delta, then
+// replayed through B. post_swap_hit_rate is what scoped invalidation
+// preserves; a wholesale Rebind would replay this workload fully cold.
 void BM_PostSwapCacheRetention(benchmark::State& state) {
   struct RetentionFixture {
     std::shared_ptr<const WcIndex> index_a;
     std::shared_ptr<const WcIndex> index_b;
-    DeltaImpact impact;
+    DeltaLog delta;  // base fingerprint: generation A's
     std::vector<BatchQueryInput> workload;
   };
   static const RetentionFixture fx = [] {
@@ -672,7 +672,12 @@ void BM_PostSwapCacheRetention(benchmark::State& state) {
     WcIndex b = WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus());
     b.Finalize();
     f.index_b = std::make_shared<const WcIndex>(std::move(b));
-    f.impact = {eu, arc.to, arc.quality, arc.quality + 1.0f};
+    // The upgrade of edge {eu, arc.to} from arc.quality to + 1.
+    const DeltaRecord upgrade{static_cast<uint8_t>(DeltaOp::kUpgrade), {},
+                              eu, arc.to, arc.quality + 1.0f, arc.quality};
+    f.delta.base_fingerprint =
+        IndexContentFingerprint(f.index_a->flat_labels());
+    f.delta.batches.push_back(DeltaBatch{{upgrade}});
     for (const WcsdQuery& q :
          MakeZipfQueryWorkload(d.graph, 8192, /*pool_size=*/2048, 0.99,
                                /*vary_w=*/true, 0x5a5au)) {
@@ -686,14 +691,9 @@ void BM_PostSwapCacheRetention(benchmark::State& state) {
   options.num_threads = 1;
   options.shared_cache = cache;
   QueryEngine engine_a(fx.index_a, options);
-  QueryEngine engine_b(fx.index_b, options);
-  const WcIndex& old_index = *fx.index_a;
-  auto coupled = [&old_index](Vertex s, Vertex t, const DeltaImpact& im,
-                              Quality w_test) {
-    return (old_index.Query(s, im.u, w_test) != kInfDistance &&
-            old_index.Query(im.v, t, w_test) != kInfDistance) ||
-           (old_index.Query(s, im.v, w_test) != kInfDistance &&
-            old_index.Query(im.u, t, w_test) != kInfDistance);
+  const EngineOpener open_b =
+      [](const QueryEngineOptions& next_options) -> Result<QueryEngine> {
+    return QueryEngine(fx.index_b, next_options);
   };
 
   double hits = 0.0;
@@ -703,12 +703,16 @@ void BM_PostSwapCacheRetention(benchmark::State& state) {
     state.PauseTiming();
     cache->Rebind(engine_a.cache_fingerprint());
     benchmark::DoNotOptimize(engine_a.Batch(fx.workload));
-    dropped += static_cast<double>(cache->InvalidateDelta(
-        engine_b.cache_fingerprint(), {&fx.impact, 1}, coupled));
+    auto next = OpenNextGeneration(engine_a, &fx.delta, options, open_b);
+    if (!next.ok() || next.value().cache != CacheHandoff::kScoped) {
+      state.SkipWithError("the delta did not scope the cache");
+      return;
+    }
+    dropped += static_cast<double>(next.value().dropped);
     ResultCacheStats before = cache->stats();
     state.ResumeTiming();
     // The timed section is the post-swap replay through generation B.
-    benchmark::DoNotOptimize(engine_b.Batch(fx.workload));
+    benchmark::DoNotOptimize(next.value().engine->Batch(fx.workload));
     state.PauseTiming();
     ResultCacheStats after = cache->stats();
     hits += static_cast<double>(after.hits - before.hits);

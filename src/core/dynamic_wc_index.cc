@@ -58,40 +58,10 @@ bool DynamicWcIndex::Apply(const DeltaLog& log) {
   // stage every op on the adjacency in log order, rebuild once.
   for (const DeltaBatch& batch : log.batches) {
     for (const DeltaRecord& record : batch.records) {
-      switch (static_cast<DeltaOp>(record.op)) {
-        case DeltaOp::kInsert:
-        case DeltaOp::kUpgrade: {
-          if (record.u == record.v) break;
-          bool updated = false;
-          for (Arc& a : adj_[record.u]) {
-            if (a.to == record.v) {
-              if (record.quality > a.quality) {
-                a.quality = record.quality;
-                for (Arc& b : adj_[record.v]) {
-                  if (b.to == record.u) b.quality = record.quality;
-                }
-              }
-              updated = true;
-              break;
-            }
-          }
-          if (!updated) {
-            adj_[record.u].push_back(Arc{record.v, record.quality});
-            adj_[record.v].push_back(Arc{record.u, record.quality});
-          }
-          break;
-        }
-        case DeltaOp::kDelete: {
-          auto erase_arc = [this](Vertex from, Vertex to) {
-            auto& arcs = adj_[from];
-            auto it = std::find_if(arcs.begin(), arcs.end(),
-                                   [to](const Arc& a) { return a.to == to; });
-            if (it != arcs.end()) arcs.erase(it);
-          };
-          erase_arc(record.u, record.v);
-          erase_arc(record.v, record.u);
-          break;
-        }
+      if (record.op == static_cast<uint8_t>(DeltaOp::kDelete)) {
+        StageErase(record.u, record.v);
+      } else {
+        StageInsert(record.u, record.v, record.quality);
       }
     }
   }
@@ -124,24 +94,40 @@ Distance DynamicWcIndex::Query(Vertex s, Vertex t, Quality w) const {
   return QueryLabels(labels_.For(s), labels_.For(t), w);
 }
 
-void DynamicWcIndex::InsertEdge(Vertex u, Vertex v, Quality q) {
-  assert(u < adj_.size() && v < adj_.size());
-  if (u == v) return;
+bool DynamicWcIndex::StageInsert(Vertex u, Vertex v, Quality q) {
+  if (u == v) return false;
   // Parallel-edge semantics match GraphBuilder: keep the max quality.
   for (Arc& a : adj_[u]) {
-    if (a.to == v) {
-      if (q <= a.quality) return;  // Dominated parallel edge: no-op.
-      a.quality = q;
-      for (Arc& b : adj_[v]) {
-        if (b.to == u) b.quality = q;
-      }
-      ResumeAcross(u, v, q);
-      ResumeAcross(v, u, q);
-      return;
+    if (a.to != v) continue;
+    if (q <= a.quality) return false;  // Dominated parallel edge: no-op.
+    a.quality = q;
+    for (Arc& b : adj_[v]) {
+      if (b.to == u) b.quality = q;
     }
+    return true;
   }
   adj_[u].push_back(Arc{v, q});
   adj_[v].push_back(Arc{u, q});
+  return true;
+}
+
+bool DynamicWcIndex::StageErase(Vertex u, Vertex v) {
+  auto erase_arc = [this](Vertex from, Vertex to) {
+    auto& arcs = adj_[from];
+    auto it = std::find_if(arcs.begin(), arcs.end(),
+                           [to](const Arc& a) { return a.to == to; });
+    if (it == arcs.end()) return false;
+    arcs.erase(it);
+    return true;
+  };
+  const bool existed = erase_arc(u, v);
+  erase_arc(v, u);
+  return existed;
+}
+
+void DynamicWcIndex::InsertEdge(Vertex u, Vertex v, Quality q) {
+  assert(u < adj_.size() && v < adj_.size());
+  if (!StageInsert(u, v, q)) return;
   ResumeAcross(u, v, q);
   ResumeAcross(v, u, q);
 }
@@ -152,26 +138,7 @@ void DynamicWcIndex::InsertEdges(const std::vector<EdgeUpdate>& edges) {
   current_edges /= 2;
   if (edges.size() * 8 > current_edges + 8) {
     // Bulk path: stage everything, rebuild once.
-    for (const EdgeUpdate& e : edges) {
-      if (e.u == e.v) continue;
-      bool updated = false;
-      for (Arc& a : adj_[e.u]) {
-        if (a.to == e.v) {
-          if (e.quality > a.quality) {
-            a.quality = e.quality;
-            for (Arc& b : adj_[e.v]) {
-              if (b.to == e.u) b.quality = e.quality;
-            }
-          }
-          updated = true;
-          break;
-        }
-      }
-      if (!updated) {
-        adj_[e.u].push_back(Arc{e.v, e.quality});
-        adj_[e.v].push_back(Arc{e.u, e.quality});
-      }
-    }
+    for (const EdgeUpdate& e : edges) StageInsert(e.u, e.v, e.quality);
     Rebuild();
     return;
   }
@@ -180,17 +147,7 @@ void DynamicWcIndex::InsertEdges(const std::vector<EdgeUpdate>& edges) {
 
 void DynamicWcIndex::DeleteEdge(Vertex u, Vertex v) {
   assert(u < adj_.size() && v < adj_.size());
-  auto erase_arc = [this](Vertex from, Vertex to) {
-    auto& arcs = adj_[from];
-    auto it = std::find_if(arcs.begin(), arcs.end(),
-                           [to](const Arc& a) { return a.to == to; });
-    if (it == arcs.end()) return false;
-    arcs.erase(it);
-    return true;
-  };
-  bool existed = erase_arc(u, v);
-  erase_arc(v, u);
-  if (existed) Rebuild();
+  if (StageErase(u, v)) Rebuild();
 }
 
 void DynamicWcIndex::ResumeAcross(Vertex from, Vertex to, Quality q) {

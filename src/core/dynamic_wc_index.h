@@ -87,6 +87,13 @@ class DynamicWcIndex {
   WcIndex ReleaseIndex();
 
  private:
+  // Stages edge {u, v} of quality q on the adjacency, keeping the max
+  // quality of parallel edges; true when the adjacency changed.
+  bool StageInsert(Vertex u, Vertex v, Quality q);
+
+  // Removes edge {u, v} from the adjacency; true when it existed.
+  bool StageErase(Vertex u, Vertex v);
+
   // Resumes constrained BFS across new edge (from -> to, quality q) for
   // every hub entry in L(from).
   void ResumeAcross(Vertex from, Vertex to, Quality q);

@@ -323,65 +323,19 @@ std::span<const T> SectionSpan(const std::byte* base,
 
 }  // namespace
 
-Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,
-                     const VertexOrder* order,
-                     std::span<const Vertex> parents,
-                     const SnapshotWriteOptions& write_options) {
-  if (order != nullptr && order->size() != flat.NumVertices()) {
-    return Status::InvalidArgument(
-        "order size does not match the label set");
-  }
-  if (!parents.empty() && parents.size() != flat.raw_entries().size()) {
-    return Status::InvalidArgument(
-        "parents size does not match the entry count");
-  }
-  if (write_options.compress && !parents.empty()) {
-    return Status::InvalidArgument(
-        "compressed snapshots cannot carry parent quads");
-  }
-  SnapshotHeader header = {};
-  header.flags = order != nullptr ? kFlagHasOrder : 0;
-  header.num_vertices_total = flat.NumVertices();
-  header.vertex_begin = 0;
-  header.vertex_end = flat.NumVertices();
-  if (write_options.compress) {
-    const CompressedFlatLabelSet comp = CompressedFlatLabelSet::FromFlat(flat);
-    const SectionData sections[kNumSections] = {
-        {order != nullptr ? order->by_rank().data() : nullptr,
-         order != nullptr ? order->size() : 0},
-        {comp.raw_offsets().data(), comp.raw_offsets().size()},
-        {nullptr, 0},
-        {comp.raw_group_offsets().data(), comp.raw_group_offsets().size()},
-        {nullptr, 0},
-        {nullptr, 0},
-        {comp.raw_comp_offsets().data(), comp.raw_comp_offsets().size()},
-        {comp.raw_blob().data(), comp.raw_blob().size()},
-        {comp.raw_dictionary().data(), comp.raw_dictionary().size()},
-    };
-    return WriteSnapshotFile(path, header, sections);
-  }
-  const SectionData sections[kNumSections] = {
-      {order != nullptr ? order->by_rank().data() : nullptr,
-       order != nullptr ? order->size() : 0},
-      {flat.raw_offsets().data(), flat.raw_offsets().size()},
-      {flat.raw_entries().data(), flat.raw_entries().size()},
-      {flat.raw_group_offsets().data(), flat.raw_group_offsets().size()},
-      {flat.raw_groups().data(), flat.raw_groups().size()},
-      {parents.data(), parents.size()},
-      {nullptr, 0},
-      {nullptr, 0},
-      {nullptr, 0},
-  };
-  return WriteSnapshotFile(path, header, sections);
-}
+namespace {
 
-Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
-                          uint64_t begin, uint64_t end,
-                          uint64_t num_vertices_total,
-                          std::span<const Vertex> parents,
-                          const SnapshotWriteOptions& write_options) {
-  if (begin > end || end > flat.NumVertices() ||
-      num_vertices_total != flat.NumVertices()) {
+// The one snapshot writer: the labels of vertices [begin, end) of `flat`,
+// rebased so the file stands alone, plus the order section (and
+// kFlagHasOrder) when `order` is set. A full snapshot is the [0, n) range
+// with its order.
+Status WriteLabelRange(const std::string& path, const FlatLabelSet& flat,
+                       uint64_t begin, uint64_t end, const VertexOrder* order,
+                       std::span<const Vertex> parents,
+                       const SnapshotWriteOptions& write_options) {
+  auto offsets = flat.raw_offsets();
+  auto group_offsets = flat.raw_group_offsets();
+  if (begin > end || end >= offsets.size()) {
     return Status::InvalidArgument("invalid shard vertex range");
   }
   if (!parents.empty() && parents.size() != flat.raw_entries().size()) {
@@ -392,10 +346,8 @@ Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
     return Status::InvalidArgument(
         "compressed snapshots cannot carry parent quads");
   }
-  auto offsets = flat.raw_offsets();
-  auto group_offsets = flat.raw_group_offsets();
-  // Rebase the offset arrays so the shard file stands alone. Entry and
-  // group payloads are written as direct slices; HubGroup.begin is already
+  // Rebase the offset arrays so the file stands alone. Entry and group
+  // payloads are written as direct slices; HubGroup.begin is already
   // vertex-relative, so no rewrite is needed there.
   std::vector<uint64_t> local_offsets(end - begin + 1);
   std::vector<uint64_t> local_group_offsets(end - begin + 1);
@@ -408,49 +360,65 @@ Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
   auto groups = flat.raw_groups().subspan(
       group_offsets[begin], group_offsets[end] - group_offsets[begin]);
   // The parents slice tracks the entry slice index-for-index.
-  std::span<const Vertex> shard_parents =
+  std::span<const Vertex> range_parents =
       parents.empty() ? parents
                       : parents.subspan(offsets[begin],
                                         offsets[end] - offsets[begin]);
+  // Compressed, the range is encoded as a self-contained label set (its
+  // own dictionary) and the blob replaces the entry and group sections;
+  // the logical offset arrays stay (FromFlat keeps them verbatim).
+  CompressedFlatLabelSet comp;
+  if (write_options.compress) {
+    comp = CompressedFlatLabelSet::FromFlat(FlatLabelSet::FromExternal(
+        local_offsets, entries, local_group_offsets, groups, nullptr));
+    entries = {};
+    groups = {};
+  }
 
   SnapshotHeader header = {};
-  header.flags = 0;
-  header.num_vertices_total = num_vertices_total;
+  header.flags = order != nullptr ? kFlagHasOrder : 0;
+  header.num_vertices_total = flat.NumVertices();
   header.vertex_begin = begin;
   header.vertex_end = end;
-  if (write_options.compress) {
-    // Compress the shard's slice as a self-contained label set (its own
-    // dictionary): a temporary FlatLabelSet over the rebased arrays. The
-    // spans only live for this function — FromFlat copies what it keeps.
-    const FlatLabelSet slice = FlatLabelSet::FromExternal(
-        local_offsets, entries, local_group_offsets, groups, nullptr);
-    const CompressedFlatLabelSet comp =
-        CompressedFlatLabelSet::FromFlat(slice);
-    const SectionData sections[kNumSections] = {
-        {nullptr, 0},
-        {comp.raw_offsets().data(), comp.raw_offsets().size()},
-        {nullptr, 0},
-        {comp.raw_group_offsets().data(), comp.raw_group_offsets().size()},
-        {nullptr, 0},
-        {nullptr, 0},
-        {comp.raw_comp_offsets().data(), comp.raw_comp_offsets().size()},
-        {comp.raw_blob().data(), comp.raw_blob().size()},
-        {comp.raw_dictionary().data(), comp.raw_dictionary().size()},
-    };
-    return WriteSnapshotFile(path, header, sections);
-  }
   const SectionData sections[kNumSections] = {
-      {nullptr, 0},
+      {order != nullptr ? order->by_rank().data() : nullptr,
+       order != nullptr ? order->size() : 0},
       {local_offsets.data(), local_offsets.size()},
       {entries.data(), entries.size()},
       {local_group_offsets.data(), local_group_offsets.size()},
       {groups.data(), groups.size()},
-      {shard_parents.data(), shard_parents.size()},
-      {nullptr, 0},
-      {nullptr, 0},
-      {nullptr, 0},
+      {range_parents.data(), range_parents.size()},
+      {comp.raw_comp_offsets().data(), comp.raw_comp_offsets().size()},
+      {comp.raw_blob().data(), comp.raw_blob().size()},
+      {comp.raw_dictionary().data(), comp.raw_dictionary().size()},
   };
   return WriteSnapshotFile(path, header, sections);
+}
+
+}  // namespace
+
+Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,
+                     const VertexOrder* order,
+                     std::span<const Vertex> parents,
+                     const SnapshotWriteOptions& write_options) {
+  if (order != nullptr && order->size() != flat.NumVertices()) {
+    return Status::InvalidArgument(
+        "order size does not match the label set");
+  }
+  return WriteLabelRange(path, flat, 0, flat.NumVertices(), order, parents,
+                         write_options);
+}
+
+Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
+                          uint64_t begin, uint64_t end,
+                          uint64_t num_vertices_total,
+                          std::span<const Vertex> parents,
+                          const SnapshotWriteOptions& write_options) {
+  if (num_vertices_total != flat.NumVertices()) {
+    return Status::InvalidArgument("invalid shard vertex range");
+  }
+  return WriteLabelRange(path, flat, begin, end, /*order=*/nullptr, parents,
+                         write_options);
 }
 
 Result<MappedSnapshot> LoadSnapshotMmap(const std::string& path,

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -462,12 +463,15 @@ struct WcServer::Impl {
         return WireError::kDeadlineExceeded;
       }
       // A batched query, a top-k candidate and a profile threshold are one
-      // query's worth of work each; the batch knob governs them all.
-      if (options.max_batch_queries != 0 &&
-          work > options.max_batch_queries) {
-        return WireError::kOverloaded;
-      }
-      return WireError::kOk;
+      // query's worth of work each; the batch knob governs them all. No
+      // frame may ask for more than kMaxBatchQueries records, whatever the
+      // knob says: past that its reply would not fit one frame.
+      const size_t limit =
+          options.max_batch_queries == 0
+              ? net::kMaxBatchQueries
+              : std::min<size_t>(options.max_batch_queries,
+                                 net::kMaxBatchQueries);
+      return work > limit ? WireError::kOverloaded : WireError::kOk;
     }
 
     /// Serves one frame: decode, admission, the service call, then the

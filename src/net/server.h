@@ -96,9 +96,11 @@ struct WcServerOptions {
   /// stays healthy (stats/health still answered) and the client can back
   /// off and retry. 0 disables soft shedding.
   size_t overload_shed_reply_bytes = 32u << 20;
-  /// Largest batch one kBatchQuery frame may carry; bigger batches are
-  /// shed with kOverloaded (the client can split and resend). 0 = no
-  /// limit beyond what the frame size allows.
+  /// Most records (batched queries, top-k candidates or profile
+  /// thresholds) one request frame may carry; bigger requests are shed
+  /// with kOverloaded (the client can split and resend). 0 means
+  /// net::kMaxBatchQueries, which also caps any larger value: past it a
+  /// reply would not fit one frame.
   uint32_t max_batch_queries = 0;
   /// Per-request deadline: a query/batch frame that waited longer than
   /// this (behind earlier frames on any connection) is failed with

@@ -3,6 +3,9 @@
 #include <cassert>
 #include <utility>
 
+#include "labeling/delta.h"
+#include "serve/result_cache.h"
+
 namespace wcsd {
 
 SwappableQueryService::SwappableQueryService(
@@ -96,6 +99,43 @@ ServeOutcome SwappableQueryService::ProfileEx(
 ServeOutcome SwappableQueryService::PathEx(Vertex s, Vertex t, Quality w,
                                            std::vector<Vertex>* out) const {
   return Pin()->PathEx(s, t, w, out);
+}
+
+Result<NextGeneration> OpenNextGeneration(const QueryEngine& current,
+                                          const DeltaLog* delta,
+                                          const QueryEngineOptions& options,
+                                          const EngineOpener& open) {
+  NextGeneration next;
+  QueryEngineOptions next_options = options;
+  if (options.shared_cache != nullptr) {
+    ResultCache& cache = *options.shared_cache;
+    // Runs inside the next engine's construction, after its fingerprint is
+    // known and before its Rebind.
+    next_options.pre_bind_invalidate = [&](uint64_t next_fingerprint) {
+      const uint64_t fingerprint = current.cache_fingerprint();
+      const bool scoped = delta != nullptr && delta->base_fingerprint != 0 &&
+                          delta->base_fingerprint == fingerprint &&
+                          cache.fingerprint() == fingerprint &&
+                          next_fingerprint != fingerprint;
+      if (!scoped) {
+        if (cache.fingerprint() != next_fingerprint) {
+          next.cache = CacheHandoff::kWiped;
+        }
+        return;
+      }
+      const std::vector<DeltaImpact> impacts = DeltaImpacts(*delta);
+      next.cache = CacheHandoff::kScoped;
+      next.dropped = cache.InvalidateDelta(
+          next_fingerprint, impacts,
+          current.has_index() ? ReachabilityCoupling(current.index(), impacts)
+                              : ResultCache::CoupledFn());
+    };
+  }
+  Result<QueryEngine> opened = open(next_options);
+  if (!opened.ok()) return opened.status();
+  next.engine =
+      std::make_shared<const QueryEngine>(std::move(opened).value());
+  return next;
 }
 
 }  // namespace wcsd

@@ -12,18 +12,28 @@
 // stamps it into QueryEngineStats.generation, which the wire kStatsReply
 // carries (protocol v5), so clients can observe reloads. Non-swappable
 // services report generation 0.
+//
+// OpenNextGeneration is the one reload handoff: it opens the engine that
+// replaces the serving one and settles the shared result cache — scoped
+// to a delta log (live updates, the paper's §VIII open problem), kept, or
+// wiped — before the caller publishes the engine with Swap.
 
 #ifndef WCSD_NET_SWAP_SERVICE_H_
 #define WCSD_NET_SWAP_SERVICE_H_
 
 #include <atomic>
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "net/server.h"
+#include "util/status.h"
 
 namespace wcsd {
+
+struct DeltaLog;
 
 class SwappableQueryService : public QueryService {
  public:
@@ -32,19 +42,14 @@ class SwappableQueryService : public QueryService {
 
   /// Atomically retargets all future requests to `next` and returns the
   /// new generation number. In-flight requests finish on the old service.
-  /// Callers sharing a result cache across generations must invalidate it
-  /// (Rebind or InvalidateDelta with the new fingerprint) BEFORE calling
-  /// Swap, so the new generation never reads entries certified only by the
-  /// old index.
+  /// An engine sharing a result cache with the serving one comes from
+  /// OpenNextGeneration, which has settled the cache by the time it
+  /// returns.
   uint64_t Swap(std::shared_ptr<const QueryService> next);
 
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-
-  /// The currently serving inner service (a pin: safe to use after a
-  /// concurrent Swap).
-  std::shared_ptr<const QueryService> Current() const { return Pin(); }
 
   Distance Query(Vertex s, Vertex t, Quality w) const override;
   std::vector<Distance> Batch(
@@ -76,6 +81,44 @@ class SwappableQueryService : public QueryService {
   std::shared_ptr<const QueryService> current_;
   std::atomic<uint64_t> generation_{1};
 };
+
+/// Opens a QueryEngine with the options it is given: a snapshot, a
+/// manifest, or an in-memory index.
+using EngineOpener =
+    std::function<Result<QueryEngine>(const QueryEngineOptions& options)>;
+
+/// What a reload did to the shared result cache.
+enum class CacheHandoff : uint8_t {
+  kKept,    // no shared cache, or the same labels reopened: nothing dropped
+  kScoped,  // InvalidateDelta dropped only the intervals the delta touches
+  kWiped,   // the next engine's Rebind dropped every entry
+};
+
+/// The engine that replaces the serving one, not yet published.
+struct NextGeneration {
+  std::shared_ptr<const QueryEngine> engine;
+  CacheHandoff cache = CacheHandoff::kKept;
+  /// Intervals the scoped invalidation dropped (kScoped only).
+  size_t dropped = 0;
+};
+
+/// The one reload handoff: opens the generation that replaces `current`
+/// through `open` with `options`, then the caller publishes it with Swap.
+/// When `options.shared_cache` is set (and bound to `current`) and `delta`
+/// was written against `current` — its base fingerprint is non-zero and
+/// equals current.cache_fingerprint(), and the next fingerprint differs —
+/// the cache is scoped before the next engine's Rebind:
+///   InvalidateDelta(next fingerprint, DeltaImpacts(*delta),
+///                   ReachabilityCoupling(current.index(), impacts)),
+/// with quality overlap alone when `current` has no index (a manifest
+/// tiling). Otherwise the Rebind settles it: reopening the same labels
+/// keeps the cache, anything else wipes it. `delta` may be null. `current`
+/// must serve until the call returns: its index answers the coupling
+/// probes.
+Result<NextGeneration> OpenNextGeneration(const QueryEngine& current,
+                                          const DeltaLog* delta,
+                                          const QueryEngineOptions& options,
+                                          const EngineOpener& open);
 
 }  // namespace wcsd
 

@@ -59,22 +59,21 @@ QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
     decode_cache_ =
         std::make_shared<DecodedLabelCache>(options_.decode_cache_bytes);
   }
-  if (options_.shared_cache || options_.cache_bytes > 0) {
+  if (options_.shared_cache) {
     cache_fingerprint_ = known_fingerprint.has_value()
                              ? *known_fingerprint
                              : ContentFingerprint(num_vertices_, sources_);
-    cache_ = options_.shared_cache
-                 ? options_.shared_cache
-                 : std::make_shared<ResultCache>(options_.cache_bytes);
+    cache_ = options_.shared_cache;
     if (options_.pre_bind_invalidate) {
       options_.pre_bind_invalidate(cache_fingerprint_);
+      // The hook belongs to the open (its captures may not outlive it).
+      options_.pre_bind_invalidate = nullptr;
     }
-    // Unconditional, shared cache or not (the result_cache.h contract): a
-    // no-op when the cache is already bound to this snapshot — in
-    // particular after a swap coordinator's Rebind/InvalidateDelta — and a
-    // wholesale wipe when it is bound to a different one, so a shared
-    // cache attached without external invalidation can never serve stale
-    // distances.
+    // Unconditional (the result_cache.h contract): a no-op when the cache
+    // is already bound to this snapshot — in particular after
+    // OpenNextGeneration's InvalidateDelta — and a wholesale wipe when it
+    // is bound to a different one, so a cache attached without external
+    // invalidation can never serve stale distances.
     cache_->Rebind(cache_fingerprint_);
   }
 }

@@ -68,32 +68,24 @@ struct QueryEngineOptions {
   /// Smallest batch slice handed to one worker; bounds scheduling overhead
   /// on small batches.
   size_t min_chunk = 64;
-  /// Byte budget for the dominance-aware result cache
-  /// (serve/result_cache.h). 0 (the default) disables caching and leaves
-  /// the query path exactly as before. When enabled, misses are answered
-  /// by the interval-returning merge kernel — answers stay bit-identical
-  /// to the uncached merge — and the engine binds the cache to the served
-  /// labels' content fingerprint (one full pass over the label bytes,
-  /// which faults an mmap'd snapshot in; a manifest open takes the
-  /// fingerprint its manifest records).
-  size_t cache_bytes = 0;
-  /// Externally owned cache shared across engine generations (the hot-swap
-  /// serve path). When set the engine uses it instead of creating its own;
-  /// lookups and inserts are bound to this engine's fingerprint (stale
-  /// generations can neither read nor poison the shared cache), and the
-  /// engine Rebinds unconditionally at open — a no-op when a swap
-  /// coordinator already invalidated (Rebind or InvalidateDelta with this
-  /// engine's fingerprint, before construction), a wholesale wipe when the
-  /// cache is still bound to a different snapshot. cache_bytes is ignored
-  /// when set.
+  /// The dominance-aware result cache (serve/result_cache.h); null (the
+  /// default) serves uncached. The caller owns it, so one cache can
+  /// outlive engine generations (the hot-swap serve path). Misses are
+  /// answered by the interval-returning merge kernel — answers stay
+  /// bit-identical to the uncached merge — and every lookup and insert is
+  /// bound to this engine's content fingerprint (one full pass over the
+  /// label bytes, which faults an mmap'd snapshot in; a manifest open
+  /// takes the fingerprint its manifest records), so stale generations can
+  /// neither read nor poison the cache. The engine Rebinds it
+  /// unconditionally at open: a no-op when it is already bound to these
+  /// labels, a wholesale wipe otherwise. A reload that should keep the
+  /// entries a delta cannot touch goes through OpenNextGeneration
+  /// (net/swap_service.h).
   std::shared_ptr<ResultCache> shared_cache;
-  /// Swap-coordinator hook: called with the engine's computed cache
-  /// fingerprint after the cache is attached but BEFORE the engine's
-  /// unconditional Rebind, while no queries flow through this engine yet.
-  /// A scoped InvalidateDelta(fingerprint, ...) here rebinds the shared
-  /// cache itself, making the engine's Rebind a no-op — surviving entries
-  /// stay warm across the swap instead of being wholesale-wiped. Without
-  /// the hook (or if it does not rebind), the Rebind wipes as usual.
+  /// OpenNextGeneration's hook: called with the engine's fingerprint after
+  /// the cache is attached and before the engine's Rebind, while no query
+  /// flows through the engine yet. Public only until perfbench's server
+  /// calls OpenNextGeneration; nothing else should set it.
   std::function<void(uint64_t fingerprint)> pre_bind_invalidate;
   /// Byte budget for the decoded-label cache (serve/decode_cache.h), used
   /// only when some label source is compressed. It serves the requests
@@ -327,8 +319,8 @@ class QueryEngine final : public QueryService {
   /// global vertex id.
   const DecodedLabelCache* decode_cache() const { return decode_cache_.get(); }
 
-  /// Content fingerprint of the served labels when caching, 0 otherwise.
-  /// The swap coordinator feeds this to Rebind/InvalidateDelta.
+  /// Content fingerprint of the served labels when caching, 0 otherwise:
+  /// the generation every cache read and write of this engine names.
   uint64_t cache_fingerprint() const { return cache_fingerprint_; }
 
  private:

@@ -59,8 +59,7 @@ class SlotWriteSection {
   ResultCache::Slot& slot_;
 };
 
-ResultCache::ResultCache(size_t budget_bytes, bool second_chance_admission)
-    : admission_(second_chance_admission) {
+ResultCache::ResultCache(size_t budget_bytes) {
   const size_t total_slots =
       std::max(kProbeWindow, budget_bytes / sizeof(Slot));
   // ~256 slots per shard before adding stripes, capped at 64 shards: small
@@ -188,18 +187,9 @@ bool ResultCache::ReadSlot(const Slot& slot, SlotSnapshot* out) {
   return false;  // persistent writer contention; caller treats as a miss
 }
 
-bool ResultCache::Lookup(Vertex s, Vertex t, Quality w, Distance* dist) {
-  return LookupImpl(s, t, w, dist, nullptr);
-}
-
 bool ResultCache::LookupBound(Vertex s, Vertex t, Quality w,
                               uint64_t expected_fingerprint,
                               Distance* dist) {
-  return LookupImpl(s, t, w, dist, &expected_fingerprint);
-}
-
-bool ResultCache::LookupImpl(Vertex s, Vertex t, Quality w, Distance* dist,
-                             const uint64_t* expected) {
   const uint64_t key = KeyOf(s, t);
   const uint64_t hash = Mix(key);
   Shard& shard = ShardFor(hash);
@@ -211,7 +201,7 @@ bool ResultCache::LookupImpl(Vertex s, Vertex t, Quality w, Distance* dist,
     if (snap.key != key) continue;
     // The fingerprint was read under the same version validation as the
     // intervals, so a hit here is certified by exactly this generation.
-    if (expected != nullptr && snap.fingerprint != *expected) break;
+    if (snap.fingerprint != expected_fingerprint) break;
     for (uint32_t i = 0; i < snap.count; ++i) {
       if (snap.iv[i].w_lo <= w && w <= snap.iv[i].w_hi) {
         *dist = snap.iv[i].dist;
@@ -225,34 +215,17 @@ bool ResultCache::LookupImpl(Vertex s, Vertex t, Quality w, Distance* dist,
   return false;
 }
 
-void ResultCache::Insert(Vertex s, Vertex t,
-                         const IntervalQueryResult& result) {
-  InsertImpl(s, t, result, nullptr);
-}
-
 void ResultCache::InsertBound(Vertex s, Vertex t,
                               const IntervalQueryResult& result,
                               uint64_t expected_fingerprint) {
-  InsertImpl(s, t, result, &expected_fingerprint);
-}
-
-void ResultCache::InsertImpl(Vertex s, Vertex t,
-                             const IntervalQueryResult& result,
-                             const uint64_t* expected) {
   const uint64_t key = KeyOf(s, t);
   const uint64_t hash = Mix(key);
   Shard& shard = ShardFor(hash);
   const size_t mask = slots_per_shard_ - 1;
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (expected != nullptr &&
-      fingerprint_.load(std::memory_order_acquire) != *expected) {
+  if (fingerprint_.load(std::memory_order_acquire) != expected_fingerprint) {
     return;  // the index this result came from is no longer bound
   }
-  // The generation this insert certifies for: the caller's expected
-  // fingerprint (validated above), else whatever is currently bound.
-  const uint64_t stamp =
-      expected != nullptr ? *expected
-                          : fingerprint_.load(std::memory_order_acquire);
 
   Slot* target = nullptr;
   Slot* empty = nullptr;
@@ -277,21 +250,19 @@ void ResultCache::InsertImpl(Vertex s, Vertex t,
       // tag; the insert is admitted when the key comes back while its tag
       // survives. One-off pairs die in the tag table instead of evicting
       // the hot set.
-      if (admission_) {
-        uint64_t& tag =
-            shard.admit_once[(hash >> 32) & (kAdmissionTags - 1)];
-        if (tag != key) {
-          tag = key;
-          ++shard.admission_rejects;
-          return;
-        }
-        tag = kEmptyKey;  // second touch: consume the tag and admit
+      uint64_t& tag = shard.admit_once[(hash >> 32) & (kAdmissionTags - 1)];
+      if (tag != key) {
+        tag = key;
+        ++shard.admission_rejects;
+        return;
       }
+      tag = kEmptyKey;  // second touch: consume the tag and admit
       target = &shard.slots[(hash + (shard.clock++ % kProbeWindow)) & mask];
       ++shard.evictions;
     }
     fresh = true;
-  } else if (target->fingerprint.load(std::memory_order_relaxed) != stamp) {
+  } else if (target->fingerprint.load(std::memory_order_relaxed) !=
+             expected_fingerprint) {
     // Resident key certified by another generation (possible only inside
     // an InvalidateDelta sweep window): its intervals are not ours to
     // extend — reset the slot to this generation.
@@ -314,7 +285,8 @@ void ResultCache::InsertImpl(Vertex s, Vertex t,
   SlotWriteSection write(*target);
   if (fresh) {
     target->key.store(key, std::memory_order_relaxed);
-    target->fingerprint.store(stamp, std::memory_order_relaxed);
+    target->fingerprint.store(expected_fingerprint,
+                              std::memory_order_relaxed);
     target->count.store(0, std::memory_order_relaxed);
     target->clock = 0;
   }

@@ -17,14 +17,14 @@
 // byte budget is a hard bound.
 //
 // Concurrency: the read path is LOCK-FREE. Every slot is a seqlock — an
-// even/odd version counter brackets all-atomic field updates — so Lookup
-// and LookupBound probe, validate, and return without acquiring any mutex;
+// even/odd version counter brackets all-atomic field updates — so
+// LookupBound probes, validates, and returns without acquiring any mutex;
 // a reader that races a writer simply retries or treats the slot as a miss
-// (always sound: a miss just recomputes). Writers (Insert, InsertBound,
-// Rebind, InvalidateDelta, Clear) still serialize per shard on the stripe
-// mutex, so slot state only ever changes under one writer at a time. This
-// is what lets N per-core server reactors share one cache without the read
-// path becoming the contention wall.
+// (always sound: a miss just recomputes). Writers (InsertBound, Rebind,
+// InvalidateDelta) still serialize per shard on the stripe mutex, so slot
+// state only ever changes under one writer at a time. This is what lets N
+// per-core server reactors share one cache without the read path becoming
+// the contention wall.
 //
 // Admission: a second-chance-on-first-touch policy protects the hot set.
 // An insert that would displace a live key is refused the first time that
@@ -40,17 +40,20 @@
 // Snapshot identity: a cache is bound to the index content fingerprint
 // (labeling/shard_manifest.h IndexContentFingerprint) it was filled from,
 // and every slot additionally records the fingerprint its entries were
-// certified by. Rebind(fingerprint) wholesale-invalidates every entry when
+// certified by. Every read and write names the generation it serves: the
+// one API is LookupBound / InsertBound / GetOrCompute with the engine's
+// fingerprint. Rebind(fingerprint) wholesale-invalidates every entry when
 // the identity changes (snapshot reload, dynamic update), and is a no-op
-// when it does not — engines call it unconditionally at open, shared cache
-// or not (a swap coordinator that already invalidated makes it a no-op).
-// For a small delta between two known snapshots, InvalidateDelta() rebinds
-// while dropping only the entries the delta can touch, keeping the hot set
-// warm across live updates (see the soundness note at its declaration).
-// LookupBound checks the slot's recorded fingerprint under the same
-// slot-version protocol, so an engine of one generation can never read an
-// entry certified by another — even mid-sweep, when the cache-level
-// fingerprint has moved on but stale slots are not yet dropped.
+// when it does not — engines call it unconditionally at open. For a small
+// delta between two known snapshots, InvalidateDelta() rebinds while
+// dropping only the entries the delta can touch, keeping the hot set warm
+// across live updates (see the soundness note at its declaration);
+// OpenNextGeneration (net/swap_service.h) decides which of the two a
+// reload gets. LookupBound checks the slot's recorded fingerprint under
+// the same slot-version protocol, so an engine of one generation can never
+// read an entry certified by another — even mid-sweep, when the
+// cache-level fingerprint has moved on but stale slots are not yet
+// dropped.
 
 #ifndef WCSD_SERVE_RESULT_CACHE_H_
 #define WCSD_SERVE_RESULT_CACHE_H_
@@ -100,21 +103,17 @@ class ResultCache {
 
   /// Budgets ~`budget_bytes` of slot storage (rounded down to a power of
   /// two per shard, floor of one probe window per shard). The budget is
-  /// fixed for the cache's lifetime. `second_chance_admission` gates the
-  /// first-touch admission policy; off, any displacement-required insert
-  /// evicts immediately (the pre-admission behavior, useful for tests and
-  /// scan-heavy workloads).
-  explicit ResultCache(size_t budget_bytes,
-                       bool second_chance_admission = true);
+  /// fixed for the cache's lifetime.
+  explicit ResultCache(size_t budget_bytes);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Binds the cache to an index identity. A changed fingerprint drops
   /// every cached entry (counters survive); an unchanged one is a no-op.
-  /// An insert racing a Rebind may land after the wipe, so a caller
-  /// sharing one cache across snapshot swaps must Rebind before the new
-  /// snapshot starts serving (engines do this unconditionally at open).
+  /// An insert racing a Rebind is swept or dropped (InsertBound), so the
+  /// new snapshot must be bound before it starts serving (engines do this
+  /// unconditionally at open).
   void Rebind(uint64_t fingerprint);
 
   /// Decides whether cached pair (s, t) is reachability-coupled to a
@@ -146,38 +145,22 @@ class ResultCache {
   /// The identity the current contents are valid for.
   uint64_t fingerprint() const;
 
-  /// True (and *dist filled) when a cached interval for (s, t) contains w.
+  /// True (and *dist filled) when a cached interval for (s, t) contains w
+  /// and its slot was certified by exactly `expected_fingerprint`, checked
+  /// under the same slot-version protocol as the payload read. An engine
+  /// of one generation sharing the cache with another can never read the
+  /// other's entries — including mid-InvalidateDelta, when stale slots
+  /// linger after the cache-level fingerprint has already moved on.
   /// Lock-free; may spuriously miss under writer contention (sound).
-  bool Lookup(Vertex s, Vertex t, Quality w, Distance* dist);
-
-  /// Generation-safe lookup: hits only entries whose slot was certified by
-  /// exactly `expected_fingerprint`, checked under the same slot-version
-  /// protocol as the payload read. An engine of one generation sharing the
-  /// cache with another can never read the other's entries — including
-  /// mid-InvalidateDelta, when stale slots linger after the cache-level
-  /// fingerprint has already moved on. Lock-free like Lookup.
   bool LookupBound(Vertex s, Vertex t, Quality w,
                    uint64_t expected_fingerprint, Distance* dist);
 
   /// The lookup-miss-insert sequence the engine runs: returns the cached
-  /// distance on a hit, otherwise calls `compute()` (which must return the
-  /// IntervalQueryResult for (s, t, w)), stores its interval, and returns
-  /// its distance.
-  template <typename ComputeFn>
-  Distance GetOrCompute(Vertex s, Vertex t, Quality w,
-                        const ComputeFn& compute) {
-    Distance dist;
-    if (Lookup(s, t, w, &dist)) return dist;
-    IntervalQueryResult result = compute();
-    Insert(s, t, result);
-    return result.dist;
-  }
-
-  /// Generation-safe variant for a cache shared across engine swaps: the
-  /// lookup hits only entries certified by `expected_fingerprint`
-  /// (LookupBound), and the insert is dropped unless the cache is still
-  /// bound to it at insert time — an old-generation engine racing a swap
-  /// can neither read nor poison the new generation's entries.
+  /// distance on a hit (LookupBound), otherwise calls `compute()` (which
+  /// must return the IntervalQueryResult for (s, t, w)), stores its
+  /// interval (InsertBound), and returns its distance. An old-generation
+  /// engine racing a swap can neither read nor poison the new generation's
+  /// entries.
   template <typename ComputeFn>
   Distance GetOrCompute(Vertex s, Vertex t, Quality w,
                         uint64_t expected_fingerprint,
@@ -189,21 +172,17 @@ class ResultCache {
     return result.dist;
   }
 
-  /// Stores the certified interval for (s, t). Degenerate results (the
+  /// Stores the certified interval for (s, t), stamped with
+  /// `expected_fingerprint`, unless the cache is no longer bound to it
+  /// (checked under the shard mutex; a mismatch drops the insert
+  /// silently). Because Rebind/InvalidateDelta store the new fingerprint
+  /// BEFORE sweeping the shards, a stale insert either lands before the
+  /// sweep (and is swept) or observes the new fingerprint (and is dropped)
+  /// — never survives into the new generation. Degenerate results (the
   /// everywhere-valid interval of out-of-range queries) are cacheable like
   /// any other.
-  void Insert(Vertex s, Vertex t, const IntervalQueryResult& result);
-
-  /// Insert that checks the bound fingerprint under the shard mutex and
-  /// silently drops on mismatch. Because Rebind/InvalidateDelta store the
-  /// new fingerprint BEFORE sweeping the shards, a stale insert either
-  /// lands before the sweep (and is swept) or observes the new fingerprint
-  /// (and is dropped) — never survives into the new generation.
   void InsertBound(Vertex s, Vertex t, const IntervalQueryResult& result,
                    uint64_t expected_fingerprint);
-
-  /// Drops every entry (counters survive).
-  void Clear();
 
   ResultCacheStats stats() const;
 
@@ -272,15 +251,8 @@ class ResultCache {
   /// attempts raced writers (callers treat that as a miss).
   static bool ReadSlot(const Slot& slot, SlotSnapshot* out);
 
-  /// Shared lock-free probe; `expected` non-null adds the per-slot
-  /// fingerprint check (LookupBound).
-  bool LookupImpl(Vertex s, Vertex t, Quality w, Distance* dist,
-                  const uint64_t* expected);
-
-  /// Shared insert path; `expected` non-null adds the fingerprint check
-  /// under the shard mutex (InsertBound).
-  void InsertImpl(Vertex s, Vertex t, const IntervalQueryResult& result,
-                  const uint64_t* expected);
+  /// Drops every entry (counters survive); Rebind's wipe.
+  void Clear();
 
   /// High hash bits pick the shard, low bits the probe base inside it, so
   /// the two stay uncorrelated. num_shards_ and slots_per_shard_ are
@@ -293,7 +265,6 @@ class ResultCache {
   std::unique_ptr<Shard[]> shards_;
   size_t num_shards_ = 0;
   size_t slots_per_shard_ = 0;
-  bool admission_ = true;
 
   /// fingerprint_ is atomic so InsertBound can check it under a shard
   /// mutex only; fingerprint_mu_ still serializes the writers

@@ -181,7 +181,7 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
   // The cached path: the same mmap index behind the dominance-aware result
   // cache, deliberately tiny so replacement churns during the fuzz run.
   QueryEngineOptions cached_serve = serve;
-  cached_serve.cache_bytes = 8 << 10;
+  cached_serve.shared_cache = std::make_shared<ResultCache>(8 << 10);
   auto cached = std::make_shared<const QueryEngine>(
       std::make_shared<const WcIndex>(mm.value()), cached_serve);
 

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,7 +108,7 @@ TEST(WcServer, ReportsCacheCountersOverTheWire) {
   NetFixture f = MakeNetFixture(100, 260, 250, 229);
   QueryEngineOptions options;
   options.num_threads = 1;
-  options.cache_bytes = 64 << 10;
+  options.shared_cache = std::make_shared<ResultCache>(64 << 10);
   auto engine = std::make_shared<const QueryEngine>(f.index, options);
   WcServer server = StartServer(MakeQueryService(engine));
   WcClient client = ConnectTo(server);
@@ -894,6 +895,41 @@ TEST(WcServerMalformed, CountedRequestMismatchKeepsConnectionServing) {
     fx.ExpectServes(client);
   }
   EXPECT_EQ(server.stats().protocol_errors, 2 * rows.size());
+}
+
+// No counted request may carry more than kMaxBatchQueries records, with
+// or without a configured max_batch_queries: past that its reply would not
+// fit one frame. A kProfile frame holding as many thresholds as the frame
+// limit allows, and a kTopK frame one candidate over the cap, are shed with
+// kOverloaded, and the same connection keeps serving.
+TEST(WcServerMalformed, RequestsOverTheRecordCapAreShed) {
+  MalformedFixture fx;
+  WcServer server = StartServer(MakeQueryService(fx.engine));
+  WcClient client = ConnectTo(server);
+
+  const size_t max_thresholds =
+      (net::kMaxPayloadBytes - sizeof(net::ProfileRequestPayload)) /
+      sizeof(Quality);
+  ASSERT_GT(max_thresholds, net::kMaxBatchQueries);
+  std::vector<uint8_t> out;
+  net::AppendProfileRequest(&out, 201, 0, 1,
+                            std::vector<Quality>(max_thresholds, 1.0f));
+  net::AppendTopKRequest(&out, 202, 0,
+                         std::vector<Vertex>(net::kMaxBatchQueries + 1, 1),
+                         1.0f, UINT32_MAX);
+  ASSERT_TRUE(client.SendBytes(out.data(), out.size()).ok());
+  for (uint64_t expected_id : {uint64_t{201}, uint64_t{202}}) {
+    auto frame = client.ReadRawFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame.value().header.type,
+              static_cast<uint8_t>(MsgType::kError));
+    EXPECT_EQ(frame.value().header.status,
+              static_cast<uint8_t>(WireError::kOverloaded));
+    EXPECT_EQ(frame.value().header.request_id, expected_id);
+  }
+  fx.ExpectServes(client);
+  EXPECT_EQ(server.stats().overload_rejections, 2u);
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
 }
 
 TEST(WcServerMalformed, UnknownTypeKeepsConnectionServing) {

@@ -1,8 +1,9 @@
 // The dominance-aware result cache (serve/result_cache.h): interval
 // semantics, undirected key normalization, replacement under a fixed
 // budget, fingerprint invalidation, engine wiring (one-index and sharded
-// engines answer bit-identically with the cache on), and a
-// concurrent hit/insert/invalidate hammer for the TSan CI job.
+// engines answer bit-identically with the cache on), the reload handoff
+// (OpenNextGeneration, net/swap_service.h), and a concurrent
+// hit/insert/invalidate hammer for the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "labeling/shard_manifest.h"
 #include "labeling/shard_plan.h"
 #include "labeling/snapshot.h"
+#include "net/swap_service.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
 #include "util/random.h"
@@ -41,34 +43,35 @@ IntervalQueryResult MakeInterval(Distance dist, Quality lo, Quality hi) {
 
 TEST(ResultCache, IntervalHitSemantics) {
   ResultCache cache(1 << 20);
-  cache.Rebind(0xf00d);
+  constexpr uint64_t kFp = 0xf00d;
+  cache.Rebind(kFp);
   Distance d = 0;
 
-  EXPECT_FALSE(cache.Lookup(3, 7, 2.0f, &d));
-  cache.Insert(3, 7, MakeInterval(5, 1.0f, 3.0f));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, kFp, &d));
+  cache.InsertBound(3, 7, MakeInterval(5, 1.0f, 3.0f), kFp);
 
   // Any constraint inside [1, 3] hits — not just the inserted w.
-  EXPECT_TRUE(cache.Lookup(3, 7, 2.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 2.0f, kFp, &d));
   EXPECT_EQ(d, 5u);
-  EXPECT_TRUE(cache.Lookup(3, 7, 1.0f, &d));
-  EXPECT_TRUE(cache.Lookup(3, 7, 3.0f, &d));
-  EXPECT_TRUE(cache.Lookup(3, 7, 2.5f, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 1.0f, kFp, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 3.0f, kFp, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 2.5f, kFp, &d));
 
   // Outside the interval misses; other pairs miss.
-  EXPECT_FALSE(cache.Lookup(3, 7, 0.5f, &d));
-  EXPECT_FALSE(cache.Lookup(3, 7, 3.5f, &d));
-  EXPECT_FALSE(cache.Lookup(3, 8, 2.0f, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 0.5f, kFp, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 3.5f, kFp, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 8, 2.0f, kFp, &d));
 
   // The graph is undirected: (t, s) shares the entry.
-  EXPECT_TRUE(cache.Lookup(7, 3, 2.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(7, 3, 2.0f, kFp, &d));
   EXPECT_EQ(d, 5u);
 
   // Unbounded intervals (unreachable pairs, s == t) work, including +inf.
-  cache.Insert(1, 2, MakeInterval(kInfDistance, 4.0f, kInfQuality));
-  EXPECT_TRUE(cache.Lookup(1, 2, kInfQuality, &d));
+  cache.InsertBound(1, 2, MakeInterval(kInfDistance, 4.0f, kInfQuality), kFp);
+  EXPECT_TRUE(cache.LookupBound(1, 2, kInfQuality, kFp, &d));
   EXPECT_EQ(d, kInfDistance);
-  EXPECT_TRUE(cache.Lookup(1, 2, 1e30f, &d));
-  EXPECT_FALSE(cache.Lookup(1, 2, 3.5f, &d));
+  EXPECT_TRUE(cache.LookupBound(1, 2, 1e30f, kFp, &d));
+  EXPECT_FALSE(cache.LookupBound(1, 2, 3.5f, kFp, &d));
 
   ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 7u);
@@ -79,26 +82,27 @@ TEST(ResultCache, IntervalHitSemantics) {
 
 TEST(ResultCache, MultipleDisjointIntervalsPerPair) {
   ResultCache cache(1 << 20);
+  cache.Rebind(1);
   Distance d = 0;
   // Three steps of one pair's step function.
-  cache.Insert(10, 20, MakeInterval(4, -kInfQuality, 1.0f));
-  cache.Insert(10, 20, MakeInterval(6, 1.5f, 3.0f));
-  cache.Insert(10, 20, MakeInterval(9, 3.5f, kInfQuality));
-  EXPECT_TRUE(cache.Lookup(10, 20, 0.0f, &d));
+  cache.InsertBound(10, 20, MakeInterval(4, -kInfQuality, 1.0f), 1);
+  cache.InsertBound(10, 20, MakeInterval(6, 1.5f, 3.0f), 1);
+  cache.InsertBound(10, 20, MakeInterval(9, 3.5f, kInfQuality), 1);
+  EXPECT_TRUE(cache.LookupBound(10, 20, 0.0f, 1, &d));
   EXPECT_EQ(d, 4u);
-  EXPECT_TRUE(cache.Lookup(10, 20, 2.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(10, 20, 2.0f, 1, &d));
   EXPECT_EQ(d, 6u);
-  EXPECT_TRUE(cache.Lookup(10, 20, 100.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(10, 20, 100.0f, 1, &d));
   EXPECT_EQ(d, 9u);
 
   // Re-inserting a present interval is a no-op (still one insert each).
-  cache.Insert(10, 20, MakeInterval(6, 1.5f, 3.0f));
+  cache.InsertBound(10, 20, MakeInterval(6, 1.5f, 3.0f), 1);
   EXPECT_EQ(cache.stats().inserts, 3u);
 
   // A fourth distinct interval displaces one (kIntervalsPerSlot = 3).
-  cache.Insert(10, 20, MakeInterval(7, 3.2f, 3.4f));
+  cache.InsertBound(10, 20, MakeInterval(7, 3.2f, 3.4f), 1);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.Lookup(10, 20, 3.3f, &d));
+  EXPECT_TRUE(cache.LookupBound(10, 20, 3.3f, 1, &d));
   EXPECT_EQ(d, 7u);
 }
 
@@ -106,15 +110,19 @@ TEST(ResultCache, RebindInvalidatesWholesale) {
   ResultCache cache(1 << 20);
   cache.Rebind(1);
   Distance d = 0;
-  cache.Insert(3, 7, MakeInterval(5, 1.0f, 3.0f));
-  ASSERT_TRUE(cache.Lookup(3, 7, 2.0f, &d));
+  cache.InsertBound(3, 7, MakeInterval(5, 1.0f, 3.0f), 1);
+  ASSERT_TRUE(cache.LookupBound(3, 7, 2.0f, 1, &d));
 
   cache.Rebind(1);  // same identity: contents survive
-  EXPECT_TRUE(cache.Lookup(3, 7, 2.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 2.0f, 1, &d));
 
   cache.Rebind(2);  // new snapshot identity: wiped
   EXPECT_EQ(cache.fingerprint(), 2u);
-  EXPECT_FALSE(cache.Lookup(3, 7, 2.0f, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, 2, &d));
+  // Dropped, not merely unreadable: binding back to the old identity
+  // finds nothing either.
+  cache.Rebind(1);
+  EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, 1, &d));
 }
 
 // ------------------------------------------------- scoped invalidation
@@ -130,9 +138,9 @@ TEST(ResultCache, InvalidateDeltaQualityScope) {
   Distance d = 0;
   // Pair (3, 7): one interval strictly above the impact window, one
   // overlapping it. Pair (4, 9): entirely above the window.
-  cache.Insert(3, 7, MakeInterval(5, 3.0f, 5.0f));
-  cache.Insert(3, 7, MakeInterval(2, 1.0f, 2.5f));
-  cache.Insert(4, 9, MakeInterval(7, 4.0f, kInfQuality));
+  cache.InsertBound(3, 7, MakeInterval(5, 3.0f, 5.0f), 1);
+  cache.InsertBound(3, 7, MakeInterval(2, 1.0f, 2.5f), 1);
+  cache.InsertBound(4, 9, MakeInterval(7, 4.0f, kInfQuality), 1);
 
   // A delta touching edge {100, 101} with qualities up to 2: only
   // constraints w <= 2 can change.
@@ -142,29 +150,29 @@ TEST(ResultCache, InvalidateDeltaQualityScope) {
   EXPECT_EQ(cache.fingerprint(), 2u);
 
   // The overlapping interval is gone; the out-of-window intervals hit.
-  EXPECT_FALSE(cache.Lookup(3, 7, 2.0f, &d));
-  EXPECT_TRUE(cache.Lookup(3, 7, 4.0f, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, 2, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 4.0f, 2, &d));
   EXPECT_EQ(d, 5u);
-  EXPECT_TRUE(cache.Lookup(4, 9, 10.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(4, 9, 10.0f, 2, &d));
   EXPECT_EQ(d, 7u);
   EXPECT_EQ(cache.stats().hits, 2u);
 
   // An upgrade q_old -> q_new only touches (q_old, q_new]: an interval
   // wholly below the window survives, while the two intervals straddling
   // it ((3,7)[3,5] and (4,9)[4,inf]) are dropped.
-  cache.Insert(5, 6, MakeInterval(3, 1.0f, 2.0f));
+  cache.InsertBound(5, 6, MakeInterval(3, 1.0f, 2.0f), 2);
   DeltaImpact upgrade{100, 101, 3.0f, 4.0f};
   EXPECT_EQ(cache.InvalidateDelta(3, {&upgrade, 1}), 2u);
-  EXPECT_TRUE(cache.Lookup(5, 6, 1.5f, &d));
-  EXPECT_FALSE(cache.Lookup(3, 7, 4.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(5, 6, 1.5f, 3, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 4.0f, 3, &d));
 }
 
 TEST(ResultCache, InvalidateDeltaCoupledScope) {
   ResultCache cache(1 << 20);
   cache.Rebind(1);
   Distance d = 0;
-  cache.Insert(3, 7, MakeInterval(5, 1.0f, 3.0f));
-  cache.Insert(4, 9, MakeInterval(6, 1.0f, 3.0f));
+  cache.InsertBound(3, 7, MakeInterval(5, 1.0f, 3.0f), 1);
+  cache.InsertBound(4, 9, MakeInterval(6, 1.0f, 3.0f), 1);
 
   // Both intervals overlap the impact window, but the coupled probe says
   // only pair (3, 7) can reach the changed edge from both sides. Keys are
@@ -178,8 +186,8 @@ TEST(ResultCache, InvalidateDeltaCoupledScope) {
         return s == 3 && t == 7;
       });
   EXPECT_EQ(dropped, 1u);
-  EXPECT_FALSE(cache.Lookup(3, 7, 2.0f, &d));
-  EXPECT_TRUE(cache.Lookup(4, 9, 2.0f, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, 2, &d));
+  EXPECT_TRUE(cache.LookupBound(4, 9, 2.0f, 2, &d));
   EXPECT_EQ(d, 6u);
 }
 
@@ -192,19 +200,21 @@ TEST(ResultCache, InsertBoundDropsStaleGenerations) {
   // the race where an old-generation engine finishes a query after the
   // cache moved on.
   cache.InsertBound(3, 7, MakeInterval(5, 1.0f, 3.0f), /*expected=*/6);
-  EXPECT_FALSE(cache.Lookup(3, 7, 2.0f, &d));
+  EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, 7, &d));
 
   // Bound to the live fingerprint it lands.
   cache.InsertBound(3, 7, MakeInterval(5, 1.0f, 3.0f), /*expected=*/7);
-  EXPECT_TRUE(cache.Lookup(3, 7, 2.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(3, 7, 2.0f, 7, &d));
   EXPECT_EQ(d, 5u);
 }
 
 TEST(ResultCache, TinyBudgetReplacesInsteadOfGrowing) {
-  // The smallest cache: one shard, one probe window of slots. Admission is
-  // off so every displacing insert evicts immediately (the policy under
-  // test here is replacement, not admission).
-  ResultCache cache(1, /*second_chance_admission=*/false);
+  // The smallest cache: one shard, one probe window of slots. Every pair
+  // is inserted twice, so second-chance admission lets each displacing
+  // insert evict (the policy under test here is replacement, not
+  // admission).
+  ResultCache cache(1);
+  cache.Rebind(1);
   EXPECT_EQ(cache.num_shards(), 1u);
   EXPECT_EQ(cache.slots_per_shard(), ResultCache::kProbeWindow);
   EXPECT_LE(cache.MemoryBytes(), 4096u);
@@ -213,12 +223,14 @@ TEST(ResultCache, TinyBudgetReplacesInsteadOfGrowing) {
   // keep answering correctly for whatever it retained.
   Distance d = 0;
   for (Vertex i = 0; i < 256; ++i) {
-    cache.Insert(i, i + 1000, MakeInterval(i, 1.0f, 3.0f));
+    for (int touch = 0; touch < 2; ++touch) {
+      cache.InsertBound(i, i + 1000, MakeInterval(i, 1.0f, 3.0f), 1);
+    }
   }
   EXPECT_GT(cache.stats().evictions, 0u);
   size_t retained = 0;
   for (Vertex i = 0; i < 256; ++i) {
-    if (cache.Lookup(i, i + 1000, 2.0f, &d)) {
+    if (cache.LookupBound(i, i + 1000, 2.0f, 1, &d)) {
       EXPECT_EQ(d, Distance{i});
       ++retained;
     }
@@ -231,44 +243,46 @@ TEST(ResultCache, SecondChanceAdmissionProtectsResidents) {
   // One shard, four slots, window four: every key probes every slot, so a
   // fifth pair can only land by displacing a resident.
   ResultCache cache(1);
+  cache.Rebind(1);
   ASSERT_EQ(cache.num_shards(), 1u);
   ASSERT_EQ(cache.slots_per_shard(), ResultCache::kProbeWindow);
   Distance d = 0;
   for (Vertex i = 0; i < 4; ++i) {
-    cache.Insert(i, i + 1000, MakeInterval(i, 1.0f, 3.0f));
+    cache.InsertBound(i, i + 1000, MakeInterval(i, 1.0f, 3.0f), 1);
   }
   for (Vertex i = 0; i < 4; ++i) {
-    ASSERT_TRUE(cache.Lookup(i, i + 1000, 2.0f, &d));
+    ASSERT_TRUE(cache.LookupBound(i, i + 1000, 2.0f, 1, &d));
   }
 
   // First touch of a displacing key: refused, residents untouched.
-  cache.Insert(50, 1050, MakeInterval(99, 1.0f, 3.0f));
+  cache.InsertBound(50, 1050, MakeInterval(99, 1.0f, 3.0f), 1);
   EXPECT_EQ(cache.stats().admission_rejects, 1u);
   EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_FALSE(cache.Lookup(50, 1050, 2.0f, &d));
+  EXPECT_FALSE(cache.LookupBound(50, 1050, 2.0f, 1, &d));
   for (Vertex i = 0; i < 4; ++i) {
-    EXPECT_TRUE(cache.Lookup(i, i + 1000, 2.0f, &d));
+    EXPECT_TRUE(cache.LookupBound(i, i + 1000, 2.0f, 1, &d));
   }
 
   // Second touch: the key proved it recurs; admitted by displacement.
-  cache.Insert(50, 1050, MakeInterval(99, 1.0f, 3.0f));
+  cache.InsertBound(50, 1050, MakeInterval(99, 1.0f, 3.0f), 1);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.Lookup(50, 1050, 2.0f, &d));
+  EXPECT_TRUE(cache.LookupBound(50, 1050, 2.0f, 1, &d));
   EXPECT_EQ(d, 99u);
 
   // Re-inserting a resident key never needs admission (new interval for a
   // cached pair), and an empty-slot insert is always admitted.
   ResultCache roomy(1 << 20);
-  roomy.Insert(1, 2, MakeInterval(5, 1.0f, 2.0f));
-  roomy.Insert(1, 2, MakeInterval(7, 3.0f, 4.0f));
+  roomy.Rebind(1);
+  roomy.InsertBound(1, 2, MakeInterval(5, 1.0f, 2.0f), 1);
+  roomy.InsertBound(1, 2, MakeInterval(7, 3.0f, 4.0f), 1);
   EXPECT_EQ(roomy.stats().admission_rejects, 0u);
-  EXPECT_TRUE(roomy.Lookup(1, 2, 3.5f, &d));
+  EXPECT_TRUE(roomy.LookupBound(1, 2, 3.5f, 1, &d));
   EXPECT_EQ(d, 7u);
 }
 
 // --------------------------------------------- generation-bound lookups
 //
-// Regression for the cross-generation readback bug: Lookup was not
+// Regression for the cross-generation readback bug: the lookup was not
 // fingerprint-bound, so after InvalidateDelta an old-generation engine
 // sharing the cache could read an entry the NEW generation inserted for a
 // delta-touched pair — answering from the wrong index. LookupBound checks
@@ -278,13 +292,12 @@ TEST(ResultCache, LookupBoundRefusesOtherGenerations) {
   ResultCache cache(1 << 20);
   cache.Rebind(1);
   Distance d = 0;
-  cache.Insert(3, 7, MakeInterval(5, 1.0f, 3.0f));
+  cache.InsertBound(3, 7, MakeInterval(5, 1.0f, 3.0f), 1);
 
   EXPECT_TRUE(cache.LookupBound(3, 7, 2.0f, /*expected=*/1, &d));
   EXPECT_EQ(d, 5u);
-  // Same entry, wrong generation: refused (the unbound Lookup still hits).
+  // Same entry, wrong generation: refused.
   EXPECT_FALSE(cache.LookupBound(3, 7, 2.0f, /*expected=*/2, &d));
-  EXPECT_TRUE(cache.Lookup(3, 7, 2.0f, &d));
 }
 
 TEST(ResultCache, CrossGenerationReadbackAfterInvalidateDelta) {
@@ -353,7 +366,7 @@ TEST(ResultCache, CachedQueryEngineAnswersBitIdentically) {
   QueryEngine plain(shared, plain_options);
 
   QueryEngineOptions cached_options = plain_options;
-  cached_options.cache_bytes = 64 << 10;
+  cached_options.shared_cache = std::make_shared<ResultCache>(64 << 10);
   QueryEngine cached(shared, cached_options);
   ASSERT_NE(cached.cache(), nullptr);
   ASSERT_EQ(cached.cache()->fingerprint(),
@@ -412,7 +425,7 @@ TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   QueryEngineOptions cached_options = plain_options;
-  cached_options.cache_bytes = 64 << 10;
+  cached_options.shared_cache = std::make_shared<ResultCache>(64 << 10);
   // Checksummed open: the engine chains the shards' content CRCs and
   // refuses the set unless they reproduce the manifest's fingerprint.
   SnapshotLoadOptions checked;
@@ -459,11 +472,14 @@ TEST(ResultCache, ConcurrentHitInsertInvalidateHammer) {
       Vertex t = static_cast<Vertex>(rng.NextBounded(128));
       Quality w = static_cast<Quality>(rng.NextInRange(0, 8));
       // The "index" the hammer simulates: dist = s ^ t, valid on a fixed
-      // interval — so any hit can be verified against ground truth.
-      if (cache.Lookup(s, t, w, &d)) {
+      // interval — so any hit can be verified against ground truth. The
+      // generation read here may be rebound before the insert lands.
+      const uint64_t fp = cache.fingerprint();
+      if (cache.LookupBound(s, t, w, fp, &d)) {
         if (d != (s ^ t)) wrong.fetch_add(1, std::memory_order_relaxed);
       } else {
-        cache.Insert(s, t, MakeInterval(s ^ t, -kInfQuality, kInfQuality));
+        cache.InsertBound(s, t, MakeInterval(s ^ t, -kInfQuality, kInfQuality),
+                          fp);
       }
     }
   };
@@ -511,9 +527,10 @@ TEST(ResultCache, SeqlockReaderTornReadHammer) {
       // Same slot, ever-changing payload: interval [v, v] certifies
       // distance v. Writers rotate through a slot's three intervals, so
       // the same interval index is overwritten constantly.
-      cache.Insert(s, s + 100,
-                   MakeInterval(v, static_cast<Quality>(v),
-                                static_cast<Quality>(v)));
+      cache.InsertBound(s, s + 100,
+                        MakeInterval(v, static_cast<Quality>(v),
+                                     static_cast<Quality>(v)),
+                        1);
     }
   };
   auto reader = [&](uint64_t seed) {
@@ -523,10 +540,6 @@ TEST(ResultCache, SeqlockReaderTornReadHammer) {
       Vertex s = static_cast<Vertex>(rng.NextBounded(kPairs));
       uint32_t v = static_cast<uint32_t>(rng.NextBounded(kValues));
       Quality w = static_cast<Quality>(v);
-      // Both read paths are lock-free; exercise both.
-      if (cache.Lookup(s, s + 100, w, &d) && d != Distance{v}) {
-        torn.fetch_add(1, std::memory_order_relaxed);
-      }
       if (cache.LookupBound(s, s + 100, w, 1, &d) && d != Distance{v}) {
         torn.fetch_add(1, std::memory_order_relaxed);
       }
@@ -558,7 +571,7 @@ TEST(ResultCache, ConcurrentCachedBatchesStayCorrect) {
 
   QueryEngineOptions options;
   options.num_threads = 3;
-  options.cache_bytes = 64 << 10;
+  options.shared_cache = std::make_shared<ResultCache>(64 << 10);
   QueryEngine cached(shared, options);
   QueryEngineOptions plain_options;
   plain_options.num_threads = 1;
@@ -583,66 +596,229 @@ TEST(ResultCache, ConcurrentCachedBatchesStayCorrect) {
   EXPECT_GT(cached.Stats().cache_hits, 0u);
 }
 
-// The full live-update handoff: one shared cache is filled by generation
-// A, delta-invalidated with the coupled probe against A's index, and then
-// serves generation B — bit-identical to an uncached B engine, with
-// surviving entries still hitting (retention is the point of scoped
-// invalidation; wholesale Rebind would start cold).
-TEST(ResultCache, CachedEngineAcrossSwapBitIdentical) {
+// ------------------------------------------------------- reload handoff
+//
+// OpenNextGeneration (net/swap_service.h) settles the shared cache on
+// every reload. Generation B upgrades one edge of generation A, and the
+// delta log records that upgrade against A's fingerprint.
+
+struct HandoffFixture {
+  std::shared_ptr<const WcIndex> index_a;
+  std::shared_ptr<const WcIndex> index_b;
+  DeltaLog delta;
+  std::vector<BatchQueryInput> queries;
+};
+
+HandoffFixture MakeHandoffFixture() {
+  HandoffFixture f;
   QualityGraph g = MakeCacheGraph(314);
   WcIndex index_a = WcIndex::Build(g, WcIndexOptions::Plus());
   index_a.Finalize();
-  auto shared_a = std::make_shared<const WcIndex>(std::move(index_a));
-  const size_t n = shared_a->NumVertices();
-
-  // Generation B: upgrade one existing edge — a tight impact window, so
-  // most cached intervals survive the scoped invalidation.
-  const Vertex eu = 0;
-  const Vertex ev = g.Neighbors(0)[0].to;
-  const Quality q_old = g.EdgeQuality(eu, ev);
-  const Quality q_new = 5.0f;
-  ASSERT_LT(q_old, q_new);
+  f.index_a = std::make_shared<const WcIndex>(std::move(index_a));
+  // A tight impact window, so most cached intervals survive the scope.
+  DeltaRecord upgrade;
+  upgrade.op = static_cast<uint8_t>(DeltaOp::kUpgrade);
+  upgrade.u = 0;
+  upgrade.v = g.Neighbors(0)[0].to;
+  upgrade.old_quality = g.EdgeQuality(upgrade.u, upgrade.v);
+  upgrade.quality = 5.0f;
+  EXPECT_LT(upgrade.old_quality, upgrade.quality);
   DynamicWcIndex dyn(g);
-  dyn.InsertEdge(eu, ev, q_new);
-  WcIndex index_b =
-      WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus());
+  dyn.InsertEdge(upgrade.u, upgrade.v, upgrade.quality);
+  WcIndex index_b = WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus());
   index_b.Finalize();
-  auto shared_b = std::make_shared<const WcIndex>(std::move(index_b));
+  f.index_b = std::make_shared<const WcIndex>(std::move(index_b));
+  f.delta.base_fingerprint = IndexContentFingerprint(f.index_a->flat_labels());
+  f.delta.batches.push_back(DeltaBatch{{upgrade}});
+  f.queries = MakeCacheWorkload(f.index_a->NumVertices(), 400, 777);
+  return f;
+}
 
-  auto cache = std::make_shared<ResultCache>(1 << 20);
+EngineOpener OpenIndex(std::shared_ptr<const WcIndex> index) {
+  return [index](const QueryEngineOptions& options) -> Result<QueryEngine> {
+    return QueryEngine(index, options);
+  };
+}
+
+QueryEngineOptions CachedOptions() {
   QueryEngineOptions options;
   options.num_threads = 1;
-  options.shared_cache = cache;
-  QueryEngine engine_a(shared_a, options);
-  QueryEngine engine_b(shared_b, options);
-  ASSERT_NE(engine_a.cache_fingerprint(), engine_b.cache_fingerprint());
-  cache->Rebind(engine_a.cache_fingerprint());
+  options.shared_cache = std::make_shared<ResultCache>(1 << 20);
+  return options;
+}
 
-  // Fill the cache through generation A.
-  auto queries = MakeCacheWorkload(n, 400, 777);
-  for (const BatchQueryInput& q : queries) engine_a.Query(q.s, q.t, q.w);
-  ASSERT_GT(cache->stats().inserts, 0u);
+void Fill(const QueryEngine& engine, const HandoffFixture& f) {
+  for (const BatchQueryInput& q : f.queries) engine.Query(q.s, q.t, q.w);
+}
 
-  // Scoped invalidation with the coupled probe against A's index — the
-  // exact recipe `wcsd_cli serve --watch` runs before swapping.
-  DeltaImpact impact{eu, ev, q_old, q_new};
-  size_t dropped = cache->InvalidateDelta(
-      engine_b.cache_fingerprint(), {&impact, 1},
-      ReachabilityCoupling(*shared_a, {&impact, 1}));
-
-  // Generation B through the retained cache must be bit-identical to an
-  // uncached engine over B.
+/// The next generation answers every queried pair as an uncached engine
+/// over `index` does.
+void ExpectAnswersOf(const QueryEngine& engine,
+                     std::shared_ptr<const WcIndex> index,
+                     const HandoffFixture& f) {
   QueryEngineOptions plain_options;
   plain_options.num_threads = 1;
-  QueryEngine plain_b(shared_b, plain_options);
-  ResultCacheStats before = cache->stats();
-  for (const BatchQueryInput& q : queries) {
-    ASSERT_EQ(engine_b.Query(q.s, q.t, q.w), plain_b.Query(q.s, q.t, q.w))
-        << "s=" << q.s << " t=" << q.t << " w=" << q.w
-        << " (dropped=" << dropped << ")";
+  QueryEngine plain(std::move(index), plain_options);
+  for (const BatchQueryInput& q : f.queries) {
+    ASSERT_EQ(engine.Query(q.s, q.t, q.w), plain.Query(q.s, q.t, q.w))
+        << "s=" << q.s << " t=" << q.t << " w=" << q.w;
   }
-  // Retention: the replay hit entries that survived the invalidation.
-  EXPECT_GT(cache->stats().hits, before.hits);
+}
+
+// A delta written against the serving generation scopes the cache exactly
+// as InvalidateDelta with the whole-delta coupling does on an identically
+// filled twin, the survivors keep hitting, and generation B answers as an
+// uncached B engine.
+TEST(ReloadHandoff, DeltaWrittenAgainstCurrentScopesTheCache) {
+  const HandoffFixture f = MakeHandoffFixture();
+  const QueryEngineOptions options = CachedOptions();
+  const QueryEngineOptions twin_options = CachedOptions();
+  QueryEngine engine_a(f.index_a, options);
+  QueryEngine twin_a(f.index_a, twin_options);
+  Fill(engine_a, f);
+  Fill(twin_a, f);
+  ASSERT_GT(options.shared_cache->stats().inserts, 0u);
+
+  auto next =
+      OpenNextGeneration(engine_a, &f.delta, options, OpenIndex(f.index_b));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  const QueryEngine& engine_b = *next.value().engine;
+  ASSERT_NE(engine_b.cache_fingerprint(), engine_a.cache_fingerprint());
+  EXPECT_EQ(next.value().cache, CacheHandoff::kScoped);
+  EXPECT_EQ(options.shared_cache->fingerprint(), engine_b.cache_fingerprint());
+  const std::vector<DeltaImpact> impacts = DeltaImpacts(f.delta);
+  const size_t by_hand = twin_options.shared_cache->InvalidateDelta(
+      engine_b.cache_fingerprint(), impacts,
+      ReachabilityCoupling(*f.index_a, impacts));
+  EXPECT_EQ(next.value().dropped, by_hand);
+  EXPECT_GT(next.value().dropped, 0u);
+
+  // The survivors hit under B's binding, exactly as on the twin.
+  size_t survivors = 0;
+  size_t twin_survivors = 0;
+  Distance d = 0;
+  for (const BatchQueryInput& q : f.queries) {
+    survivors += options.shared_cache->LookupBound(
+        q.s, q.t, q.w, engine_b.cache_fingerprint(), &d);
+    twin_survivors += twin_options.shared_cache->LookupBound(
+        q.s, q.t, q.w, engine_b.cache_fingerprint(), &d);
+  }
+  EXPECT_GT(survivors, 0u);
+  EXPECT_EQ(survivors, twin_survivors);
+  ExpectAnswersOf(engine_b, f.index_b, f);
+}
+
+// A log that is not stamped with the serving generation's fingerprint —
+// none at all, base 0, or another snapshot's — cannot scope anything: the
+// next engine's Rebind wipes the cache, so no queried pair hits.
+TEST(ReloadHandoff, UnmatchedDeltaWipesTheCache) {
+  const HandoffFixture f = MakeHandoffFixture();
+  DeltaLog unstamped = f.delta;
+  unstamped.base_fingerprint = 0;
+  DeltaLog foreign = f.delta;
+  foreign.base_fingerprint =
+      IndexContentFingerprint(f.index_b->flat_labels());
+  const DeltaLog* const deltas[] = {nullptr, &unstamped, &foreign};
+  for (const DeltaLog* delta : deltas) {
+    SCOPED_TRACE(delta == nullptr ? "no log" : delta == &foreign
+                                                   ? "another snapshot's"
+                                                   : "base 0");
+    const QueryEngineOptions options = CachedOptions();
+    QueryEngine engine_a(f.index_a, options);
+    Fill(engine_a, f);
+
+    auto next =
+        OpenNextGeneration(engine_a, delta, options, OpenIndex(f.index_b));
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next.value().cache, CacheHandoff::kWiped);
+    EXPECT_EQ(next.value().dropped, 0u);
+    const uint64_t fingerprint = next.value().engine->cache_fingerprint();
+    Distance d = 0;
+    for (const BatchQueryInput& q : f.queries) {
+      EXPECT_FALSE(options.shared_cache->LookupBound(q.s, q.t, q.w,
+                                                     fingerprint, &d));
+    }
+    ExpectAnswersOf(*next.value().engine, f.index_b, f);
+  }
+}
+
+// Reopening the same labels (a touched file, a SIGHUP) drops nothing, even
+// with a delta written against them: the replay hits exactly as often as
+// the same replay on an identically filled cache that never reloaded.
+TEST(ReloadHandoff, SameLabelsKeepTheCache) {
+  const HandoffFixture f = MakeHandoffFixture();
+  const QueryEngineOptions options = CachedOptions();
+  const QueryEngineOptions twin_options = CachedOptions();
+  QueryEngine engine_a(f.index_a, options);
+  QueryEngine twin_a(f.index_a, twin_options);
+  Fill(engine_a, f);
+  Fill(twin_a, f);
+
+  auto next =
+      OpenNextGeneration(engine_a, &f.delta, options, OpenIndex(f.index_a));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value().cache, CacheHandoff::kKept);
+  EXPECT_EQ(next.value().dropped, 0u);
+  EXPECT_EQ(next.value().engine->cache_fingerprint(),
+            engine_a.cache_fingerprint());
+
+  const uint64_t hits = options.shared_cache->stats().hits;
+  const uint64_t twin_hits = twin_options.shared_cache->stats().hits;
+  Fill(*next.value().engine, f);
+  Fill(twin_a, f);
+  EXPECT_GT(options.shared_cache->stats().hits, hits);
+  EXPECT_EQ(options.shared_cache->stats().hits - hits,
+            twin_options.shared_cache->stats().hits - twin_hits);
+  ExpectAnswersOf(*next.value().engine, f.index_a, f);
+}
+
+// A manifest tiling carries no index to probe reachability on, so the
+// delta scopes by quality overlap alone — coarser, still sound.
+TEST(ReloadHandoff, ManifestTilingScopesByQualityAlone) {
+  const HandoffFixture f = MakeHandoffFixture();
+  ShardPlanOptions thirds;
+  thirds.num_shards = 3;
+  thirds.even_vertex = true;
+  std::vector<WrittenShardSet> sets;
+  for (const auto& [name, index] :
+       {std::pair<std::string, std::shared_ptr<const WcIndex>>{"a",
+                                                               f.index_a},
+        {"b", f.index_b}}) {
+    auto plan = PlanShards(index->flat_labels(), thirds);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto written = WriteShardSet(testing::TempDir() + "/handoff_" + name,
+                                 index->flat_labels(), plan.value());
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    sets.push_back(std::move(written).value());
+  }
+  const std::string& manifest_a = sets[0].manifest_path;
+  const std::string& manifest_b = sets[1].manifest_path;
+  const QueryEngineOptions options = CachedOptions();
+  const QueryEngineOptions twin_options = CachedOptions();
+  auto engine_a = QueryEngine::OpenManifest(manifest_a, options);
+  auto twin_a = QueryEngine::OpenManifest(manifest_a, twin_options);
+  ASSERT_TRUE(engine_a.ok()) << engine_a.status().ToString();
+  ASSERT_TRUE(twin_a.ok()) << twin_a.status().ToString();
+  ASSERT_FALSE(engine_a.value().has_index());
+  Fill(engine_a.value(), f);
+  Fill(twin_a.value(), f);
+
+  auto next = OpenNextGeneration(
+      engine_a.value(), &f.delta, options,
+      [&](const QueryEngineOptions& next_options) {
+        return QueryEngine::OpenManifest(manifest_b, next_options);
+      });
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value().cache, CacheHandoff::kScoped);
+  const size_t by_quality = twin_options.shared_cache->InvalidateDelta(
+      next.value().engine->cache_fingerprint(), DeltaImpacts(f.delta));
+  EXPECT_EQ(next.value().dropped, by_quality);
+  ExpectAnswersOf(*next.value().engine, f.index_b, f);
+
+  for (const WrittenShardSet& set : sets) {
+    for (const std::string& path : set.shard_paths) std::remove(path.c_str());
+    std::remove(set.manifest_path.c_str());
+  }
 }
 
 // Two inserted edges that connect a pair only together. The old graph has
@@ -677,26 +853,19 @@ TEST(ResultCache, MultiRecordDeltaDropsPairsTheRecordsConnectTogether) {
     batch.records.push_back(record);
   }
   log.batches.push_back(batch);
-  const std::vector<DeltaImpact> impacts = DeltaImpacts(log);
-  ASSERT_EQ(impacts.size(), 2u);
+  log.base_fingerprint = IndexContentFingerprint(old_index->flat_labels());
+  ASSERT_EQ(DeltaImpacts(log).size(), 2u);
 
-  auto cache = std::make_shared<ResultCache>(1 << 20);
-  QueryEngineOptions options;
-  options.num_threads = 1;
-  options.shared_cache = cache;
+  const QueryEngineOptions options = CachedOptions();
   QueryEngine old_engine(old_index, options);
   ASSERT_EQ(old_engine.Query(0, 5, 1.0f), kInfDistance);  // now cached
 
-  size_t dropped = 0;
-  QueryEngineOptions next = options;
-  next.pre_bind_invalidate = [&](uint64_t next_fingerprint) {
-    dropped = cache->InvalidateDelta(next_fingerprint, impacts,
-                                     ReachabilityCoupling(*old_index,
-                                                          impacts));
-  };
-  QueryEngine new_engine(new_index, next);
-  EXPECT_EQ(dropped, 1u);
-  EXPECT_EQ(new_engine.Query(0, 5, 1.0f), 5u);
+  auto next =
+      OpenNextGeneration(old_engine, &log, options, OpenIndex(new_index));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value().cache, CacheHandoff::kScoped);
+  EXPECT_EQ(next.value().dropped, 1u);
+  EXPECT_EQ(next.value().engine->Query(0, 5, 1.0f), 5u);
 }
 
 }  // namespace

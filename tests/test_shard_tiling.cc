@@ -227,7 +227,8 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
       // queries go through the interval-hit path.
       {
         QueryEngineOptions cached_options = options;
-        cached_options.cache_bytes = 16 << 10;
+        cached_options.shared_cache =
+            std::make_shared<ResultCache>(16 << 10);
         auto cached = QueryEngine::OpenManifest(
             written.value().manifest_path, cached_options);
         ASSERT_TRUE(cached.ok()) << cached.status().ToString();

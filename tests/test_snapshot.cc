@@ -306,7 +306,8 @@ TEST(Snapshot, OutOfRangeHubRankMatchesNothing) {
     const WcIndex& served = loaded.value();
     QueryEngineOptions cached;
     cached.num_threads = 1;
-    cached.cache_bytes = 16 << 10;  // misses go through the interval kernel
+    // Misses go through the interval kernel.
+    cached.shared_cache = std::make_shared<ResultCache>(16 << 10);
     auto engine = QueryEngine::Open(path, cached, load);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 

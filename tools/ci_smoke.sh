@@ -8,16 +8,17 @@
 #
 # Sections (the default runs all of them, in this order):
 #   cli       build/query/verify/snapshot/serve round trips, a 4-thread
-#             build byte-identical to the sequential one, and one answer
-#             CRC across the flat, compressed, cold-tier, even-sharded and
-#             planned-sharded backends
+#             build byte-identical to the sequential one, one answer CRC
+#             across the flat, compressed, cold-tier, even-sharded and
+#             planned-sharded backends, and a local --topk=-1 refused
 #   crash     a `build` crashed at the snapshot commit point leaves the old
 #             file byte-identical and still serving
 #   net       TCP serving: query families over a live socket, graph-less
 #             server refuses kPath cleanly, out-of-range --max-batch and
 #             --retries and the retired --timeout-ms are refused
 #   reactors  SO_REUSEPORT per-core serving answers match
-#   live      delta + offline update + SIGHUP hot reload, crash-safe update
+#   live      delta + offline update + SIGHUP hot reload that keeps the
+#             cache scoped to the delta, crash-safe update
 #   manifest  planned shard set served over TCP, SIGTERM graceful drain
 #   degraded  corrupt shard: strict open refuses, --quarantine reports the
 #             batch that touches it as refused, --fallback-graph answers it
@@ -37,7 +38,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR=$2; shift 2 ;;
     --build-dir=*) BUILD_DIR=${1#*=}; shift ;;
     -h|--help)
-      sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) SECTIONS+=("$1"); shift ;;
   esac
@@ -99,6 +100,12 @@ section_cli() {
   "$CLI" query --manifest=ci_planned.manifest --s=1 --w=2 --topk=5
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --profile --thresholds=1,2,3,4,5
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --w=2 --path --graph=ci.edges
+  # A negative --topk is refused locally, as over the wire, instead of
+  # silently answering a distance query.
+  if "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2 --topk=-1; then
+    echo "query unexpectedly accepted --topk=-1"
+    exit 1
+  fi
 
   banner "parallel build is byte-identical to the sequential one"
   "$CLI" build --graph=ci.edges --index=ci_tree1.wcsnap --order=tree --threads=1
@@ -215,8 +222,9 @@ section_live() {
   make_fixtures
   cp ci.wcsnap ci_live.wcsnap
   cp ci.edges ci_live.edges
+  # The server's report goes to a file and is checked once it has exited.
   "$CLI" serve --snapshot=ci_live.wcsnap --listen=39119 --watch \
-    --cache-mb=4 --max-seconds=60 &
+    --cache-mb=4 --delta=ci.delta --max-seconds=60 > live_server.out &
   server_pid=$!
   sleep 2
   dist() { "$CLI" query --connect=127.0.0.1:39119 --s=1 --t=42 --w=2 \
@@ -235,6 +243,14 @@ section_live() {
   test "$after" = "1"
   kill -INT "$server_pid"
   wait "$server_pid" || true
+  cat live_server.out >&2
+  # The reload kept the cache, scoped to ci.delta: exactly one scoped
+  # invalidation, and it dropped the cached (1, 42) interval the new edge
+  # touches — so the `after = 1` above was recomputed, not served stale.
+  test "$(grep -c 'delta-scoped invalidation dropped' live_server.out)" -eq 1
+  dropped=$(sed -n 's/.*delta-scoped invalidation dropped \([0-9][0-9]*\) interval.*/\1/p' live_server.out)
+  test -n "$dropped"
+  test "$dropped" -ge 1
   # Crash safety: an update that dies at the rename commit point
   # (deterministic failpoint, exit 42) leaves the old snapshot
   # byte-identical.

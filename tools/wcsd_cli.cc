@@ -111,10 +111,12 @@
 //             old index, new requests land on the new one, zero dropped
 //             queries, and the wire Stats generation counter (protocol v5)
 //             bumps on every swap — with --cache-mb one cache is shared
-//             across generations, invalidated scoped-by-delta when --delta
-//             names a log whose base fingerprint matches the outgoing
-//             snapshot (only entries the delta can touch are dropped),
-//             wholesale otherwise; --cold-tier serves a compressed
+//             across generations, and each reload settles it through
+//             OpenNextGeneration (net/swap_service.h): scoped when --delta
+//             names a log written against the outgoing snapshot (only
+//             entries the delta can touch are dropped, and the reload
+//             prints how many), kept when the labels did not change,
+//             wiped otherwise; --cold-tier serves a compressed
 //             snapshot straight off its mapping — the blob pages in from
 //             disk on demand; distance queries stream the varint bytes,
 //             and a decoded-label cache fronts the requests that decode
@@ -183,6 +185,23 @@ int Usage() {
   return 2;
 }
 
+/// Reads --order (default hybrid) into `options`; an unknown name is
+/// refused.
+bool ParseOrder(const Flags& flags, WcIndexOptions* options) {
+  const std::string order = flags.GetString("order", "hybrid");
+  if (order == "degree") {
+    options->ordering = WcIndexOptions::Ordering::kDegree;
+  } else if (order == "tree") {
+    options->ordering = WcIndexOptions::Ordering::kTreeDecomposition;
+  } else if (order == "hybrid") {
+    options->ordering = WcIndexOptions::Ordering::kHybrid;
+  } else {
+    std::fprintf(stderr, "error: unknown --order: %s\n", order.c_str());
+    return false;
+  }
+  return true;
+}
+
 Result<QualityGraph> LoadGraph(const Flags& flags) {
   std::string path = flags.GetString("graph", "");
   if (path.empty()) return Status::InvalidArgument("--graph is required");
@@ -204,17 +223,7 @@ int CmdBuild(const Flags& flags) {
     return 1;
   }
   WcIndexOptions options = WcIndexOptions::Plus();
-  std::string order = flags.GetString("order", "hybrid");
-  if (order == "degree") {
-    options.ordering = WcIndexOptions::Ordering::kDegree;
-  } else if (order == "tree") {
-    options.ordering = WcIndexOptions::Ordering::kTreeDecomposition;
-  } else if (order == "hybrid") {
-    options.ordering = WcIndexOptions::Ordering::kHybrid;
-  } else {
-    std::fprintf(stderr, "error: unknown --order: %s\n", order.c_str());
-    return 1;
-  }
+  if (!ParseOrder(flags, &options)) return 1;
   int64_t threads = flags.GetInt("threads", 1);
   int64_t batch = flags.GetInt("batch", 0);
   if (threads < 0 || batch < 0) {
@@ -284,6 +293,16 @@ bool ParseQualityList(const std::string& spec, std::vector<Quality>* out) {
     begin = comma + 1;
   }
   return true;
+}
+
+/// Reads --topk, the one rule for local and remote queries: 0 (the
+/// default) asks for no ranking, and a ranking needs a count in
+/// [1, 2^32-1] (the wire carries it as a u32); anything else is refused.
+bool ParseTopK(const Flags& flags, int64_t* topk) {
+  *topk = flags.GetInt("topk", 0);
+  if (*topk >= 0 && *topk <= int64_t{UINT32_MAX}) return true;
+  std::fprintf(stderr, "error: --topk wants a count in [1, 4294967295]\n");
+  return false;
 }
 
 /// Resolves --candidates for `query --topk`; an omitted flag means every
@@ -396,11 +415,8 @@ int CmdRemoteQuery(const Flags& flags, const std::string& connect) {
   Vertex s = static_cast<Vertex>(flags.GetInt("s", 0));
   Vertex t = static_cast<Vertex>(flags.GetInt("t", 0));
   Quality w = static_cast<Quality>(flags.GetDouble("w", 1.0));
-  int64_t topk = flags.GetInt("topk", 0);
-  if (topk < 0) {
-    std::fprintf(stderr, "error: --topk must be >= 1\n");
-    return 1;
-  }
+  int64_t topk = 0;
+  if (!ParseTopK(flags, &topk)) return 1;
   if (topk > 0) {
     // Without --candidates, ask the server how many vertices it serves and
     // rank all of them.
@@ -477,9 +493,9 @@ int CmdRemoteQuery(const Flags& flags, const std::string& connect) {
   return 0;
 }
 
-/// Parses --cache-mb into a byte budget; negative values report an error
-/// through the returned flag.
-bool ParseCacheBytes(const Flags& flags, size_t* bytes) {
+/// Creates the result cache --cache-mb budgets (none for 0, the default);
+/// a budget out of range is refused.
+bool MakeResultCache(const Flags& flags, std::shared_ptr<ResultCache>* cache) {
   // 1 TiB upper bound: keeps the <<20 from wrapping and turns a fat-finger
   // budget into an error instead of a bad_alloc abort.
   constexpr int64_t kMaxCacheMb = int64_t{1} << 20;
@@ -489,7 +505,10 @@ bool ParseCacheBytes(const Flags& flags, size_t* bytes) {
                  static_cast<long long>(kMaxCacheMb));
     return false;
   }
-  *bytes = static_cast<size_t>(cache_mb) << 20;
+  if (cache_mb > 0) {
+    *cache =
+        std::make_shared<ResultCache>(static_cast<size_t>(cache_mb) << 20);
+  }
   return true;
 }
 
@@ -516,7 +535,7 @@ int CmdQuery(const Flags& flags) {
   if (!connect.empty()) return CmdRemoteQuery(flags, connect);
   QueryEngineOptions options;
   options.num_threads = 1;
-  if (!ParseCacheBytes(flags, &options.cache_bytes)) return 1;
+  if (!MakeResultCache(flags, &options.shared_cache)) return 1;
   // Path reconstruction walks the edges, so --path needs the graph.
   if (flags.GetBool("path", false)) {
     auto graph = LoadGraph(flags);
@@ -543,7 +562,8 @@ int CmdQuery(const Flags& flags) {
     std::fprintf(stderr, "error: vertex out of range (n=%zu)\n", n);
     return 1;
   }
-  int64_t topk = flags.GetInt("topk", 0);
+  int64_t topk = 0;
+  if (!ParseTopK(flags, &topk)) return 1;
   if (topk > 0) {
     std::vector<Vertex> candidates;
     if (!ResolveCandidates(flags, s, n, &candidates)) return 1;
@@ -931,15 +951,7 @@ int CmdUpdate(const Flags& flags) {
     return 1;
   }
   WcIndexOptions options = WcIndexOptions::Plus();
-  std::string order = flags.GetString("order", "hybrid");
-  if (order == "degree") {
-    options.ordering = WcIndexOptions::Ordering::kDegree;
-  } else if (order == "tree") {
-    options.ordering = WcIndexOptions::Ordering::kTreeDecomposition;
-  } else if (order != "hybrid") {
-    std::fprintf(stderr, "error: unknown --order: %s\n", order.c_str());
-    return 1;
-  }
+  if (!ParseOrder(flags, &options)) return 1;
   int64_t threads = flags.GetInt("threads", 1);
   if (threads < 0) {
     std::fprintf(stderr, "error: --threads must be >= 0\n");
@@ -1088,20 +1100,6 @@ int RunWireServer(std::shared_ptr<const QueryService> service,
   return 0;
 }
 
-/// Opens the serving engine for `serve` (and re-opens it on --watch
-/// reloads): one snapshot, or a manifest's shard set.
-Result<std::shared_ptr<const QueryEngine>> OpenServeEngine(
-    const std::string& snapshot, const std::string& manifest,
-    const QueryEngineOptions& options, const SnapshotLoadOptions& load,
-    const DegradedOpenOptions& degraded) {
-  auto engine = manifest.empty()
-                    ? QueryEngine::Open(snapshot, options, load)
-                    : QueryEngine::OpenManifest(manifest, options, load,
-                                                degraded);
-  if (!engine.ok()) return engine.status();
-  return std::make_shared<const QueryEngine>(std::move(engine).value());
-}
-
 int CmdServe(const Flags& flags) {
   std::string snapshot = flags.GetString("snapshot", "");
   std::string manifest = flags.GetString("manifest", "");
@@ -1125,7 +1123,9 @@ int CmdServe(const Flags& flags) {
   if (!flags.Has("threads") && flags.GetInt("reactors", 1) > 1) {
     options.num_threads = 1;
   }
-  if (!ParseCacheBytes(flags, &options.cache_bytes)) return 1;
+  // One cache for the whole serve: under --watch it outlives engine
+  // generations, and each reload settles it (OpenNextGeneration).
+  if (!MakeResultCache(flags, &options.shared_cache)) return 1;
   // Cold tier: serve a compressed snapshot straight off its mapping,
   // distance queries streaming the varint bytes and a bounded decoded-label
   // cache in front of the requests that decode. --cold-tier
@@ -1209,22 +1209,21 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "error: --watch requires --listen\n");
     return 1;
   }
-  // Under --watch, one cache outlives engine generations so small updates
-  // keep the hot set warm; the engines bind their inserts to their own
-  // fingerprint and the reload path owns invalidation.
-  std::shared_ptr<ResultCache> shared_cache;
-  if (watch && options.cache_bytes > 0) {
-    shared_cache = std::make_shared<ResultCache>(options.cache_bytes);
-    options.shared_cache = shared_cache;
-  }
+  const EngineOpener open = [&](const QueryEngineOptions& engine_options) {
+    return manifest.empty()
+               ? QueryEngine::Open(snapshot, engine_options, load)
+               : QueryEngine::OpenManifest(manifest, engine_options, load,
+                                           degraded);
+  };
 
   Timer load_timer;
-  auto opened = OpenServeEngine(snapshot, manifest, options, load, degraded);
+  auto opened = open(options);
   if (!opened.ok()) {
     std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
     return 1;
   }
-  std::shared_ptr<const QueryEngine> current = std::move(opened).value();
+  std::shared_ptr<const QueryEngine> current =
+      std::make_shared<const QueryEngine>(std::move(opened).value());
   double load_seconds = load_timer.Seconds();
   const size_t n = current->NumVertices();
   if (n == 0) {
@@ -1269,55 +1268,34 @@ int CmdServe(const Flags& flags) {
     int64_t last_mtime = FileMtimeNs(watch_path);
 
     auto reload = [&]() {
-      // Cache invalidation runs through the engine's pre-bind hook: it
-      // fires after the new fingerprint is computed but BEFORE the new
-      // engine's unconditional Rebind, while no queries flow through the
-      // new generation yet. A scoped InvalidateDelta there rebinds the
-      // cache itself, turning the engine's Rebind into a no-op — the
-      // surviving hot set is preserved instead of wholesale-wiped. When
-      // the hook does nothing (no usable delta log), the engine's own
-      // Rebind wipes, which is the correct wholesale ordering: new
-      // identity stored before the sweep, swept before the swap.
-      QueryEngineOptions next_options = options;
-      if (shared_cache) {
-        next_options.pre_bind_invalidate = [&](uint64_t next_fingerprint) {
-          // Scoped invalidation needs a delta log authored against exactly
-          // the outgoing snapshot.
-          if (delta_path.empty() ||
-              next_fingerprint == current->cache_fingerprint()) {
-            return;
-          }
-          auto log = ReadDeltaLog(delta_path);
-          if (!log.ok() || log.value().base_fingerprint == 0 ||
-              log.value().base_fingerprint != current->cache_fingerprint()) {
-            return;
-          }
-          std::vector<DeltaImpact> impacts = DeltaImpacts(log.value());
-          ResultCache::CoupledFn coupled;
-          if (current->has_index()) {
-            // Pair (s, t) can only be affected if it reaches the changed
-            // edges from both sides in the OLD index at the lowest
-            // affected constraint. `current` serves until the swap, so
-            // its index outlives the sweep.
-            coupled = ReachabilityCoupling(current->index(), impacts);
-          }
-          size_t dropped = shared_cache->InvalidateDelta(next_fingerprint,
-                                                         impacts, coupled);
-          std::printf("cache: delta-scoped invalidation dropped %zu "
-                      "interval%s\n",
-                      dropped, dropped == 1 ? "" : "s");
-        };
+      // The log that produced the new snapshot lets the shared cache keep
+      // every interval the delta cannot touch; without one (or with a
+      // stale one) the reload wipes the cache.
+      std::optional<DeltaLog> log;
+      if (!delta_path.empty()) {
+        auto read = ReadDeltaLog(delta_path);
+        if (read.ok()) log = std::move(read).value();
       }
-      auto reopened =
-          OpenServeEngine(snapshot, manifest, next_options, load, degraded);
-      if (!reopened.ok()) {
+      auto next = OpenNextGeneration(*current, log ? &*log : nullptr,
+                                     options, open);
+      if (!next.ok()) {
         // Keep serving the old generation; the operator sees why.
-        std::fprintf(stderr, "reload failed (still serving generation %llu): %s\n",
+        std::fprintf(stderr,
+                     "reload failed (still serving generation %llu): %s\n",
                      static_cast<unsigned long long>(swappable->generation()),
-                     reopened.status().ToString().c_str());
+                     next.status().ToString().c_str());
         return;
       }
-      current = std::move(reopened).value();
+      if (next.value().cache == CacheHandoff::kScoped) {
+        const size_t dropped = next.value().dropped;
+        std::printf("cache: delta-scoped invalidation dropped %zu "
+                    "interval%s\n",
+                    dropped, dropped == 1 ? "" : "s");
+      } else if (next.value().cache == CacheHandoff::kWiped) {
+        std::printf("cache: wiped (no delta log written against the "
+                    "outgoing generation)\n");
+      }
+      current = next.value().engine;
       uint64_t generation = swappable->Swap(current);
       std::printf("reloaded %s: %zu vertices, now serving generation %llu\n",
                   watch_path.c_str(), current->NumVertices(),
@@ -1382,7 +1360,7 @@ int CmdServe(const Flags& flags) {
       serve_seconds > 0 ? static_cast<double>(workload.size()) / serve_seconds
                         : 0.0,
       reachable, answers_crc);
-  if (options.cache_bytes > 0) {
+  if (options.shared_cache) {
     QueryEngineStats stats = current->Stats();
     uint64_t lookups = stats.cache_hits + stats.cache_misses;
     std::printf(
