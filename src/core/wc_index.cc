@@ -1,6 +1,7 @@
 #include "core/wc_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <memory>
@@ -122,6 +123,21 @@ class WcIndexBuilder {
     Vertex parent;
   };
 
+  // Line 11's cover check reads L(root) through per-constraint distance
+  // tables, PLL's pruning array made exact for constraints by Theorem 3:
+  // dist[h] is the least distance among the indexed entries of L(root) at
+  // hub h with quality >= w, kInfDistance elsewhere.
+  struct CoverTable {
+    Quality w = kNegInfQuality;
+    std::vector<Distance> dist;  // by hub rank; allocated on first use
+    std::vector<Rank> hubs;      // the slots of dist set, for the reset
+  };
+  // Eight tables hold every constraint a root meets (its own pop's plus one
+  // per level) on graphs with up to seven quality levels. With more levels
+  // tables are replaced mid-root; 4, 8 and 16 tables built 200-level graphs
+  // within noise of each other.
+  static constexpr size_t kCoverTables = 8;
+
   // Per-thread scratch (§IV.C Efficient Initialization): epoch-reset
   // between roots, allocated once per worker for the whole build.
   struct BuildWorkspace {
@@ -129,16 +145,15 @@ class WcIndexBuilder {
         : max_quality(n, kNegInfQuality),
           in_next(n, false),
           memo_quality(n, kNegInfQuality),
-          hub_group_begin(n, 0),
-          hub_group_end(n, 0),
           pred(n, kNullVertex) {}
 
     EpochArray<Quality> max_quality;  // the paper's R vector
     EpochArray<bool> in_next;
     EpochArray<Quality> memo_quality;
-    EpochArray<uint32_t> hub_group_begin;  // the per-root hub table T
-    EpochArray<uint32_t> hub_group_end;
     EpochArray<Vertex> pred;
+    std::array<CoverTable, kCoverTables> tables;
+    size_t table_claims = 0;  // this root's; claim i takes table i % count
+    size_t root_indexed = 0;  // leading entries of L(root) the tables read
     std::vector<Frontier> cur;
     std::vector<Vertex> nxt;
     WcIndexBuildStats stats;  // thread-local counters, summed at the end
@@ -171,7 +186,7 @@ class WcIndexBuilder {
       }
       pool.Wait();
       // Barrier passed: labels_ is mutable again, workers are idle, so the
-      // first workspace's hub table is free for the merge.
+      // first workspace's cover tables are free for the merge.
       Timer merge;
       for (Rank k = k0; k < k1; ++k) {
         MergeRoot(k, k0, candidates[k - k0], *workspaces[0]);
@@ -193,11 +208,11 @@ class WcIndexBuilder {
     const Vertex root = order_.VertexAt(k);
 
     // Per-root scratch reset (O(1) via epochs): R vector (line 4), the
-    // satisfied-query memo, and the root's hub lookup table.
+    // satisfied-query memo, and the root's cover tables.
     ws.max_quality.Clear();
     ws.memo_quality.Clear();
     ws.pred.Clear();
-    if (options_.query_efficient) BuildHubTable(labels_.For(root), ws);
+    StartCoverTables(labels_.For(root).size(), ws);
 
     ws.max_quality.Set(root, kInfQuality);
     ws.cur.clear();
@@ -265,9 +280,7 @@ class WcIndexBuilder {
     const Vertex root = order_.VertexAt(k);
     const size_t root_tail = TailBegin(labels_.For(root), k0);
     const bool check = root_tail < labels_.For(root).size();
-    if (check && options_.query_efficient) {
-      BuildHubTable(labels_.For(root).subspan(root_tail), ws);
-    }
+    StartCoverTables(labels_.For(root).size() - root_tail, ws);
     for (const Candidate& c : candidates) {
       // L(root) is re-read per candidate: appending the root's own entry
       // may reallocate it, but its tail keeps its start.
@@ -313,50 +326,58 @@ class WcIndexBuilder {
     }
   }
 
-  // Per-root hub table T (§IV.C "Querying"): hub rank -> entry range in
-  // `lr`, the entries of L(root) the cover checks read. Built once per root
-  // in O(|lr|).
-  static void BuildHubTable(std::span<const LabelEntry> lr,
-                            BuildWorkspace& ws) {
-    ws.hub_group_begin.Clear();
-    ws.hub_group_end.Clear();
-    size_t i = 0;
-    while (i < lr.size()) {
-      size_t ie = i + 1;
-      while (ie < lr.size() && lr[ie].hub == lr[i].hub) ++ie;
-      ws.hub_group_begin.Set(lr[i].hub, static_cast<uint32_t>(i));
-      ws.hub_group_end.Set(lr[i].hub, static_cast<uint32_t>(ie));
-      i = ie;
+  // Starts a root's cover checks. The tables index the first `indexed`
+  // entries of the L(root) span each check passes, so the root's own entry,
+  // appended during its BFS or merge replay, stays out of them.
+  static void StartCoverTables(size_t indexed, BuildWorkspace& ws) {
+    ws.root_indexed = indexed;
+    ws.table_claims = 0;
+  }
+
+  // The current root's table for constraint w over `lr`, its indexed
+  // entries of L(root): found among the tables claimed for this root, or
+  // claimed round-robin and scattered in O(|lr|) after resetting the hubs
+  // the table set before. Never O(n).
+  const Distance* CoverTableFor(std::span<const LabelEntry> lr, Quality w,
+                                BuildWorkspace& ws) const {
+    const size_t claimed = std::min(ws.table_claims, kCoverTables);
+    for (size_t i = 0; i < claimed; ++i) {
+      if (ws.tables[i].w == w) return ws.tables[i].dist.data();
     }
+    CoverTable& table = ws.tables[ws.table_claims++ % kCoverTables];
+    if (table.dist.empty()) {
+      table.dist.assign(labels_.NumVertices(), kInfDistance);
+    }
+    for (Rank h : table.hubs) table.dist[h] = kInfDistance;
+    table.hubs.clear();
+    for (const LabelEntry& e : lr) {
+      if (e.quality < w || e.dist >= table.dist[e.hub]) continue;
+      if (table.dist[e.hub] == kInfDistance) table.hubs.push_back(e.hub);
+      table.dist[e.hub] = e.dist;
+    }
+    table.w = w;
+    return table.dist.data();
   }
 
   // Line 11's QUERY: does a hub common to `lr` (entries of L(root)) and
   // `lu` (entries of L(u)) give a w-path of length at most d? The
-  // query-efficient form makes one pass over `lu`, with an O(1) root-side
-  // group lookup through T (built over the same `lr`) and binary searches
-  // inside groups (Theorem 3). The basic form (plain WC-INDEX) re-resolves
-  // hub groups with binary search over `lr` for every query — Algorithm 4
-  // shape.
+  // query-efficient form is one pass over `lu` against the root's table
+  // for w, indexing the first ws.root_indexed entries of `lr`. It is exact
+  // by Theorem 3: inside a hub group the first entry with quality >= w is
+  // also the shortest, so the least sum over qualifying pairs is the one
+  // Eq. (1) takes. The basic form (plain WC-INDEX) re-resolves hub groups
+  // with binary search over `lr` for every query — Algorithm 4 shape.
   bool Covered(std::span<const LabelEntry> lr, std::span<const LabelEntry> lu,
-               Distance d, Quality w, const BuildWorkspace& ws) const {
+               Distance d, Quality w, BuildWorkspace& ws) const {
     if (!options_.query_efficient) {
       return QueryLabels(lr, lu, w, QueryImpl::kHubGrouped) <= d;
     }
-    size_t i = 0;
-    while (i < lu.size()) {
-      size_t ie = i + 1;
-      Rank hub = lu[i].hub;
-      while (ie < lu.size() && lu[ie].hub == hub) ++ie;
-      if (ws.hub_group_begin.Contains(hub)) {
-        size_t rb = ws.hub_group_begin.Get(hub);
-        size_t re = ws.hub_group_end.Get(hub);
-        size_t ri = FirstWithQuality(lr, rb, re, w);
-        if (ri != re) {
-          size_t ui = FirstWithQuality(lu, i, ie, w);
-          if (ui != ie && lr[ri].dist + lu[ui].dist <= d) return true;
-        }
+    const Distance* table = CoverTableFor(lr.first(ws.root_indexed), w, ws);
+    for (const LabelEntry& e : lu) {
+      // 64-bit sum: a hub absent from the table reads kInfDistance.
+      if ((e.quality >= w) & (uint64_t{table[e.hub]} + e.dist <= d)) {
+        return true;
       }
-      i = ie;
     }
     return false;
   }

@@ -8,8 +8,12 @@
 //     vertex via the R vector) — Lemma 1;
 //   * dominance pruning against the partial index (Line 11's QUERY), which
 //     yields a Sound, Complete, and Minimal index (Theorem 1);
-//   * the §IV.C engineering: O(1)-reset scratch arrays, a per-root hub
-//     table making each pruning query O(|L(u)|), and the "Further Pruning"
+//   * the §IV.C engineering: O(1)-reset scratch arrays, the per-root table
+//     T, kept here as per-constraint distance tables over L(root) (for a
+//     constraint w, table[h] is the least distance of an entry of L(root)
+//     at hub h with quality >= w), so each pruning query is one pass over
+//     L(u) — exact by Theorem 3, which makes the first entry with quality
+//     >= w in a hub group also its shortest — and the "Further Pruning"
 //     memo of satisfied queries.
 
 #ifndef WCSD_CORE_WC_INDEX_H_
@@ -52,12 +56,16 @@ struct WcIndexOptions {
   /// Seed for kRandom ordering.
   uint64_t seed = 42;
 
-  /// Use the §IV.C query-efficient construction (per-root hub table +
-  /// binary search). False = re-resolve hub groups per pruning query, the
-  /// plain WC-INDEX of the experiments.
+  /// Use the §IV.C query-efficient construction (per-root distance tables,
+  /// one pass over L(u) per pruning query). False = re-resolve hub groups
+  /// per pruning query, the plain WC-INDEX of the experiments.
   bool query_efficient = true;
 
   /// Enable the "Further Pruning" memo of satisfied construction queries.
+  /// Under the level-synchronous R vector it never prunes: a vertex is
+  /// pushed again only at a strictly higher quality than any it was popped
+  /// with before, so no earlier satisfied query at >= quality exists
+  /// (core.pruned_by_memo is 0 on every graph measured).
   bool further_pruning = true;
 
   /// Construction threads. 1 = the exact sequential Algorithm 3 loop;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
+#include <iterator>
 
 #include "util/bucket_queue.h"
 
@@ -15,11 +15,13 @@ TreeDecomposition MdeDecompose(const QualityGraph& g,
   td.elimination_order.reserve(n);
   td.bags.reserve(n);
 
-  // Transient adjacency (live neighbors only). Hash sets keep edge insertion
-  // and deletion O(1); bags are sorted on extraction for determinism.
-  std::vector<std::unordered_set<Vertex>> adj(n);
+  // Transient adjacency (live neighbors only), each list sorted by id, so
+  // bags come out sorted and fill-in is one linear merge per neighbor.
+  std::vector<std::vector<Vertex>> adj(n);
   for (Vertex u = 0; u < n; ++u) {
-    for (const Arc& a : g.Neighbors(u)) adj[u].insert(a.to);
+    for (const Arc& a : g.Neighbors(u)) adj[u].push_back(a.to);
+    std::sort(adj[u].begin(), adj[u].end());
+    adj[u].erase(std::unique(adj[u].begin(), adj[u].end()), adj[u].end());
   }
 
   BucketQueue queue(n);
@@ -29,25 +31,26 @@ TreeDecomposition MdeDecompose(const QualityGraph& g,
 
   std::vector<bool> eliminated(n, false);
   std::vector<Vertex> deferred;
+  std::vector<Vertex> merged;
 
   while (!queue.Empty()) {
     Vertex v = static_cast<Vertex>(queue.PopMin());
     if (eliminated[v]) continue;
-
-    std::vector<Vertex> neighbors(adj[v].begin(), adj[v].end());
-    std::sort(neighbors.begin(), neighbors.end());
+    eliminated[v] = true;
+    const std::vector<Vertex> neighbors = std::move(adj[v]);
 
     if (neighbors.size() > options.max_fill_degree) {
       // Degree cap reached: since v had the minimum degree, every remaining
       // vertex is at least this dense. Defer all of them (no fill-in); the
       // hybrid ordering ranks this residue by degree instead.
       deferred.push_back(v);
-      eliminated[v] = true;
-      for (Vertex u : neighbors) adj[u].erase(v);
+      for (Vertex u : neighbors) {
+        auto& list = adj[u];
+        list.erase(std::lower_bound(list.begin(), list.end(), v));
+      }
       continue;
     }
 
-    eliminated[v] = true;
     td.elimination_order.push_back(v);
 
     // Bag = {v} ∪ N(v) in the transient graph (Def. 8's B_i).
@@ -58,15 +61,15 @@ TreeDecomposition MdeDecompose(const QualityGraph& g,
     td.width = std::max(td.width, bag.size() > 0 ? bag.size() - 1 : 0);
     td.bags.push_back(std::move(bag));
 
-    // Remove v and connect clique(N(v)).
-    for (Vertex u : neighbors) adj[u].erase(v);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      for (size_t j = i + 1; j < neighbors.size(); ++j) {
-        Vertex a = neighbors[i], b = neighbors[j];
-        if (adj[a].insert(b).second) adj[b].insert(a);
-      }
-    }
+    // Remove v and connect clique(N(v)): adj[u] := (adj[u] ∪ N(v)) \ {u, v}.
     for (Vertex u : neighbors) {
+      merged.clear();
+      std::set_union(adj[u].begin(), adj[u].end(), neighbors.begin(),
+                     neighbors.end(), std::back_inserter(merged));
+      adj[u].clear();
+      for (Vertex x : merged) {
+        if (x != u && x != v) adj[u].push_back(x);
+      }
       queue.Push(u, static_cast<uint32_t>(adj[u].size()));
     }
   }

@@ -2,9 +2,10 @@
 //
 // CRC-32C is the storage-industry default (iSCSI, ext4, RocksDB block
 // checksums): better error-detection spread than CRC-32/zlib and hardware
-// acceleration on modern CPUs. This is a portable table-driven
-// implementation — snapshot checksum verification is off the query path, so
-// software speed (~1 GB/s) is plenty.
+// acceleration on modern CPUs. This is a portable slicing-by-8 table
+// implementation with no ISA-specific path. It is off the query path but
+// not off set-up: every snapshot write hashes all it writes, and every
+// engine open or reload with a result cache fingerprints the whole index.
 
 #ifndef WCSD_UTIL_CHECKSUM_H_
 #define WCSD_UTIL_CHECKSUM_H_

@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/verifier.h"
 #include "core/wc_index.h"
@@ -103,6 +104,35 @@ INSTANTIATE_TEST_SUITE_P(
                      kThreadCounts, kBatchSizes),
     IdentityCaseName);
 
+// Graphs with many quality levels: a root meets more constraints than the
+// builder keeps cover tables, so tables are replaced mid-root.
+QualityGraph MakeManyLevelGraph(int which, int levels, uint64_t seed) {
+  QualityModel quality;
+  quality.num_levels = levels;
+  switch (which) {
+    case 0:
+      return GenerateBarabasiAlbert(150, 4, quality, seed);
+    case 1: {
+      RoadOptions options;
+      options.rows = options.cols = 12;
+      options.quality = quality;
+      options.arterial_spacing = 5;
+      return GenerateRoadNetwork(options, seed);
+    }
+    default:
+      return GenerateRandomConnected(120, 360, quality, seed);
+  }
+}
+
+std::vector<std::vector<Vertex>> AllParents(const WcIndex& index) {
+  std::vector<std::vector<Vertex>> parents;
+  for (Vertex v = 0; v < index.NumVertices(); ++v) {
+    auto p = index.Parents(v);
+    parents.emplace_back(p.begin(), p.end());
+  }
+  return parents;
+}
+
 TEST(ParallelBuild, BasicConstructionQueryAlsoIdentical) {
   // The non-query-efficient cover check (plain WC-INDEX) goes through a
   // different code path; the pipeline must preserve it too, under the
@@ -119,6 +149,35 @@ TEST(ParallelBuild, BasicConstructionQueryAlsoIdentical) {
     EXPECT_EQ(WcIndex::Build(g, parallel).labels(),
               WcIndex::Build(g, sequential).labels())
         << "kind=" << kind;
+  }
+  // Basic() re-resolves hub groups per check (Algorithm 4), independently
+  // of Plus()'s cover tables: both must keep the same labels and parents
+  // where the tables are replaced mid-root, sequentially and in the
+  // parallel BFS and merge.
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int levels : {16, 200, 100000}) {
+      for (Ordering ordering :
+           {Ordering::kHybrid, Ordering::kTreeDecomposition}) {
+        SCOPED_TRACE("kind=" + std::to_string(kind) +
+                     " levels=" + std::to_string(levels) + " tree=" +
+                     std::to_string(ordering == Ordering::kTreeDecomposition));
+        QualityGraph g = MakeManyLevelGraph(kind, levels, 151 + kind);
+        WcIndexOptions basic = WcIndexOptions::Basic();
+        basic.ordering = ordering;
+        basic.record_parents = true;
+        WcIndexOptions plus = WcIndexOptions::Plus();
+        plus.ordering = ordering;
+        plus.record_parents = true;
+        const WcIndex expected = WcIndex::Build(g, basic);
+        const WcIndex sequential = WcIndex::Build(g, plus);
+        EXPECT_EQ(sequential.labels(), expected.labels());
+        EXPECT_EQ(AllParents(sequential), AllParents(expected));
+        WcIndexOptions parallel = plus;
+        parallel.num_threads = 4;
+        parallel.batch_size = 3;
+        EXPECT_EQ(WcIndex::Build(g, parallel).labels(), expected.labels());
+      }
+    }
   }
 }
 

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
 #include "paper_fixtures.h"
+#include "util/bucket_queue.h"
 
 namespace wcsd {
 namespace {
@@ -45,6 +52,83 @@ QualityGraph MakeGrid(size_t rows, size_t cols) {
     }
   }
   return b.Build();
+}
+
+// MDE over hash-set adjacency with pair-by-pair clique fill-in: the
+// reference the sorted-vector MdeDecompose must reproduce exactly (it fills
+// only elimination_order and bags; width and parents derive from them).
+TreeDecomposition ReferenceMde(const QualityGraph& g, size_t max_fill_degree) {
+  const size_t n = g.NumVertices();
+  TreeDecomposition td;
+  std::vector<std::unordered_set<Vertex>> adj(n);
+  for (Vertex u = 0; u < n; ++u) {
+    for (const Arc& a : g.Neighbors(u)) adj[u].insert(a.to);
+  }
+  BucketQueue queue(n);
+  for (Vertex u = 0; u < n; ++u) {
+    queue.Push(u, static_cast<uint32_t>(adj[u].size()));
+  }
+  std::vector<bool> eliminated(n, false);
+  std::vector<Vertex> deferred;
+  while (!queue.Empty()) {
+    Vertex v = static_cast<Vertex>(queue.PopMin());
+    if (eliminated[v]) continue;
+    eliminated[v] = true;
+    std::vector<Vertex> neighbors(adj[v].begin(), adj[v].end());
+    std::sort(neighbors.begin(), neighbors.end());
+    for (Vertex u : neighbors) adj[u].erase(v);
+    if (neighbors.size() > max_fill_degree) {
+      deferred.push_back(v);
+      continue;
+    }
+    td.elimination_order.push_back(v);
+    std::vector<Vertex> bag{v};
+    bag.insert(bag.end(), neighbors.begin(), neighbors.end());
+    td.bags.push_back(std::move(bag));
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      for (size_t j = i + 1; j < neighbors.size(); ++j) {
+        Vertex a = neighbors[i], b = neighbors[j];
+        if (adj[a].insert(b).second) adj[b].insert(a);
+      }
+    }
+    for (Vertex u : neighbors) {
+      queue.Push(u, static_cast<uint32_t>(adj[u].size()));
+    }
+  }
+  for (Vertex v : deferred) {
+    td.elimination_order.push_back(v);
+    td.bags.push_back({v});
+  }
+  return td;
+}
+
+TEST(Mde, MatchesHashSetReference) {
+  QualityModel quality;
+  RoadOptions road;
+  road.rows = road.cols = 24;
+  RoadOptions arterial = road;
+  arterial.arterial_spacing = 6;
+  const std::pair<std::string, QualityGraph> graphs[] = {
+      {"ba", GenerateBarabasiAlbert(600, 4, quality, 3)},
+      {"road", GenerateRoadNetwork(road, 5)},
+      {"road_arterials", GenerateRoadNetwork(arterial, 5)},
+      {"random_connected", GenerateRandomConnected(500, 1500, quality, 7)},
+      {"watts_strogatz", GenerateWattsStrogatz(500, 3, 0.2, quality, 9)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (size_t cap : {SIZE_MAX, AutoDegreeThreshold(g)}) {
+      MdeOptions options;
+      options.max_fill_degree = cap;
+      const TreeDecomposition td = MdeDecompose(g, options);
+      const TreeDecomposition expected = ReferenceMde(g, cap);
+      EXPECT_EQ(td.elimination_order, expected.elimination_order)
+          << name << " cap " << cap;
+      EXPECT_EQ(td.bags, expected.bags) << name << " cap " << cap;
+      if (cap == SIZE_MAX) {
+        EXPECT_TRUE(td.IsValidFor(g)) << name;
+      }
+    }
+  }
 }
 
 TEST(Mde, PathHasWidth1) {

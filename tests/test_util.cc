@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "util/bucket_queue.h"
+#include "util/checksum.h"
 #include "util/epoch_array.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -148,6 +150,53 @@ TEST(BucketQueue, MinBucketCanMoveDown) {
   q.Push(1, 2);  // Below the previously scanned minimum.
   EXPECT_FALSE(q.Empty());
   EXPECT_EQ(q.PopMin(), 1u);
+}
+
+// Bit-at-a-time CRC-32C, the definition the table-driven Crc32c must match.
+uint32_t BitwiseCrc32c(const unsigned char* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32c, CheckValue) {
+  const char digits[] = "123456789";
+  EXPECT_EQ(Crc32c(digits, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(digits, 0, 0x1234u), 0x1234u);
+}
+
+TEST(Crc32c, MatchesBitwiseAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buffer(64 + 8);
+  Rng rng(7);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng.Next());
+  for (uint32_t seed : {0u, 0xFFFFFFFFu}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t size = 0; size <= 64; ++size) {
+        const unsigned char* data = buffer.data() + offset;
+        EXPECT_EQ(Crc32c(data, size, seed), BitwiseCrc32c(data, size, seed))
+            << "seed " << seed << " offset " << offset << " size " << size;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, ChainedCallsEqualOneCall) {
+  std::vector<unsigned char> buffer(200);
+  Rng rng(11);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng.Next());
+  const uint32_t whole = Crc32c(buffer.data(), buffer.size());
+  EXPECT_EQ(whole, BitwiseCrc32c(buffer.data(), buffer.size(), 0));
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{13},
+                     size_t{64}, size_t{199}, size_t{200}}) {
+    const uint32_t head = Crc32c(buffer.data(), cut);
+    EXPECT_EQ(Crc32c(buffer.data() + cut, buffer.size() - cut, head), whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(Flags, ParsesEqualsAndSpaceForms) {
