@@ -22,7 +22,6 @@ void RunFamily(const std::vector<std::string>& names, bool social,
     Dataset d = social ? MakeSocialDataset(name, config.scale)
                        : MakeRoadDataset(name, config.scale);
     WcIndex index = WcIndex::Build(d.graph, WcIndexOptions::Plus());
-    index.Finalize();
     CompressedFlatLabelSet compressed =
         CompressedFlatLabelSet::FromFlat(index.flat_labels());
     const LabelStore store(compressed, index.NumVertices());

@@ -1,7 +1,6 @@
 // Ablation B (§IV.C): the four query implementations — Algorithm 2 scan,
 // Algorithm 4 hub-grouped, binary-search, Algorithm 5 merge (Query+) — and
-// the effect of the query-efficient construction + Further Pruning on
-// indexing time.
+// the effect of the query-efficient construction on indexing time.
 //
 // Paper shape to reproduce: Query+ fastest at query time; the
 // query-efficient construction strictly reduces indexing time at equal
@@ -45,31 +44,19 @@ int main(int argc, char** argv) {
       table.Row({c.name, c.algo, FormatMillis(ms)});
     }
 
-    // Construction-side ablation: basic vs. query-efficient vs. +memo.
+    // Construction-side ablation: basic vs. query-efficient.
     TablePrinter build_table(
         std::string("Construction variants (") + d.name + ")",
-        {"variant", "index-time(s)", "size(GB)", "memo-hits"},
-        {22, 14, 11, 12});
-    struct BuildCase {
-      const char* name;
-      bool query_efficient;
-      bool further_pruning;
-    };
-    const BuildCase build_cases[] = {
-        {"basic (Alg. 4 query)", false, false},
-        {"query-efficient", true, false},
-        {"query-eff + memo", true, true},
-    };
-    for (const BuildCase& c : build_cases) {
+        {"variant", "index-time(s)", "size(GB)"}, {22, 14, 11});
+    for (bool query_efficient : {false, true}) {
       WcIndexOptions options;  // Same degree order for comparability.
-      options.query_efficient = c.query_efficient;
-      options.further_pruning = c.further_pruning;
+      options.query_efficient = query_efficient;
       Timer timer;
       WcIndex built = WcIndex::Build(d.graph, options);
       double build_s = timer.Seconds();
-      build_table.Row({c.name, FormatSeconds(build_s),
-                       FormatGb(built.MemoryBytes()),
-                       std::to_string(built.build_stats().pruned_by_memo)});
+      build_table.Row(
+          {query_efficient ? "query-efficient" : "basic (Alg. 4 query)",
+           FormatSeconds(build_s), FormatGb(built.MemoryBytes())});
     }
   }
   return 0;

@@ -74,14 +74,17 @@ inline BuildOutcome BuildNaive(const QualityGraph& g, size_t budget_mb) {
   return outcome;
 }
 
-/// Times a WC-INDEX build with the given options.
+/// Times a WC-INDEX build with the given options. The size is the vector
+/// measure the PLL, Naïve and LCR baselines report (labels().MemoryBytes()),
+/// not the served flat bytes: the baselines have nothing like the flat hub
+/// directory.
 inline BuildOutcome BuildWc(const QualityGraph& g,
                             const WcIndexOptions& options) {
   Timer timer;
   WcIndex index = WcIndex::Build(g, options);
   BuildOutcome outcome;
   outcome.seconds = timer.Seconds();
-  outcome.bytes = index.MemoryBytes();
+  outcome.bytes = index.labels().MemoryBytes();
   return outcome;
 }
 

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
     WcIndexOptions basic = WcIndexOptions::Basic();
     WcIndexOptions fast = WcIndexOptions::Basic();
     fast.query_efficient = true;
-    fast.further_pruning = true;
     BuildOutcome wc = BuildWc(d.graph, basic);
     BuildOutcome wc_plus = BuildWc(d.graph, fast);
     table.Row({name, std::to_string(d.graph.NumVertices()),

@@ -1,8 +1,11 @@
 // Google-benchmark microbenchmarks for the query paths: per-query latency
-// of each implementation on both label backends (vector-of-vectors vs.
-// flat CSR), of the default query (the hub-table join once flat), plus the
-// baselines, on a mid-size social graph. Emits BENCH_micro_query.json for
-// tracking across changes.
+// of each implementation on both label backends, of the default query and
+// of the witness-hub query, plus the baselines, on a mid-size social graph.
+// The vector backend (backend:0) times the span kernels (QueryLabels,
+// QueryLabelsWithHub) over the index's labels unpacked into a LabelSet; the
+// flat backend (backend:1) times the index itself, whose default query is
+// the hub-table join. Emits BENCH_micro_query.json for tracking across
+// changes.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +14,7 @@
 #include "bench/workload.h"
 #include "core/wc_index.h"
 #include "labeling/naive_index.h"
+#include "labeling/query.h"
 #include "search/wc_bfs.h"
 
 namespace wcsd {
@@ -28,17 +32,10 @@ const WcIndex& SharedIndex() {
   return index;
 }
 
-const WcIndex& SharedFlatIndex() {
-  static const WcIndex index = [] {
-    WcIndex built = SharedIndex();  // copy: both backends serve one index
-    built.Finalize();
-    return built;
-  }();
-  return index;
-}
-
-const WcIndex& IndexForBackend(int backend) {
-  return backend == 1 ? SharedFlatIndex() : SharedIndex();
+// The same labels in the vector form the span kernels read.
+const LabelSet& SharedLabels() {
+  static const LabelSet labels = SharedIndex().labels();
+  return labels;
 }
 
 const std::vector<WcsdQuery>& SharedWorkload() {
@@ -47,14 +44,29 @@ const std::vector<WcsdQuery>& SharedWorkload() {
   return workload;
 }
 
-void BM_QueryImpl(benchmark::State& state) {
-  const WcIndex& index = IndexForBackend(static_cast<int>(state.range(1)));
+// Runs `query` over the workload, one query per iteration.
+template <typename Query>
+void RunWorkload(benchmark::State& state, const Query& query) {
   const auto& workload = SharedWorkload();
-  QueryImpl impl = static_cast<QueryImpl>(state.range(0));
   size_t i = 0;
   for (auto _ : state) {
     const WcsdQuery& q = workload[i++ & 4095];
-    benchmark::DoNotOptimize(index.Query(q.s, q.t, q.w, impl));
+    benchmark::DoNotOptimize(query(q));
+  }
+}
+
+void BM_QueryImpl(benchmark::State& state) {
+  const QueryImpl impl = static_cast<QueryImpl>(state.range(0));
+  if (state.range(1) == 0) {
+    const LabelSet& labels = SharedLabels();
+    RunWorkload(state, [&](const WcsdQuery& q) {
+      return QueryLabels(labels.For(q.s), labels.For(q.t), q.w, impl);
+    });
+  } else {
+    const WcIndex& index = SharedIndex();
+    RunWorkload(state, [&](const WcsdQuery& q) {
+      return index.Query(q.s, q.t, q.w, impl);
+    });
   }
 }
 BENCHMARK(BM_QueryImpl)
@@ -65,49 +77,49 @@ BENCHMARK(BM_QueryImpl)
                    {0, 1}})
     ->ArgNames({"impl", "backend"});
 
-// The default Query: the hub-table join on the flat backend, Algorithm 5
-// (BM_QueryImpl's merge row) on the vector one.
+// The default query: the hub-table join on the flat backend, Algorithm 5
+// (BM_QueryImpl's merge row) over the vector spans.
 void BM_Query(benchmark::State& state) {
-  const WcIndex& index = IndexForBackend(static_cast<int>(state.range(0)));
-  const auto& workload = SharedWorkload();
-  size_t i = 0;
-  for (auto _ : state) {
-    const WcsdQuery& q = workload[i++ & 4095];
-    benchmark::DoNotOptimize(index.Query(q.s, q.t, q.w));
+  if (state.range(0) == 0) {
+    const LabelSet& labels = SharedLabels();
+    RunWorkload(state, [&](const WcsdQuery& q) {
+      return QueryLabels(labels.For(q.s), labels.For(q.t), q.w);
+    });
+  } else {
+    const WcIndex& index = SharedIndex();
+    RunWorkload(state,
+                [&](const WcsdQuery& q) { return index.Query(q.s, q.t, q.w); });
   }
 }
 BENCHMARK(BM_Query)->Arg(0)->Arg(1)->ArgNames({"backend"});
 
 void BM_QueryWithHub(benchmark::State& state) {
-  const WcIndex& index = IndexForBackend(static_cast<int>(state.range(0)));
-  const auto& workload = SharedWorkload();
-  size_t i = 0;
-  for (auto _ : state) {
-    const WcsdQuery& q = workload[i++ & 4095];
-    benchmark::DoNotOptimize(index.QueryWithHub(q.s, q.t, q.w));
+  if (state.range(0) == 0) {
+    const LabelSet& labels = SharedLabels();
+    RunWorkload(state, [&](const WcsdQuery& q) {
+      return QueryLabelsWithHub(labels.For(q.s), labels.For(q.t), q.w);
+    });
+  } else {
+    const WcIndex& index = SharedIndex();
+    RunWorkload(state, [&](const WcsdQuery& q) {
+      return index.QueryWithHub(q.s, q.t, q.w);
+    });
   }
 }
 BENCHMARK(BM_QueryWithHub)->Arg(0)->Arg(1)->ArgNames({"backend"});
 
 void BM_NaiveQuery(benchmark::State& state) {
   static const auto naive = NaiveWcsdIndex::Build(SocialDataset().graph);
-  const auto& workload = SharedWorkload();
-  size_t i = 0;
-  for (auto _ : state) {
-    const WcsdQuery& q = workload[i++ & 4095];
-    benchmark::DoNotOptimize(naive.value().Query(q.s, q.t, q.w));
-  }
+  RunWorkload(state, [&](const WcsdQuery& q) {
+    return naive.value().Query(q.s, q.t, q.w);
+  });
 }
 BENCHMARK(BM_NaiveQuery);
 
 void BM_ConstrainedBfs(benchmark::State& state) {
   static WcBfs bfs(&SocialDataset().graph);
-  const auto& workload = SharedWorkload();
-  size_t i = 0;
-  for (auto _ : state) {
-    const WcsdQuery& q = workload[i++ & 4095];
-    benchmark::DoNotOptimize(bfs.Query(q.s, q.t, q.w));
-  }
+  RunWorkload(state,
+              [&](const WcsdQuery& q) { return bfs.Query(q.s, q.t, q.w); });
 }
 BENCHMARK(BM_ConstrainedBfs);
 

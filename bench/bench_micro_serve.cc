@@ -63,7 +63,6 @@ const ServeFixture& FixtureForSize(int size) {
     for (int i = 0; i < 2; ++i) {
       Dataset d = MakeSocialDataset("EU", scales[i]);
       WcIndex index = WcIndex::Build(d.graph, WcIndexOptions::Plus());
-      index.Finalize();
       ServeFixture f;
       f.num_vertices = index.NumVertices();
       f.total_entries = index.TotalEntries();
@@ -125,7 +124,7 @@ void BM_LoadMmap(benchmark::State& state) {
   for (auto _ : state) {
     auto loaded = WcIndex::LoadMmap(f.snap_path);
     if (!loaded.ok()) state.SkipWithError("mmap load failed");
-    benchmark::DoNotOptimize(loaded.value().finalized());
+    benchmark::DoNotOptimize(loaded.value().NumVertices());
   }
   state.counters["entries"] = static_cast<double>(f.total_entries);
 }
@@ -517,7 +516,6 @@ void BM_ConstrainedPath(benchmark::State& state) {
     WcIndexOptions options = WcIndexOptions::Plus();
     options.record_parents = with_parents;
     WcIndex built = WcIndex::Build(d.graph, options);
-    built.Finalize();
     fx = std::make_unique<PathFixture>(
         PathFixture{std::move(d.graph), std::move(built)});
   }
@@ -662,16 +660,14 @@ void BM_PostSwapCacheRetention(benchmark::State& state) {
   static const RetentionFixture fx = [] {
     RetentionFixture f;
     Dataset d = MakeSocialDataset("EU", 0.12);
-    WcIndex a = WcIndex::Build(d.graph, WcIndexOptions::Plus());
-    a.Finalize();
-    f.index_a = std::make_shared<const WcIndex>(std::move(a));
+    f.index_a = std::make_shared<const WcIndex>(
+        WcIndex::Build(d.graph, WcIndexOptions::Plus()));
     const Vertex eu = 0;
     const Arc arc = d.graph.Neighbors(0)[0];
     DynamicWcIndex dyn(d.graph);
     dyn.InsertEdge(eu, arc.to, arc.quality + 1.0f);
-    WcIndex b = WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus());
-    b.Finalize();
-    f.index_b = std::make_shared<const WcIndex>(std::move(b));
+    f.index_b = std::make_shared<const WcIndex>(
+        WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus()));
     // The upgrade of edge {eu, arc.to} from arc.quality to + 1.
     const DeltaRecord upgrade{static_cast<uint8_t>(DeltaOp::kUpgrade), {},
                               eu, arc.to, arc.quality + 1.0f, arc.quality};

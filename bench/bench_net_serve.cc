@@ -127,7 +127,6 @@ int Run(int argc, char** argv) {
 
   Dataset dataset = MakeSocialDataset("EU", scale);
   WcIndex index = WcIndex::Build(dataset.graph, WcIndexOptions::Plus());
-  index.Finalize();
   std::string snap = "/tmp/bench_net_serve.wcsnap";
   if (!index.SaveSnapshot(snap).ok()) {
     std::fprintf(stderr, "snapshot write failed\n");

@@ -35,7 +35,7 @@ int main() {
   std::printf("\nWC-INDEX (Table II):\n");
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
     std::printf("  L(v%u) =", v);
-    for (const LabelEntry& e : index.labels().For(v)) {
+    for (const LabelEntry& e : index.EntriesFor(v)) {
       if (e.quality == kInfQuality) {
         std::printf(" (v%u,%u,inf)", e.hub, e.dist);
       } else {

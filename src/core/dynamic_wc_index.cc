@@ -18,14 +18,14 @@ constexpr Quality kNegInfQuality = -std::numeric_limits<Quality>::infinity();
 
 DynamicWcIndex::DynamicWcIndex(const QualityGraph& g,
                                const WcIndexOptions& options)
-    : options_(options), adj_(g.NumVertices()) {
+    : options_(options),
+      order_(MakeOrder(g, options)),
+      labels_(WcIndex::BuildLabels(g, order_, options)),
+      adj_(g.NumVertices()) {
   for (Vertex u = 0; u < g.NumVertices(); ++u) {
     auto nbrs = g.Neighbors(u);
     adj_[u].assign(nbrs.begin(), nbrs.end());
   }
-  WcIndex built = WcIndex::Build(g, options_);
-  order_ = built.order();
-  labels_ = built.labels();
 }
 
 DynamicWcIndex::DynamicWcIndex(const QualityGraph& g, VertexOrder order,
@@ -70,7 +70,9 @@ bool DynamicWcIndex::Apply(const DeltaLog& log) {
 }
 
 WcIndex DynamicWcIndex::ReleaseIndex() {
-  return WcIndex(std::move(labels_), order_, WcIndexBuildStats{});
+  WcIndex index(labels_, /*parents=*/{}, order_, WcIndexBuildStats{});
+  labels_ = LabelSet();
+  return index;
 }
 
 QualityGraph DynamicWcIndex::Snapshot() const {
@@ -84,9 +86,9 @@ QualityGraph DynamicWcIndex::Snapshot() const {
 }
 
 void DynamicWcIndex::Rebuild() {
-  WcIndex built = WcIndex::Build(Snapshot(), options_);
-  order_ = built.order();
-  labels_ = built.labels();
+  const QualityGraph g = Snapshot();
+  order_ = MakeOrder(g, options_);
+  labels_ = WcIndex::BuildLabels(g, order_, options_);
 }
 
 Distance DynamicWcIndex::Query(Vertex s, Vertex t, Quality w) const {

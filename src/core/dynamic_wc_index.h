@@ -81,9 +81,8 @@ class DynamicWcIndex {
   const VertexOrder& order() const { return order_; }
   size_t MemoryBytes() const { return labels_.MemoryBytes(); }
 
-  /// Releases the maintained labels as a serveable WcIndex (not yet
-  /// finalized; call Finalize() before SaveSnapshot). The dynamic index is
-  /// left empty — discard it afterwards.
+  /// Packs the maintained labels into a serveable WcIndex (no parent
+  /// quads). The dynamic index is left empty — discard it afterwards.
   WcIndex ReleaseIndex();
 
  private:

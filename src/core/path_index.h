@@ -32,7 +32,7 @@ struct PathQueryStats {
 
 /// Reconstructs a shortest w-path from s to t. Returns the vertex sequence
 /// s ... t (inclusive), or an empty vector if t is unreachable under w.
-/// Works on both label backends (append-oriented and finalized/mmap flat).
+/// Works on every label backend (flat, or compressed and decoded per step).
 /// Fastest with parent quads (record_parents at build, or a v2 snapshot);
 /// falls back to pure index-guided search otherwise — still correct, more
 /// queries (reported through `stats` when non-null).

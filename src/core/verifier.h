@@ -68,12 +68,12 @@ VerificationReport VerifyCompleteness(const WcIndex& index,
                                       const QualityGraph& g);
 
 /// Minimality: dominance-freeness plus necessity of every entry. Reads the
-/// entries the index serves (WcIndex::EntriesFor), so a mapped snapshot,
-/// flat or compressed, is checked as thoroughly as a freshly built index.
+/// labels the index serves (WcIndex::labels()), so a mapped snapshot, flat
+/// or compressed, is checked as thoroughly as a freshly built index.
 VerificationReport VerifyMinimality(const WcIndex& index);
 
 /// Runs all checks appropriate for a WC-INDEX, over the entries it serves
-/// (see VerifyMinimality).
+/// (see VerifyMinimality). `entries_checked` counts each entry once.
 VerificationReport VerifyAll(const WcIndex& index, const QualityGraph& g);
 
 }  // namespace wcsd

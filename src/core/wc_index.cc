@@ -76,16 +76,15 @@ VertexOrder MakeOrder(const QualityGraph& g, const WcIndexOptions& options) {
 /// any thread count and batch size (tested).
 class WcIndexBuilder {
  public:
-  WcIndexBuilder(const QualityGraph& g, VertexOrder order,
+  WcIndexBuilder(const QualityGraph& g, const VertexOrder& order,
                  const WcIndexOptions& options)
-      : g_(g),
-        order_(std::move(order)),
-        options_(options),
-        labels_(g.NumVertices()) {
+      : g_(g), order_(order), options_(options), labels_(g.NumVertices()) {
     if (options.record_parents) parents_.resize(g.NumVertices());
   }
 
-  WcIndex Run() {
+  // Runs Algorithm 3 and hands out the labels in their construction form;
+  // parents() and stats() describe them.
+  LabelSet Run() {
     Timer timer;
     const size_t n = g_.NumVertices();
     size_t threads = std::min(ResolveThreads(options_.num_threads),
@@ -100,10 +99,13 @@ class WcIndexBuilder {
       RunParallel(threads);
     }
     stats_.build_seconds = timer.Seconds();
-    WcIndex index(std::move(labels_), std::move(order_), stats_);
-    index.parents_ = std::move(parents_);
-    return index;
+    return std::move(labels_);
   }
+
+  // BFS parents per vertex, aligned with its label; empty unless
+  // options.record_parents.
+  const std::vector<std::vector<Vertex>>& parents() const { return parents_; }
+  const WcIndexBuildStats& stats() const { return stats_; }
 
  private:
   // Frontier entry: the paper's queue tuple (u, d, w) with d implicit in
@@ -144,12 +146,10 @@ class WcIndexBuilder {
     explicit BuildWorkspace(size_t n)
         : max_quality(n, kNegInfQuality),
           in_next(n, false),
-          memo_quality(n, kNegInfQuality),
           pred(n, kNullVertex) {}
 
     EpochArray<Quality> max_quality;  // the paper's R vector
     EpochArray<bool> in_next;
-    EpochArray<Quality> memo_quality;
     EpochArray<Vertex> pred;
     std::array<CoverTable, kCoverTables> tables;
     size_t table_claims = 0;  // this root's; claim i takes table i % count
@@ -207,10 +207,9 @@ class WcIndexBuilder {
                    std::vector<Candidate>* candidates) {
     const Vertex root = order_.VertexAt(k);
 
-    // Per-root scratch reset (O(1) via epochs): R vector (line 4), the
-    // satisfied-query memo, and the root's cover tables.
+    // Per-root scratch reset (O(1) via epochs): R vector (line 4) and the
+    // root's cover tables.
     ws.max_quality.Clear();
-    ws.memo_quality.Clear();
     ws.pred.Clear();
     StartCoverTables(labels_.For(root).size(), ws);
 
@@ -247,13 +246,8 @@ class WcIndexBuilder {
   bool ProcessPop(Rank k, Vertex root, Vertex u, Distance d, Quality w,
                   Vertex parent, BuildWorkspace& ws,
                   std::vector<Candidate>* candidates) {
-    if (options_.further_pruning && ws.memo_quality.Get(u) >= w) {
-      ++ws.stats.pruned_by_memo;
-      return false;
-    }
     if (Covered(labels_.For(root), labels_.For(u), d, w, ws)) {
       ++ws.stats.pruned_by_query;
-      if (options_.further_pruning) ws.memo_quality.Set(u, w);
       return false;
     }
     if (candidates != nullptr) {
@@ -272,9 +266,7 @@ class WcIndexBuilder {
   // hub. Labels grow in rank order, so those hubs are the tails of L(root)
   // and L(u). The root's own entries, appended here, never cover its
   // candidates (per vertex, candidate qualities strictly ascend within one
-  // root), so a root without such a tail appends unchecked. For the same
-  // reason the memo is skipped: a memo hit (a previously satisfied query
-  // at >= quality) is impossible here.
+  // root), so a root without such a tail appends unchecked.
   void MergeRoot(Rank k, Rank k0, const std::vector<Candidate>& candidates,
                  BuildWorkspace& ws) {
     const Vertex root = order_.VertexAt(k);
@@ -385,12 +377,11 @@ class WcIndexBuilder {
   void AccumulateStats(const BuildWorkspace& ws) {
     stats_.pops += ws.stats.pops;
     stats_.pruned_by_query += ws.stats.pruned_by_query;
-    stats_.pruned_by_memo += ws.stats.pruned_by_memo;
     stats_.relaxations += ws.stats.relaxations;
   }
 
   const QualityGraph& g_;
-  VertexOrder order_;
+  const VertexOrder& order_;
   WcIndexOptions options_;
   LabelSet labels_;
   WcIndexBuildStats stats_;
@@ -404,32 +395,59 @@ WcIndex WcIndex::Build(const QualityGraph& g, const WcIndexOptions& options) {
 WcIndex WcIndex::BuildWithOrder(const QualityGraph& g, VertexOrder order,
                                 const WcIndexOptions& options) {
   assert(order.size() == g.NumVertices());
-  WcIndexBuilder builder(g, std::move(order), options);
-  return builder.Run();
+  WcIndexBuilder builder(g, order, options);
+  const LabelSet labels = builder.Run();
+  return WcIndex(labels, builder.parents(), std::move(order),
+                 builder.stats());
 }
 
-void WcIndex::Finalize() {
-  if (finalized_) return;
-  store_ = LabelStore(FlatLabelSet::FromLabelSet(labels_),
-                      labels_.NumVertices());
-  finalized_ = true;
+LabelSet WcIndex::BuildLabels(const QualityGraph& g, const VertexOrder& order,
+                              const WcIndexOptions& options) {
+  WcIndexOptions labels_only = options;
+  labels_only.record_parents = false;
+  return WcIndexBuilder(g, order, labels_only).Run();
+}
+
+WcIndex::WcIndex(const LabelSet& labels,
+                 std::span<const std::vector<Vertex>> parents,
+                 VertexOrder order, WcIndexBuildStats stats)
+    : store_(FlatLabelSet::FromLabelSet(labels), labels.NumVertices()),
+      order_(std::move(order)),
+      stats_(stats) {
+  if (parents.empty()) return;
+  // Vertex order, the order FromLabelSet packs entries in.
+  auto flat = std::make_shared<std::vector<Vertex>>();
+  flat->reserve(labels.TotalEntries());
+  for (const std::vector<Vertex>& pv : parents) {
+    flat->insert(flat->end(), pv.begin(), pv.end());
+  }
+  assert(flat->size() == labels.TotalEntries());
+  parents_ = *flat;
+  parents_storage_ = std::move(flat);
+}
+
+LabelSet WcIndex::labels() const {
+  LabelSet unpacked(NumVertices());
+  for (Vertex v = 0; v < NumVertices(); ++v) {
+    auto entries = EntriesFor(v);
+    unpacked.Mutable(v)->assign(entries.begin(), entries.end());
+  }
+  return unpacked;
 }
 
 std::span<const LabelEntry> WcIndex::EntriesFor(Vertex v) const {
-  return finalized_ ? store_.View(v, NextScratch()).entries : labels_.For(v);
+  return store_.View(v, NextScratch()).entries;
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w) const {
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (finalized_) return QueryStores(store_, s, store_, t, w);
-  return QueryLabels(labels_.For(s), labels_.For(t), w);
+  return QueryStores(store_, s, store_, t, w);
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w, QueryImpl impl) const {
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (!finalized_) return QueryLabels(labels_.For(s), labels_.For(t), w, impl);
   // kMerge streams compressed labels; the other impls (ablation paths) run
   // over per-vertex views — bit-identical either way.
   if (impl == QueryImpl::kMerge) return MergeStores(store_, s, store_, t, w);
@@ -445,12 +463,9 @@ IntervalQueryResult WcIndex::QueryWithInterval(Vertex s, Vertex t,
     r.dist = 0;
     return r;  // 0 under every constraint
   }
-  if (finalized_) {
-    return QueryLabelsWithInterval(store_.View(s, NextScratch()),
-                                   store_.View(t, NextScratch()), w,
-                                   NumVertices());
-  }
-  return QueryLabelsWithInterval(labels_.For(s), labels_.For(t), w);
+  return QueryLabelsWithInterval(store_.View(s, NextScratch()),
+                                 store_.View(t, NextScratch()), w,
+                                 NumVertices());
 }
 
 HubQueryResult WcIndex::QueryWithHub(Vertex s, Vertex t, Quality w) const {
@@ -463,16 +478,11 @@ HubQueryResult WcIndex::QueryWithHub(Vertex s, Vertex t, Quality w) const {
     r.dist_to_t = 0;
     return r;
   }
-  if (finalized_) return QueryStoresWithHub(store_, s, store_, t, w);
-  return QueryLabelsWithHub(labels_.For(s), labels_.For(t), w);
+  return QueryStoresWithHub(store_, s, store_, t, w);
 }
 
 Status WcIndex::SaveSnapshot(const std::string& path,
                              const SnapshotWriteOptions& write_options) const {
-  if (!finalized_) {
-    return Status::InvalidArgument(
-        "SaveSnapshot requires a finalized index (call Finalize first)");
-  }
   if (store_.compressed()) {
     // Re-materialize the flat arrays, the snapshot writer's input form.
     // This is the migration path both ways: --compress re-encodes (fresh
@@ -482,24 +492,7 @@ Status WcIndex::SaveSnapshot(const std::string& path,
     return WriteSnapshot(path, flat.value(), &order_, /*parents=*/{},
                          write_options);
   }
-  const FlatLabelSet& flat = store_.flat();
-  if (!parents_.empty()) {
-    // Flatten the per-vertex parent vectors in vertex order — the same
-    // order Finalize packs entries — so parents align index-for-index with
-    // the flat entry array the snapshot carries.
-    std::vector<Vertex> flat_parents;
-    flat_parents.reserve(flat.TotalEntries());
-    for (const std::vector<Vertex>& pv : parents_) {
-      flat_parents.insert(flat_parents.end(), pv.begin(), pv.end());
-    }
-    if (flat_parents.size() != flat.raw_entries().size()) {
-      return Status::InvalidArgument(
-          "parent quads out of sync with the flat labels; refusing to "
-          "snapshot misaligned parents");
-    }
-    return WriteSnapshot(path, flat, &order_, flat_parents, write_options);
-  }
-  return WriteSnapshot(path, flat, &order_, flat_parents_, write_options);
+  return WriteSnapshot(path, store_.flat(), &order_, parents_, write_options);
 }
 
 Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
@@ -516,9 +509,8 @@ Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
   if (!index.order_.IsValid()) {
     return Status::Corruption("order is not a permutation in " + path);
   }
-  index.flat_parents_ = mapped.parents;  // kept alive by the store's mapping
+  index.parents_ = mapped.parents;  // kept alive by the store's mapping
   index.store_ = LabelStore::FromSnapshot(&mapped);
-  index.finalized_ = true;
   return index;
 }
 

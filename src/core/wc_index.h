@@ -8,18 +8,25 @@
 //     vertex via the R vector) — Lemma 1;
 //   * dominance pruning against the partial index (Line 11's QUERY), which
 //     yields a Sound, Complete, and Minimal index (Theorem 1);
-//   * the §IV.C engineering: O(1)-reset scratch arrays, the per-root table
-//     T, kept here as per-constraint distance tables over L(root) (for a
-//     constraint w, table[h] is the least distance of an entry of L(root)
-//     at hub h with quality >= w), so each pruning query is one pass over
-//     L(u) — exact by Theorem 3, which makes the first entry with quality
-//     >= w in a hub group also its shortest — and the "Further Pruning"
-//     memo of satisfied queries.
+//   * the §IV.C engineering: O(1)-reset scratch arrays and the per-root
+//     table T, kept here as per-constraint distance tables over L(root)
+//     (for a constraint w, table[h] is the least distance of an entry of
+//     L(root) at hub h with quality >= w), so each pruning query is one
+//     pass over L(u) — exact by Theorem 3, which makes the first entry with
+//     quality >= w in a hub group also its shortest. The paper's "Further
+//     Pruning" memo is left out: under the level-synchronous R vector a
+//     vertex is pushed again only at a strictly higher quality, so a
+//     satisfied query at >= quality never recurs and the memo never prunes.
+//
+// The builder appends to a LabelSet; a built index holds only the packed
+// serving form (labeling/label_store.h), the same form a mapped snapshot
+// loads into, so every query and accessor reads one store.
 
 #ifndef WCSD_CORE_WC_INDEX_H_
 #define WCSD_CORE_WC_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,13 +68,6 @@ struct WcIndexOptions {
   /// per pruning query, the plain WC-INDEX of the experiments.
   bool query_efficient = true;
 
-  /// Enable the "Further Pruning" memo of satisfied construction queries.
-  /// Under the level-synchronous R vector it never prunes: a vertex is
-  /// pushed again only at a strictly higher quality than any it was popped
-  /// with before, so no earlier satisfied query at >= quality exists
-  /// (core.pruned_by_memo is 0 on every graph measured).
-  bool further_pruning = true;
-
   /// Construction threads. 1 = the exact sequential Algorithm 3 loop;
   /// 0 = auto (hardware concurrency); N > 1 = rank-batched parallel
   /// pipeline. Any value produces a bit-identical index (tested): workers
@@ -91,14 +91,13 @@ struct WcIndexOptions {
   bool record_parents = false;
 
   /// Preset matching the paper's WC-INDEX: the basic construction query
-  /// (Algorithm 4 per pop), no memo. The ordering matches WC-INDEX+ — the
-  /// paper's Exp 2 notes both "use the same vertex ordering", which is why
-  /// their index sizes coincide; only construction time differs.
+  /// (Algorithm 4 per pop). The ordering matches WC-INDEX+ — the paper's
+  /// Exp 2 notes both "use the same vertex ordering", which is why their
+  /// index sizes coincide; only construction time differs.
   static WcIndexOptions Basic() {
     WcIndexOptions o;
     o.ordering = Ordering::kHybrid;
     o.query_efficient = false;
-    o.further_pruning = false;
     return o;
   }
 
@@ -107,7 +106,6 @@ struct WcIndexOptions {
     WcIndexOptions o;
     o.ordering = Ordering::kHybrid;
     o.query_efficient = true;
-    o.further_pruning = true;
     return o;
   }
 };
@@ -117,6 +115,8 @@ struct WcIndexBuildStats {
   size_t entries_added = 0;
   size_t pops = 0;
   size_t pruned_by_query = 0;
+  /// Always 0: the builder has no "Further Pruning" memo (see the header
+  /// comment). Kept because the benchmark runner reports it.
   size_t pruned_by_memo = 0;
   size_t relaxations = 0;
   double build_seconds = 0.0;
@@ -126,7 +126,9 @@ struct WcIndexBuildStats {
 };
 
 /// The WC-INDEX (Def. 6): per-vertex sets of (hub, distance, quality)
-/// entries describing minimal w-paths.
+/// entries describing minimal w-paths, held in one label store — flat for
+/// a built index, flat or compressed for a mapped snapshot. A copy shares
+/// the store's arrays (or mapping) and the parent quads.
 class WcIndex {
  public:
   /// Builds the index for `g`, deriving the vertex order from options.
@@ -138,8 +140,8 @@ class WcIndex {
                                 const WcIndexOptions& options = {});
 
   /// w-constrained distance between s and t: Eq. (1) through the hub-table
-  /// join once finalized over flat labels (labeling/hub_table.h), Query+
-  /// (Algorithm 5) otherwise. Both answer identically.
+  /// join over flat labels (labeling/hub_table.h), Query+ (Algorithm 5)
+  /// streaming compressed ones. Both answer identically.
   Distance Query(Vertex s, Vertex t, Quality w) const;
 
   /// Same, with an explicit query implementation (ablation); kMerge runs
@@ -160,23 +162,22 @@ class WcIndex {
     return Query(s, t, w) != kInfDistance;
   }
 
-  const LabelSet& labels() const { return labels_; }
+  /// The served labels unpacked into a fresh LabelSet (a compressed store
+  /// decodes every vertex): the construction form the dynamic-update
+  /// subsystem, the verifier and the label statistics take. O(entries) per
+  /// call; read single labels through EntriesFor.
+  LabelSet labels() const;
   const VertexOrder& order() const { return order_; }
   const WcIndexBuildStats& build_stats() const { return stats_; }
 
-  /// Packs the labels into the flat CSR backend and routes all subsequent
-  /// queries through it. Idempotent; the append-oriented labels() remain
-  /// available (the dynamic-update subsystem needs them mutable).
-  void Finalize();
+  /// Does nothing: a built or loaded index already serves from its store.
+  /// Kept only for the benchmark harness (perfbench/), which still calls it.
+  void Finalize() {}
 
-  /// True once Finalize() has run (or the index was mmap-loaded).
-  bool finalized() const { return finalized_; }
-
-  /// The store queries route through once finalized(); empty before.
+  /// The store every query routes through.
   const LabelStore& store() const { return store_; }
 
-  /// The flat backend; only meaningful when finalized() and not
-  /// compressed() (a compressed-snapshot load leaves it empty).
+  /// The flat backend; empty when compressed().
   const FlatLabelSet& flat_labels() const { return store_.flat(); }
 
   /// True when queries route through the compressed backend — the index
@@ -192,81 +193,58 @@ class WcIndex {
 
   /// Content fingerprint of the served labels, identical across storage
   /// backends (IndexContentFingerprint of the flat arrays; the compressed
-  /// backend reproduces it through a decode pass). Requires finalized().
+  /// backend reproduces it through a decode pass).
   uint64_t ContentFingerprint() const { return store_.ContentFingerprint(); }
 
-  /// Entries of L(v) from whichever labels queries route through — the
-  /// store once finalized (mmap-loaded indexes have empty append-oriented
-  /// labels), the heap vectors before that. On the compressed backend the
-  /// label is decoded into thread-local scratch: the span stays valid until
-  /// the SAME thread's second-next decode through this index (two scratch
-  /// slots rotate, so holding s's and t's entries at once — the
-  /// query-kernel shape — is safe).
+  /// Entries of L(v) from the store. On the compressed backend the label is
+  /// decoded into thread-local scratch: the span stays valid until the SAME
+  /// thread's second-next decode through this index (two scratch slots
+  /// rotate, so holding s's and t's entries at once — the query-kernel
+  /// shape — is safe).
   std::span<const LabelEntry> EntriesFor(Vertex v) const;
 
   /// True if §V quad labels (BFS parents) are available — recorded at
   /// build time, or loaded from a v2 snapshot's parents section.
-  bool has_parents() const {
-    return !parents_.empty() || !flat_parents_.empty();
-  }
+  bool has_parents() const { return !parents_.empty(); }
 
-  /// Parents aligned index-for-index with the vertex's label entries
-  /// (labels().For(v) and the flat backend pack entries in the same
-  /// per-vertex order): Parents(v)[i] is the predecessor of v on the
-  /// minimal path witnessing entry i (kNullVertex for self entries).
-  /// Empty unless has_parents().
+  /// Parents aligned index-for-index with EntriesFor(v): Parents(v)[i] is
+  /// the predecessor of v on the minimal path witnessing entry i
+  /// (kNullVertex for self entries). Empty unless has_parents().
   std::span<const Vertex> Parents(Vertex v) const {
-    if (!parents_.empty()) {
-      const auto& pv = parents_[v];
-      return {pv.data(), pv.size()};
-    }
-    if (!flat_parents_.empty()) {
-      auto offsets = flat_labels().raw_offsets();
-      return flat_parents_.subspan(
-          offsets[v], offsets[v + 1] - offsets[v]);
-    }
-    return {};
+    if (parents_.empty()) return {};
+    auto offsets = flat_labels().raw_offsets();
+    return parents_.subspan(offsets[v], offsets[v + 1] - offsets[v]);
   }
 
-  /// Number of vertices indexed. Routed through the store once finalized
-  /// so mmap-loaded indexes (whose append-oriented labels() are empty)
-  /// report correctly.
-  size_t NumVertices() const {
-    return finalized_ ? store_.NumVertices() : labels_.NumVertices();
-  }
+  /// Number of vertices indexed.
+  size_t NumVertices() const { return store_.NumVertices(); }
 
-  /// Index size in bytes (Figures 6/9/11 report this). A finalized index
-  /// reports the backend it serves queries from — the compressed bytes
-  /// for a compressed-snapshot load.
-  size_t MemoryBytes() const {
-    return finalized_ ? store_.MemoryBytes() : labels_.MemoryBytes();
-  }
+  /// Bytes of the backend queries are served from — the compressed bytes
+  /// for a compressed-snapshot load. The figures compare WC-INDEX with the
+  /// vector-held baselines through labels().MemoryBytes() instead: the
+  /// flat hub directory has no counterpart there.
+  size_t MemoryBytes() const { return store_.MemoryBytes(); }
 
   /// Total number of label entries.
-  size_t TotalEntries() const {
-    return finalized_ ? store_.TotalEntries() : labels_.TotalEntries();
-  }
+  size_t TotalEntries() const { return store_.TotalEntries(); }
 
-  /// Writes the finalized flat backend plus the vertex order as a
-  /// page-aligned, checksummed snapshot (labeling/snapshot.h). Requires
-  /// finalized(). Parent quads, when present, are flattened and written
-  /// as the v2 parents section so LoadMmap keeps path reconstruction on
-  /// the fast unwind. `write_options.compress` stores the labels in the
-  /// v3 compressed sections (refused when the index carries parents); a
-  /// compressed-backend index re-materializes its flat arrays first, so
-  /// this is also the compress/decompress migration path.
+  /// Writes the flat labels plus the vertex order as a page-aligned,
+  /// checksummed snapshot (labeling/snapshot.h); parent quads, when
+  /// present, go into the v2 parents section so LoadMmap keeps path
+  /// reconstruction on the fast unwind. `write_options.compress` stores the
+  /// labels in the v3 compressed sections (refused when the index carries
+  /// parents); a compressed-backend index re-materializes its flat arrays
+  /// first, so this is also the compress/decompress migration path.
   Status SaveSnapshot(const std::string& path,
                       const SnapshotWriteOptions& write_options = {}) const;
 
   /// Maps a snapshot written by SaveSnapshot and serves queries directly
   /// out of the mapping: no per-entry deserialization, load time
-  /// independent of label count. The result is finalized; its
-  /// append-oriented labels() are empty (read EntriesFor, or rebuild a
-  /// LabelSet from the flat labels as dynamic updates do). Only full-range
-  /// snapshots with an order section qualify — a shard set is served as a
-  /// tiling through its manifest (QueryEngine::OpenManifest). A v3
-  /// compressed snapshot loads into the compressed backend (see
-  /// compressed()): label bytes stay on disk and page in on first decode.
+  /// independent of label count. Only full-range snapshots with an order
+  /// section qualify — a shard set is served as a tiling through its
+  /// manifest (QueryEngine::OpenManifest). A v3 compressed snapshot loads
+  /// into the compressed backend (see compressed()): label bytes stay on
+  /// disk and page in on first decode.
   static Result<WcIndex> LoadMmap(const std::string& path,
                                   const SnapshotLoadOptions& options = {});
 
@@ -275,21 +253,24 @@ class WcIndex {
   friend class DynamicWcIndex;
 
   WcIndex() = default;
-  WcIndex(LabelSet labels, VertexOrder order, WcIndexBuildStats stats)
-      : labels_(std::move(labels)),
-        order_(std::move(order)),
-        stats_(stats) {}
+  /// Packs `labels` into the flat store and flattens `parents` (one vector
+  /// per vertex, empty without quads) into one array aligned with it.
+  WcIndex(const LabelSet& labels,
+          std::span<const std::vector<Vertex>> parents, VertexOrder order,
+          WcIndexBuildStats stats);
 
-  LabelSet labels_;
+  /// Algorithm 3's labels for `g` under `order`, left in the construction
+  /// form DynamicWcIndex maintains.
+  static LabelSet BuildLabels(const QualityGraph& g, const VertexOrder& order,
+                              const WcIndexOptions& options);
+
   LabelStore store_;
-  bool finalized_ = false;
   VertexOrder order_;
   WcIndexBuildStats stats_;
-  std::vector<std::vector<Vertex>> parents_;
-  /// Per-entry parents in flat-entry order, pointing into an mmap'd
-  /// snapshot (kept alive by the store's mapping). Mutually exclusive with
-  /// parents_ in practice: set only by LoadMmap.
-  std::span<const Vertex> flat_parents_;
+  /// Per-entry parents in flat-entry order: in `parents_storage_` for a
+  /// built index, in the mapping (kept alive by the store) for a loaded one.
+  std::span<const Vertex> parents_;
+  std::shared_ptr<const std::vector<Vertex>> parents_storage_;
 };
 
 /// Resolves an Ordering scheme to a concrete vertex order for `g`.

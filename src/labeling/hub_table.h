@@ -9,8 +9,8 @@
 // the slots it set; each pass is a predictable loop over one label.
 //
 // Rank space. Hub ranks are global, so the table covers the vertex total
-// of the whole index: the snapshot header's num_vertices_total, or n at
-// Finalize. A shard's local vertex count is NOT the rank space. A rank at
+// of the whole index: the snapshot header's num_vertices_total, or n of a
+// built index. A shard's local vertex count is NOT the rank space. A rank at
 // or beyond the vertex total matches nothing and is never used as an
 // index: no load tier bounds hub ranks, and the table is never sized from
 // a rank read out of a label.

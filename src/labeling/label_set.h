@@ -45,8 +45,10 @@ class LabelSet {
   /// order; this is asserted in debug builds.
   void Append(Vertex v, LabelEntry entry);
 
-  /// Entries of L(v).
-  std::span<const LabelEntry> For(Vertex v) const { return labels_[v]; }
+  /// Entries of L(v). Refused on a temporary, whose vectors the span
+  /// would outlive (`index.labels().For(v)` does not compile).
+  std::span<const LabelEntry> For(Vertex v) const& { return labels_[v]; }
+  std::span<const LabelEntry> For(Vertex v) const&& = delete;
 
   /// Mutable access for post-processing passes (LCR-adapt merge).
   std::vector<LabelEntry>* Mutable(Vertex v) { return &labels_[v]; }

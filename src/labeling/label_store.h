@@ -1,10 +1,10 @@
-// The serving label store: the finalized labels of one index or one shard,
-// held flat (labeling/flat_label_set.h) or compressed
-// (labeling/compressed_flat.h).
+// The serving label store: the labels of one index or one shard, held flat
+// (labeling/flat_label_set.h) or compressed (labeling/compressed_flat.h).
 //
-// Everything that serves labels — WcIndex once finalized, and each range of
+// Everything that serves labels — every WcIndex, and each range of
 // QueryEngine's tiling — holds one store, built once from a mapped snapshot
-// or from in-memory labels, and never branches on the backend itself:
+// or packed from a build's labels, and never branches on the backend
+// itself:
 //   * counts and bytes come from the store;
 //   * View(v, scratch) is the one path from a storage backend to a label
 //     view (a compressed store decodes; the engine keeps its decode cache
@@ -37,7 +37,7 @@ struct MappedSnapshot;
 
 class LabelStore {
  public:
-  /// No labels (a quarantined shard, or an index not yet finalized).
+  /// No labels (a quarantined shard).
   LabelStore() = default;
   /// Labels of an index with `num_vertices_total` vertices: all of them,
   /// or one shard's slice.

@@ -308,7 +308,7 @@ Distance QueryLabels(const FlatLabelView& ls, const FlatLabelView& lt,
                      Quality w, QueryImpl impl = QueryImpl::kMerge);
 
 /// Algorithm 5 reporting the best hub and the split distances — needed by
-/// path reconstruction (§V). Finalized labels go through
+/// path reconstruction (§V). Served labels go through
 /// QueryStoresWithHub (labeling/label_store.h).
 HubQueryResult QueryLabelsWithHub(std::span<const LabelEntry> ls,
                                   std::span<const LabelEntry> lt, Quality w);

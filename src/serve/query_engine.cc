@@ -40,10 +40,7 @@ QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
     // The one-shard tiling of an index: its own serving labels.
     LabelSource source;
     source.end = num_vertices_;
-    source.store = index_->finalized()
-                       ? index_->store()
-                       : LabelStore(FlatLabelSet::FromLabelSet(index_->labels()),
-                                    num_vertices_);
+    source.store = index_->store();
     sources_.push_back(std::move(source));
   }
   begins_.reserve(sources_.size());

@@ -206,10 +206,8 @@ class QueryService {
 
 class QueryEngine final : public QueryService {
  public:
-  /// Serves `index` as a one-shard tiling; the index must not be mutated
-  /// for the engine's lifetime. A finalized index is served from its own
-  /// flat or compressed labels; an unfinalized one is packed into an
-  /// engine-owned flat copy.
+  /// Serves `index` as a one-shard tiling over its own flat or compressed
+  /// label store.
   explicit QueryEngine(std::shared_ptr<const WcIndex> index,
                        QueryEngineOptions options = {});
 

@@ -2,8 +2,8 @@
 //
 // §IV.C "Efficient Initialization": the WC-INDEX construction runs |V|
 // constrained BFS rounds, and per-round scratch state (the R vector of
-// maximum qualities, the satisfied-query memo, visited marks) must not cost
-// O(|V|) to reset each round or initialization dominates. The classic fix is
+// maximum qualities, BFS parents, visited marks) must not cost O(|V|) to
+// reset each round or initialization dominates. The classic fix is
 // to pair each slot with the epoch in which it was last written; bumping the
 // epoch invalidates every slot at once. (The builder's cover tables reset
 // through the slots they set instead.)

@@ -179,9 +179,9 @@ TEST(QualityProfileTest, MergeCountBoundedByIntervalsNotThresholds) {
 // The hoisted source-side scatter must be bit-identical to ranking plain
 // per-candidate Algorithm 5 calls: same survivors, same order, same
 // distances — across random graphs, sources, constraints, and duplicate
-// candidates, over span labels and the flat backend alike. The last two
-// graphs change this thread's rank space (80 -> 2,000 -> 40 vertices), and
-// constrained Dijkstra pins every ranked distance.
+// candidates. The last two graphs change this thread's rank space (80 ->
+// 2,000 -> 40 vertices), and constrained Dijkstra pins every ranked
+// distance.
 TEST(TopKClosestTest, BitIdenticalToNaivePerCandidateRanking) {
   Rng rng(21);
   const std::pair<uint64_t, size_t> graphs[] = {
@@ -190,9 +190,7 @@ TEST(TopKClosestTest, BitIdenticalToNaivePerCandidateRanking) {
     QualityModel quality;
     quality.num_levels = 5;
     QualityGraph g = GenerateRandomConnected(n, 3 * n, quality, seed);
-    WcIndex spans = WcIndex::Build(g);
-    WcIndex flat = spans;
-    flat.Finalize();
+    WcIndex index = WcIndex::Build(g);
     for (int round = 0; round < 30; ++round) {
       Vertex source = static_cast<Vertex>(rng.NextBounded(n));
       Quality w = static_cast<Quality>(rng.NextInRange(1, 5));
@@ -203,39 +201,33 @@ TEST(TopKClosestTest, BitIdenticalToNaivePerCandidateRanking) {
         // Includes the source itself and out-of-range ids on purpose.
         candidates.push_back(static_cast<Vertex>(rng.NextBounded(n + 2)));
       }
+      auto fast = TopKClosest(index, source, candidates, w, k);
 
-      for (const WcIndex* index : {&spans, &flat}) {
-        auto fast = TopKClosest(*index, source, candidates, w, k);
+      // The naive oracle: one Algorithm 5 query per candidate, then the
+      // same (dist, vertex) sort and truncation.
+      std::vector<RankedCandidate> naive;
+      for (Vertex c : candidates) {
+        Distance d =
+            c == source ? 0 : index.Query(source, c, w, QueryImpl::kMerge);
+        if (d != kInfDistance) naive.push_back({c, d});
+      }
+      std::stable_sort(naive.begin(), naive.end(),
+                       [](const RankedCandidate& a, const RankedCandidate& b) {
+                         if (a.dist != b.dist) return a.dist < b.dist;
+                         return a.vertex < b.vertex;
+                       });
+      if (naive.size() > k) naive.resize(k);
 
-        // The naive oracle: one Algorithm 5 query per candidate, then the
-        // same (dist, vertex) sort and truncation.
-        std::vector<RankedCandidate> naive;
-        for (Vertex c : candidates) {
-          Distance d =
-              c == source ? 0 : index->Query(source, c, w, QueryImpl::kMerge);
-          if (d != kInfDistance) naive.push_back({c, d});
-        }
-        std::stable_sort(naive.begin(), naive.end(),
-                         [](const RankedCandidate& a,
-                            const RankedCandidate& b) {
-                           if (a.dist != b.dist) return a.dist < b.dist;
-                           return a.vertex < b.vertex;
-                         });
-        if (naive.size() > k) naive.resize(k);
-
-        ASSERT_EQ(fast.size(), naive.size())
-            << "seed=" << seed << " source=" << source << " w=" << w
-            << " finalized=" << index->finalized();
-        for (size_t i = 0; i < naive.size(); ++i) {
-          ASSERT_EQ(fast[i].vertex, naive[i].vertex) << "rank " << i;
-          ASSERT_EQ(fast[i].dist, naive[i].dist) << "rank " << i;
-          ASSERT_EQ(fast[i].dist,
-                    fast[i].vertex == source
-                        ? 0
-                        : ConstrainedDijkstraUnit(g, source, fast[i].vertex,
-                                                  w))
-              << "rank " << i;
-        }
+      ASSERT_EQ(fast.size(), naive.size())
+          << "seed=" << seed << " source=" << source << " w=" << w;
+      for (size_t i = 0; i < naive.size(); ++i) {
+        ASSERT_EQ(fast[i].vertex, naive[i].vertex) << "rank " << i;
+        ASSERT_EQ(fast[i].dist, naive[i].dist) << "rank " << i;
+        ASSERT_EQ(fast[i].dist,
+                  fast[i].vertex == source
+                      ? 0
+                      : ConstrainedDijkstraUnit(g, source, fast[i].vertex, w))
+            << "rank " << i;
       }
     }
   }

@@ -48,19 +48,16 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-WcIndex BuildFinalizedIndex(size_t n = 150, size_t m = 400,
-                            uint64_t seed = 11) {
+WcIndex BuildTestIndex(size_t n = 150, size_t m = 400, uint64_t seed = 11) {
   QualityModel quality;
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(n, m, quality, seed);
-  WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
-  return index;
+  return WcIndex::Build(g, WcIndexOptions::Plus());
 }
 
 TEST(CompressedFlat, RoundTripIsExact) {
   for (uint64_t seed : {3u, 7u, 23u}) {
-    WcIndex index = BuildFinalizedIndex(120, 300, seed);
+    WcIndex index = BuildTestIndex(120, 300, seed);
     const FlatLabelSet& flat = index.flat_labels();
     CompressedFlatLabelSet compressed = CompressedFlatLabelSet::FromFlat(flat);
     EXPECT_EQ(compressed.NumVertices(), flat.NumVertices());
@@ -73,7 +70,7 @@ TEST(CompressedFlat, RoundTripIsExact) {
 }
 
 TEST(CompressedFlat, DecodeVertexMatchesFlatSlices) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   const FlatLabelSet& flat = index.flat_labels();
   CompressedFlatLabelSet compressed = CompressedFlatLabelSet::FromFlat(flat);
   DecodedLabel scratch;
@@ -93,7 +90,7 @@ TEST(CompressedFlat, DecodeVertexMatchesFlatSlices) {
 }
 
 TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   const FlatLabelSet& flat = index.flat_labels();
   size_t n = flat.NumVertices();
   const LabelStore compressed(CompressedFlatLabelSet::FromFlat(flat), n);
@@ -117,7 +114,6 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
   WcIndex wide =
       WcIndex::Build(GenerateRandomConnected(60, 150, fine, 13),
                      WcIndexOptions::Plus());
-  wide.Finalize();
   const FlatLabelSet& wflat = wide.flat_labels();
   const uint64_t wn = wflat.NumVertices();
   const std::vector<uint64_t> fences = {0, 1, 2, 3, wn / 2, wn};
@@ -173,7 +169,6 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
   random_order.ordering = WcIndexOptions::Ordering::kRandom;
   WcIndex grid =
       WcIndex::Build(GenerateRoadNetwork(thin, 17), random_order);
-  grid.Finalize();
   const FlatLabelSet& gflat = grid.flat_labels();
   const LabelStore gcomp(CompressedFlatLabelSet::FromFlat(gflat),
                          gflat.NumVertices());
@@ -201,7 +196,7 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
 }
 
 TEST(CompressedFlat, MeaningfulCompressionRatio) {
-  WcIndex index = BuildFinalizedIndex(400, 1100, 29);
+  WcIndex index = BuildTestIndex(400, 1100, 29);
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
   ASSERT_GT(compressed.UncompressedBytes(), 0u);
@@ -211,14 +206,14 @@ TEST(CompressedFlat, MeaningfulCompressionRatio) {
 }
 
 TEST(CompressedFlat, FingerprintMatchesFlatBackend) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   const FlatLabelSet& flat = index.flat_labels();
   CompressedFlatLabelSet compressed = CompressedFlatLabelSet::FromFlat(flat);
   EXPECT_EQ(compressed.ContentFingerprint(), IndexContentFingerprint(flat));
 }
 
 TEST(CompressedFlat, ValidationAcceptsWellFormedSets) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
   for (ValidateLevel level :
@@ -235,7 +230,7 @@ TEST(CompressedFlat, ValidationAcceptsWellFormedSets) {
 // class as Corruption. This is the compressed analogue of the flat
 // backend's directory-bounds tier.
 TEST(CompressedFlat, BlobCorruptionIsBoundsCheckedAndValidatable) {
-  WcIndex index = BuildFinalizedIndex(60, 150, 13);
+  WcIndex index = BuildTestIndex(60, 150, 13);
   const FlatLabelSet& flat = index.flat_labels();
   CompressedFlatLabelSet good = CompressedFlatLabelSet::FromFlat(flat);
 
@@ -305,7 +300,7 @@ TEST(CompressedFlat, EmptySet) {
 // ---- v3 snapshot format ----
 
 TEST(CompressedFlat, CompressedSnapshotRoundTripsAndServesIdentically) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string flat_path = TempPath("cf_flat.wcsnap");
   std::string comp_path = TempPath("cf_comp.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(flat_path).ok());
@@ -364,7 +359,7 @@ TEST(CompressedFlat, CompressedSnapshotRoundTripsAndServesIdentically) {
 // Migration both ways: a compressed-backend index can SaveSnapshot back to
 // the flat layout, landing bit-identical to the original.
 TEST(CompressedFlat, DecompressionMigrationRoundTrips) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string comp_path = TempPath("cf_migrate.wcsnap");
   std::string back_path = TempPath("cf_migrate_back.wcsnap");
   std::string flat_path = TempPath("cf_migrate_flat.wcsnap");
@@ -390,7 +385,6 @@ TEST(CompressedFlat, CompressRefusesParents) {
   WcIndexOptions options = WcIndexOptions::Plus();
   options.record_parents = true;
   WcIndex index = WcIndex::Build(g, options);
-  index.Finalize();
   std::string path = TempPath("cf_parents.wcsnap");
   SnapshotWriteOptions compress;
   compress.compress = true;
@@ -403,7 +397,7 @@ TEST(CompressedFlat, CompressRefusesParents) {
 // compressed payload must be caught by checksums, and blob corruption that
 // breaks stream structure by the deep tiers even without checksums.
 TEST(CompressedFlat, CompressedSectionCorruptionCaught) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("cf_corrupt.wcsnap");
   SnapshotWriteOptions compress;
   compress.compress = true;
@@ -469,7 +463,7 @@ TEST(CompressedFlat, CompressedSectionCorruptionCaught) {
 }
 
 TEST(CompressedFlat, TruncatedCompressedSnapshotRejected) {
-  WcIndex index = BuildFinalizedIndex(60, 150, 5);
+  WcIndex index = BuildTestIndex(60, 150, 5);
   std::string path = TempPath("cf_trunc.wcsnap");
   SnapshotWriteOptions compress;
   compress.compress = true;
@@ -485,7 +479,7 @@ TEST(CompressedFlat, TruncatedCompressedSnapshotRejected) {
 // ---- compressed shard sets ----
 
 TEST(CompressedFlat, CompressedShardSetServesIdentically) {
-  WcIndex index = BuildFinalizedIndex(200, 520, 31);
+  WcIndex index = BuildTestIndex(200, 520, 31);
   const FlatLabelSet& flat = index.flat_labels();
 
   ShardPlanOptions plan_options;
@@ -530,7 +524,7 @@ TEST(CompressedFlat, CompressedShardSetServesIdentically) {
 // bytes — one cold page-in per such side — and the decode cache, present
 // for the requests that need decoded views, is never consulted.
 TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
-  WcIndex index = BuildFinalizedIndex(160, 420, 37);
+  WcIndex index = BuildTestIndex(160, 420, 37);
   const FlatLabelSet& flat = index.flat_labels();
   uint64_t n = index.NumVertices();
   uint64_t mid = n / 2;
@@ -595,7 +589,7 @@ TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
 // ---- decoded-label cache ----
 
 TEST(DecodedLabelCache, HitsAfterFirstDecode) {
-  WcIndex index = BuildFinalizedIndex(60, 150, 3);
+  WcIndex index = BuildTestIndex(60, 150, 3);
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
   DecodedLabelCache cache(4 << 20);
@@ -617,7 +611,7 @@ TEST(DecodedLabelCache, HitsAfterFirstDecode) {
 }
 
 TEST(DecodedLabelCache, ColdPageinsCountExternalDecodes) {
-  WcIndex index = BuildFinalizedIndex(60, 150, 3);
+  WcIndex index = BuildTestIndex(60, 150, 3);
   std::string path = TempPath("cf_cold.wcsnap");
   SnapshotWriteOptions compress;
   compress.compress = true;
@@ -638,7 +632,7 @@ TEST(DecodedLabelCache, ColdPageinsCountExternalDecodes) {
 // budget (second-chance eviction keeps it bounded, admission tags keep
 // one-touch scans from churning it).
 TEST(DecodedLabelCache, BudgetBounded) {
-  WcIndex index = BuildFinalizedIndex(300, 800, 19);
+  WcIndex index = BuildTestIndex(300, 800, 19);
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
   const size_t budget = 64 << 10;
@@ -658,7 +652,7 @@ TEST(DecodedLabelCache, BudgetBounded) {
 }
 
 TEST(DecodedLabelCache, ConcurrentReadersStayCoherent) {
-  WcIndex index = BuildFinalizedIndex(120, 320, 23);
+  WcIndex index = BuildTestIndex(120, 320, 23);
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
   const FlatLabelSet& flat = index.flat_labels();
@@ -693,7 +687,7 @@ TEST(DecodedLabelCache, ConcurrentReadersStayCoherent) {
 // ---- engine integration ----
 
 TEST(CompressedFlat, QueryEngineServesCompressedWithAndWithoutCache) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("cf_engine.wcsnap");
   SnapshotWriteOptions compress;
   compress.compress = true;
@@ -764,7 +758,7 @@ TEST(CompressedFlat, QueryEngineServesCompressedWithAndWithoutCache) {
 }
 
 TEST(CompressedFlat, TopKAndProfileMatchAcrossBackends) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string flat_path = TempPath("cf_tk_flat.wcsnap");
   std::string comp_path = TempPath("cf_tk_comp.wcsnap");
   SnapshotWriteOptions compress;

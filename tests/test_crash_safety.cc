@@ -144,14 +144,12 @@ TEST_F(CrashSafetyTest, DirsyncErrorStillCommits) {
 
 // --------------------------------------------------- snapshot round trips
 
-WcIndex BuildFinalizedFig3() {
-  WcIndex index = WcIndex::Build(MakeFigure3Graph(), WcIndexOptions::Plus());
-  index.Finalize();
-  return index;
+WcIndex BuildFig3() {
+  return WcIndex::Build(MakeFigure3Graph(), WcIndexOptions::Plus());
 }
 
 TEST_F(CrashSafetyTest, SnapshotWriteFaultsLeaveTheOldSnapshotServing) {
-  WcIndex index = BuildFinalizedFig3();
+  WcIndex index = BuildFig3();
   std::string path = TempPath("snap.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string good = ReadAll(path);
@@ -177,7 +175,7 @@ TEST_F(CrashSafetyTest, ShortCommittedWriteIsRefusedByTheLoader) {
   // The one scenario atomic replacement cannot mask: the write silently
   // truncates but every commit step "succeeds". The file at the target is
   // then torn by construction — and the loader must say so, cleanly.
-  WcIndex index = BuildFinalizedFig3();
+  WcIndex index = BuildFig3();
   std::string path = TempPath("short.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   ASSERT_GT(ReadAll(path).size(), 64u);
@@ -197,7 +195,7 @@ TEST_F(CrashSafetyTest, ShortCommittedWriteIsRefusedByTheLoader) {
 }
 
 TEST_F(CrashSafetyTest, ManifestWriteFaultLeavesTheOldManifest) {
-  WcIndex index = BuildFinalizedFig3();
+  WcIndex index = BuildFig3();
   const FlatLabelSet& flat = index.flat_labels();
   ShardPlanOptions plan_options;
   plan_options.num_shards = 2;
@@ -258,7 +256,7 @@ int CrashSaveAt(const char* stage, const WcIndex& index,
 }
 
 TEST_F(CrashSafetyTest, CrashBeforeTheRenameLeavesTheOldSnapshot) {
-  WcIndex index = BuildFinalizedFig3();
+  WcIndex index = BuildFig3();
   std::string path = TempPath("crash_pre.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string good = ReadAll(path);
@@ -276,7 +274,7 @@ TEST_F(CrashSafetyTest, CrashBeforeTheRenameLeavesTheOldSnapshot) {
 }
 
 TEST_F(CrashSafetyTest, CrashAfterTheRenameLeavesTheNewSnapshot) {
-  WcIndex index = BuildFinalizedFig3();
+  WcIndex index = BuildFig3();
   std::string path = TempPath("crash_post.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
 
@@ -294,7 +292,7 @@ TEST_F(CrashSafetyTest, CrashNeverLeavesAFreshFileTorn) {
   // First-ever save (no old file): a crash mid-write must leave either
   // nothing at the target or a complete loadable snapshot — a torn
   // half-file would poison the next startup.
-  WcIndex index = BuildFinalizedFig3();
+  WcIndex index = BuildFig3();
   for (const char* stage :
        {"atomic_file.write", "atomic_file.sync", "atomic_file.rename",
         "atomic_file.dirsync"}) {

@@ -2,8 +2,8 @@
 //
 // For randomized graphs across four generator families and random
 // (s, t, w) triples, every answer path must agree bit-for-bit:
-//   * the four QueryImpls on the append-oriented LabelSet backend,
-//   * the four QueryImpls on the finalized flat CSR backend,
+//   * the four span kernels over the build's labels as a LabelSet,
+//   * the four QueryImpls on the built index's flat CSR store,
 //   * a QueryEngine serving the mmap-loaded snapshot of the index,
 //   * the same engine behind a deliberately tiny dominance-aware result
 //     cache (serve/result_cache.h), queried twice per case so both the
@@ -51,6 +51,7 @@
 #include "core/wc_index.h"
 #include "graph/builder.h"
 #include "labeling/delta.h"
+#include "labeling/query.h"
 #include "graph/generators.h"
 #include "labeling/shard_manifest.h"
 #include "labeling/shard_plan.h"
@@ -120,8 +121,8 @@ QualityGraph FromEdges(size_t n, const EdgeList& edges) {
 // agree). Exercising the snapshot layers is part of the check: the index
 // is snapshotted to `dir` and served via mmap and via two shards.
 struct Stack {
-  WcIndex index;          // not finalized: vector-of-vectors backend
-  WcIndex flat;           // finalized flat backend
+  LabelSet labels;        // the build's labels as vectors: span kernels
+  WcIndex flat;           // the built index, serving its flat store
   WcIndex mm;             // mmap-loaded snapshot
   WcIndex cmm;            // mmap-loaded COMPRESSED (v3) snapshot
   std::shared_ptr<const QueryEngine> engine;
@@ -147,9 +148,7 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
   // with quads the mmap stack serves paths off the fast unwind, without
   // them every layer runs the explicit degraded fallback.
   options.record_parents = record_parents;
-  WcIndex index = WcIndex::Build(g, options);
-  WcIndex flat = index;
-  flat.Finalize();
+  WcIndex flat = WcIndex::Build(g, options);
 
   std::string dir = testing::TempDir();
   std::string full = dir + "/fuzz_" + tag + ".wcsnap";
@@ -278,7 +277,7 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
   for (const std::string& p : cshard_paths) std::remove(p.c_str());
   std::remove(manifest.c_str());
   std::remove(cmanifest.c_str());
-  return Stack{std::move(index),       std::move(flat),
+  return Stack{flat.labels(),           std::move(flat),
                std::move(mm).value(),  std::move(cmm).value(),
                std::move(engine),      std::move(cached),
                std::move(cold),        std::move(sharded_ptr),
@@ -298,7 +297,8 @@ std::string CheckOne(const QualityGraph& g, const Stack& stack, Vertex s,
   };
   for (QueryImpl impl : {QueryImpl::kScan, QueryImpl::kHubGrouped,
                          QueryImpl::kBinary, QueryImpl::kMerge}) {
-    expect("labels impl", stack.index.Query(s, t, w, impl));
+    expect("labels impl",
+           QueryLabels(stack.labels.For(s), stack.labels.For(t), w, impl));
     expect("flat impl", stack.flat.Query(s, t, w, impl));
     expect("mmap impl", stack.mm.Query(s, t, w, impl));
     // Every impl on the compressed backend too: kMerge streams the varint
@@ -390,7 +390,6 @@ std::string CheckFamilies(const QualityGraph& g, const Stack& stack,
           << " k=" << k << ")";
     }
   };
-  expect_topk("labels", TopKClosest(stack.index, s, candidates, w, k));
   expect_topk("flat", TopKClosest(stack.flat, s, candidates, w, k));
   expect_topk("mmap", TopKClosest(stack.mm, s, candidates, w, k));
   expect_topk("compressed", TopKClosest(stack.cmm, s, candidates, w, k));
@@ -456,7 +455,6 @@ std::string CheckFamilies(const QualityGraph& g, const Stack& stack,
           << " t=" << t << ")";
     }
   };
-  expect_profile("labels", QualityProfile(stack.index, s, t, thresholds));
   expect_profile("flat", QualityProfile(stack.flat, s, t, thresholds));
   expect_profile("mmap", QualityProfile(stack.mm, s, t, thresholds));
   expect_profile("compressed", QualityProfile(stack.cmm, s, t, thresholds));
@@ -497,7 +495,7 @@ std::string CheckFamilies(const QualityGraph& g, const Stack& stack,
           << " t=" << t << " w=" << w << ")";
     }
   };
-  expect_path("labels", QueryConstrainedPath(stack.index, g, s, t, w));
+  expect_path("flat", QueryConstrainedPath(stack.flat, g, s, t, w));
   expect_path("mmap", QueryConstrainedPath(stack.mm, g, s, t, w));
   // Compressed snapshots carry no parent quads: this layer always runs
   // the index-guided fallback, which must still produce optimal w-paths.
@@ -582,7 +580,7 @@ TEST(DifferentialFuzz, AllAnswerPathsAgree) {
       if (build_threads > 1) {
         WcIndexOptions sequential = WcIndexOptions::Plus();
         sequential.record_parents = record_parents;
-        EXPECT_EQ(stack.index.labels(), WcIndex::Build(g, sequential).labels())
+        EXPECT_EQ(stack.labels, WcIndex::Build(g, sequential).labels())
             << "parallel build kept other labels: family="
             << kFamilies[family] << " seed=" << seed;
       }
@@ -661,7 +659,6 @@ TEST(DifferentialFuzz, QuarantinedShardsRefuseFamiliesCleanly) {
   QualityGraph g = GenerateRandomConnected(n, 230, quality, 47);
   WcIndexOptions options = WcIndexOptions::Plus();
   WcIndex flat = WcIndex::Build(g, options);
-  flat.Finalize();
 
   ShardPlanOptions plan_options;
   plan_options.num_shards = 3;
@@ -873,11 +870,11 @@ TEST(DifferentialFuzz, LiveUpdateMatchesFreshRebuild) {
       log.batches.push_back(std::move(batch));
 
       // Bit-identical at this step: fresh build on the materialized
-      // graph, all four impls, both backends.
+      // graph, all four impls, over its store and over its labels as
+      // vectors.
       QualityGraph current = live.Snapshot();
-      WcIndex fresh = WcIndex::Build(current, options);
-      WcIndex flat = fresh;
-      flat.Finalize();
+      const WcIndex fresh = WcIndex::Build(current, options);
+      const LabelSet labels = fresh.labels();
       Rng probe(seed * 1000 + static_cast<uint64_t>(step));
       for (size_t qi = 0; qi < kTriples; ++qi) {
         Vertex s = static_cast<Vertex>(probe.NextBounded(kN));
@@ -891,7 +888,8 @@ TEST(DifferentialFuzz, LiveUpdateMatchesFreshRebuild) {
                                QueryImpl::kBinary, QueryImpl::kMerge}) {
           ASSERT_EQ(fresh.Query(s, t, w, impl), expected)
               << "seed=" << seed << " step=" << step;
-          ASSERT_EQ(flat.Query(s, t, w, impl), expected)
+          ASSERT_EQ(QueryLabels(labels.For(s), labels.For(t), w, impl),
+                    expected)
               << "seed=" << seed << " step=" << step;
         }
       }

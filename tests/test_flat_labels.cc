@@ -1,5 +1,5 @@
 // FlatLabelSet: CSR packing round-trips, query-kernel equivalence with the
-// vector backend, and the WcIndex::Finalize routing.
+// vector backend, and a built WcIndex serving from its packed store.
 
 #include <gtest/gtest.h>
 
@@ -33,12 +33,13 @@ std::string TempPath(const char* name) {
 
 TEST(FlatLabelSet, RoundTripsThroughLabelSet) {
   WcIndex index = WcIndex::Build(TestGraph(7), WcIndexOptions::Plus());
-  FlatLabelSet flat = FlatLabelSet::FromLabelSet(index.labels());
-  EXPECT_EQ(flat.TotalEntries(), index.labels().TotalEntries());
-  EXPECT_EQ(flat.NumVertices(), index.labels().NumVertices());
-  EXPECT_EQ(flat.ToLabelSet(), index.labels());
+  const LabelSet labels = index.labels();
+  FlatLabelSet flat = FlatLabelSet::FromLabelSet(labels);
+  EXPECT_EQ(flat.TotalEntries(), labels.TotalEntries());
+  EXPECT_EQ(flat.NumVertices(), labels.NumVertices());
+  EXPECT_EQ(flat.ToLabelSet(), labels);
   for (Vertex v = 0; v < flat.NumVertices(); ++v) {
-    auto dense = index.labels().For(v);
+    auto dense = labels.For(v);
     auto packed = flat.For(v);
     ASSERT_EQ(dense.size(), packed.size());
     for (size_t i = 0; i < dense.size(); ++i) EXPECT_EQ(dense[i], packed[i]);
@@ -110,8 +111,8 @@ void ExpectKernelsAgree(const LabelSet& labels, const FlatLabelSet& flat,
 
 TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
   QualityGraph g = TestGraph(13);
-  WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  FlatLabelSet flat = FlatLabelSet::FromLabelSet(index.labels());
+  const LabelSet labels = WcIndex::Build(g, WcIndexOptions::Plus()).labels();
+  FlatLabelSet flat = FlatLabelSet::FromLabelSet(labels);
   const LabelStore store(flat, flat.NumVertices());
   Rng rng(29);
   const size_t n = g.NumVertices();
@@ -120,7 +121,7 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     Quality w = static_cast<Quality>(rng.NextInRange(0, 8)) +
                 (rng.NextBool(0.3) ? 0.5f : 0.0f);
-    ExpectKernelsAgree(index.labels(), flat, store, s, t, w);
+    ExpectKernelsAgree(labels, flat, store, s, t, w);
   }
 
   // One thread serving indexes of different vertex counts in turn: its hub
@@ -132,18 +133,18 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
   for (size_t size : {size_t{40}, size_t{2000}, size_t{40}}) {
     QualityGraph sized = GenerateRandomConnected(size, 3 * size, quality,
                                                  size + 5);
-    WcIndex sized_index = WcIndex::Build(sized, WcIndexOptions::Plus());
-    FlatLabelSet sized_flat = FlatLabelSet::FromLabelSet(sized_index.labels());
+    const LabelSet sized_labels =
+        WcIndex::Build(sized, WcIndexOptions::Plus()).labels();
+    FlatLabelSet sized_flat = FlatLabelSet::FromLabelSet(sized_labels);
     const LabelStore sized_store(sized_flat, size);
     for (int i = 0; i < 300; ++i) {
       Vertex s = static_cast<Vertex>(rng.NextBounded(size));
       Vertex t = static_cast<Vertex>(rng.NextBounded(size));
-      auto side = sized_index.labels().For(rng.NextBool(0.5) ? s : t);
+      auto side = sized_labels.For(rng.NextBool(0.5) ? s : t);
       Quality w = rng.NextBool(0.5)
                       ? side[rng.NextBounded(side.size())].quality
                       : static_cast<Quality>(rng.NextInRange(0, 7));
-      ExpectKernelsAgree(sized_index.labels(), sized_flat, sized_store, s, t,
-                         w);
+      ExpectKernelsAgree(sized_labels, sized_flat, sized_store, s, t, w);
       EXPECT_EQ(QueryStores(sized_store, s, sized_store, t, w),
                 s == t ? 0 : ConstrainedDijkstraUnit(sized, s, t, w))
           << "s=" << s << " t=" << t << " w=" << w << " n=" << size;
@@ -193,20 +194,18 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
   EXPECT_EQ(QueryStores(hand_store, 2, hand_store, 1, 1.0f), kInfDistance);
 }
 
-TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {
-  // Build -> finalize -> snapshot -> map -> query, with answers identical
-  // at every stage.
+TEST(WcIndexStore, FullPipelineBuildSaveLoadQuery) {
+  // Build -> snapshot -> map -> query, with answers identical at every
+  // stage.
   QualityGraph g = TestGraph(17);
   WcIndexOptions options = WcIndexOptions::Plus();
   options.num_threads = 4;
   WcIndex index = WcIndex::Build(g, options);
   WcIndex reference = WcIndex::Build(g, WcIndexOptions::Plus());
 
-  index.Finalize();
-  ASSERT_TRUE(index.finalized());
   EXPECT_EQ(index.flat_labels().ToLabelSet(), reference.labels());
 
-  std::string path = TempPath("finalized_index.wcsnap");
+  std::string path = TempPath("built_index.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   auto loaded = WcIndex::LoadMmap(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -229,12 +228,10 @@ TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {
   std::remove(path.c_str());
 }
 
-TEST(WcIndexFinalize, BatchQueryRunsOnFlatBackend) {
+TEST(WcIndexStore, BatchQueryRunsOnFlatBackend) {
   QualityGraph g = TestGraph(19);
-  WcIndex dense = WcIndex::Build(g, WcIndexOptions::Plus());
-  WcIndex flat = WcIndex::Build(g, WcIndexOptions::Plus());
-  flat.Finalize();
-  auto shared_flat = std::make_shared<const WcIndex>(std::move(flat));
+  WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
+  auto shared = std::make_shared<const WcIndex>(index);
   Rng rng(37);
   std::vector<BatchQueryInput> queries;
   std::vector<Distance> expected;
@@ -243,21 +240,20 @@ TEST(WcIndexFinalize, BatchQueryRunsOnFlatBackend) {
                        static_cast<Vertex>(rng.NextBounded(g.NumVertices())),
                        static_cast<Quality>(rng.NextInRange(1, 7))});
     expected.push_back(
-        dense.Query(queries.back().s, queries.back().t, queries.back().w));
+        index.Query(queries.back().s, queries.back().t, queries.back().w));
   }
   for (size_t threads : {1u, 4u}) {
     QueryEngineOptions options;
     options.num_threads = threads;
-    EXPECT_EQ(QueryEngine(shared_flat, options).Batch(queries), expected)
+    EXPECT_EQ(QueryEngine(shared, options).Batch(queries), expected)
         << threads << " threads";
   }
 }
 
-TEST(WcIndexFinalize, MemoryBytesReportsFlatBackend) {
+TEST(WcIndexStore, MemoryBytesReportsFlatBackend) {
   WcIndex index = WcIndex::Build(TestGraph(23), WcIndexOptions::Plus());
-  size_t dense_bytes = index.MemoryBytes();
-  index.Finalize();
-  size_t flat_bytes = index.MemoryBytes();
+  const size_t dense_bytes = index.labels().MemoryBytes();
+  const size_t flat_bytes = index.MemoryBytes();
   EXPECT_GT(flat_bytes, 0u);
   // CSR drops the per-vertex vector header overhead; the hub directory is
   // smaller than that on every generated graph.
@@ -276,7 +272,6 @@ TEST(WcIndexGuards, OutOfRangeVerticesReturnInf) {
   EXPECT_EQ(index.Query(n, 0, 1.0f, QueryImpl::kScan), kInfDistance);
   EXPECT_EQ(index.QueryWithHub(n, 0, 1.0f).dist, kInfDistance);
   EXPECT_FALSE(index.Reachable(n, 0, 1.0f));
-  index.Finalize();
   EXPECT_EQ(index.Query(n, 0, 1.0f), kInfDistance);
   EXPECT_EQ(index.Query(0, n, 1.0f, QueryImpl::kBinary), kInfDistance);
 

@@ -73,7 +73,6 @@ TEST(GoldenFormat, GoldenMatchesFreshBuild) {
   WcIndexOptions options;
   options.ordering = WcIndexOptions::Ordering::kIdentity;
   WcIndex fresh = WcIndex::Build(g, options);
-  fresh.Finalize();
   auto golden = WcIndex::LoadMmap(GoldenPath("fig3_golden.wcsnap"));
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   EXPECT_EQ(golden.value().flat_labels(), fresh.flat_labels());

@@ -19,6 +19,7 @@
 
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/query.h"
 #include "paper_fixtures.h"
 #include "search/constrained_dijkstra.h"
 #include "util/random.h"
@@ -40,13 +41,13 @@ std::vector<Quality> ProbeConstraints(const QualityGraph& g) {
   return probes;
 }
 
-/// Checks one query's interval against both kernels and the brute-force
-/// breakpoint sweep. `plain` answers d(s, t, w') for arbitrary w'.
-void CheckInterval(const WcIndex& flat, const WcIndex& labels,
+/// Checks one query's interval against the span kernel over `labels` (the
+/// same labels as vectors) and the brute-force breakpoint sweep.
+void CheckInterval(const WcIndex& flat, const LabelSet& labels,
                    const std::vector<Quality>& sweep, Vertex s, Vertex t,
                    Quality w) {
   const IntervalQueryResult r = flat.QueryWithInterval(s, t, w);
-  ASSERT_EQ(r, labels.QueryWithInterval(s, t, w))
+  ASSERT_EQ(r, QueryLabelsWithInterval(labels.For(s), labels.For(t), w))
       << "flat and span interval kernels disagree at s=" << s << " t=" << t
       << " w=" << w;
 
@@ -120,9 +121,8 @@ TEST(IntervalQuery, ExactOnRandomGraphs) {
   size_t checked = 0;
   auto check_graph = [&](const QualityGraph& g, uint64_t seed) {
     const size_t n = g.NumVertices();
-    WcIndex labels = WcIndex::Build(g, WcIndexOptions::Plus());
-    WcIndex flat = labels;
-    flat.Finalize();
+    const WcIndex flat = WcIndex::Build(g, WcIndexOptions::Plus());
+    const LabelSet labels = flat.labels();
     const std::vector<Quality> sweep = ProbeConstraints(g);
 
     Rng rng(seed ^ 0x17e2a1u);
@@ -162,7 +162,6 @@ TEST(IntervalQuery, ExactOnRandomGraphs) {
 TEST(IntervalQuery, DegenerateQueriesCoverTheWholeAxis) {
   QualityGraph g = MakeFigure3Graph();
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
 
   IntervalQueryResult self = index.QueryWithInterval(2, 2, 3.0f);
   EXPECT_EQ(self.dist, 0u);
@@ -181,9 +180,8 @@ TEST(IntervalQuery, DegenerateQueriesCoverTheWholeAxis) {
 // the reported interval re-answers every constraint it covers.
 TEST(IntervalQuery, PaperFigure3SpotCheck) {
   QualityGraph g = MakeFigure3Graph();
-  WcIndex labels = WcIndex::Build(g, WcIndexOptions::Plus());
-  WcIndex flat = labels;
-  flat.Finalize();
+  const WcIndex flat = WcIndex::Build(g, WcIndexOptions::Plus());
+  const LabelSet labels = flat.labels();
   const std::vector<Quality> sweep = ProbeConstraints(g);
 
   IntervalQueryResult r = flat.QueryWithInterval(2, 5, 2.0f);

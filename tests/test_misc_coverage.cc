@@ -28,8 +28,6 @@ TEST(OptionsPresets, BasicAndPlusDifferOnlyInConstructionPath) {
   EXPECT_EQ(basic.ordering, plus.ordering);  // Same order => same size.
   EXPECT_FALSE(basic.query_efficient);
   EXPECT_TRUE(plus.query_efficient);
-  EXPECT_FALSE(basic.further_pruning);
-  EXPECT_TRUE(plus.further_pruning);
 }
 
 TEST(OptionsPresets, BasicAndPlusProduceIdenticalLabels) {
@@ -162,7 +160,6 @@ TEST(CompressedCorners, FractionalQualityDictionary) {
   b.AddEdge(0, 3, 99.5f);
   QualityGraph g = b.Build();
   WcIndex index = WcIndex::Build(g);
-  index.Finalize();
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
   Result<FlatLabelSet> decompressed = compressed.Decompress();

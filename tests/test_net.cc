@@ -71,9 +71,8 @@ NetFixture MakeNetFixture(size_t n, size_t m, size_t num_queries,
   QualityModel quality;
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(n, m, quality, seed);
-  WcIndex built = WcIndex::Build(g, WcIndexOptions::Plus());
-  built.Finalize();
-  f.index = std::make_shared<const WcIndex>(std::move(built));
+  f.index = std::make_shared<const WcIndex>(
+      WcIndex::Build(g, WcIndexOptions::Plus()));
   Rng rng(seed ^ 0xfeed);
   f.workload.reserve(num_queries);
   f.expected.reserve(num_queries);
@@ -324,7 +323,6 @@ TEST(WcServer, ServesQueryFamiliesBitIdentically) {
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(n, 260, quality, 263);
   WcIndex built = WcIndex::Build(g, WcIndexOptions::Plus());
-  built.Finalize();
   auto index = std::make_shared<const WcIndex>(std::move(built));
   QueryEngineOptions options;
   options.num_threads = 1;

@@ -71,9 +71,8 @@ Fixture MakeFixture(size_t n, size_t m, size_t num_queries, uint64_t seed) {
   QualityModel quality;
   quality.num_levels = 5;
   f.graph = GenerateRandomConnected(n, m, quality, seed);
-  WcIndex built = WcIndex::Build(f.graph, WcIndexOptions::Plus());
-  built.Finalize();
-  f.index = std::make_shared<const WcIndex>(std::move(built));
+  f.index = std::make_shared<const WcIndex>(
+      WcIndex::Build(f.graph, WcIndexOptions::Plus()));
   Rng rng(seed ^ 0xfa17);
   for (size_t i = 0; i < num_queries; ++i) {
     BatchQueryInput q{static_cast<Vertex>(rng.NextBounded(n)),

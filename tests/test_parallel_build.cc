@@ -192,10 +192,9 @@ TEST(ParallelBuild, MergeSecondsArePartOfTheBuild) {
   EXPECT_LE(stats.merge_seconds, stats.build_seconds);
 }
 
-TEST(ParallelBuild, NoFurtherPruningIdentical) {
+TEST(ParallelBuild, OddThreadCountIdentical) {
   QualityGraph g = MakeGraph(1, 133);
   WcIndexOptions sequential = WcIndexOptions::Plus();
-  sequential.further_pruning = false;
   sequential.num_threads = 1;
   WcIndexOptions parallel = sequential;
   parallel.num_threads = 3;
@@ -212,7 +211,7 @@ TEST(ParallelBuild, RecordParentsProducesAlignedParents) {
   WcIndex index = WcIndex::Build(g, options);
   ASSERT_TRUE(index.has_parents());
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ(index.Parents(v).size(), index.labels().For(v).size());
+    EXPECT_EQ(index.Parents(v).size(), index.EntriesFor(v).size());
   }
 }
 

@@ -130,7 +130,6 @@ TEST(PathTest, MmapSnapshotKeepsParentFastPath) {
   WcIndexOptions options = WcIndexOptions::Plus();
   options.record_parents = true;
   WcIndex built = WcIndex::Build(g, options);
-  built.Finalize();
   std::string path = testing::TempDir() + "/path_parents.wcsnap";
   ASSERT_TRUE(built.SaveSnapshot(path).ok());
   auto mm = WcIndex::LoadMmap(path);

@@ -45,9 +45,8 @@ ReactorFixture MakeReactorFixture(size_t n, size_t m, size_t num_queries,
   quality.num_levels = 5;
   f.graph = GenerateRandomConnected(n, m, quality, seed);
   const QualityGraph& g = f.graph;
-  WcIndex built = WcIndex::Build(g, WcIndexOptions::Plus());
-  built.Finalize();
-  f.index = std::make_shared<const WcIndex>(std::move(built));
+  f.index = std::make_shared<const WcIndex>(
+      WcIndex::Build(g, WcIndexOptions::Plus()));
   Rng rng(seed ^ 0xfeed);
   f.workload.reserve(num_queries);
   f.expected.reserve(num_queries);
@@ -217,7 +216,6 @@ TEST(Reactor, SwapUnderMultiReactorLoad) {
   dynamic.InsertEdge(0, static_cast<Vertex>(f.index->NumVertices() - 1),
                      static_cast<Quality>(5));
   WcIndex built_b = WcIndex::Build(dynamic.Snapshot(), WcIndexOptions::Plus());
-  built_b.Finalize();
   auto index_b = std::make_shared<const WcIndex>(std::move(built_b));
   std::vector<Distance> expected_b;
   expected_b.reserve(f.workload.size());

@@ -357,7 +357,6 @@ std::vector<BatchQueryInput> MakeCacheWorkload(size_t n, size_t count,
 TEST(ResultCache, CachedQueryEngineAnswersBitIdentically) {
   QualityGraph g = MakeCacheGraph(99);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
   auto shared = std::make_shared<const WcIndex>(std::move(index));
   const size_t n = shared->NumVertices();
 
@@ -406,7 +405,6 @@ TEST(ResultCache, CachedQueryEngineAnswersBitIdentically) {
 TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
   QualityGraph g = MakeCacheGraph(123);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
   const uint64_t n = index.NumVertices();
 
   ShardPlanOptions thirds;
@@ -565,7 +563,6 @@ TEST(ResultCache, SeqlockReaderTornReadHammer) {
 TEST(ResultCache, ConcurrentCachedBatchesStayCorrect) {
   QualityGraph g = MakeCacheGraph(7);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
   auto shared = std::make_shared<const WcIndex>(std::move(index));
   const size_t n = shared->NumVertices();
 
@@ -612,9 +609,8 @@ struct HandoffFixture {
 HandoffFixture MakeHandoffFixture() {
   HandoffFixture f;
   QualityGraph g = MakeCacheGraph(314);
-  WcIndex index_a = WcIndex::Build(g, WcIndexOptions::Plus());
-  index_a.Finalize();
-  f.index_a = std::make_shared<const WcIndex>(std::move(index_a));
+  f.index_a = std::make_shared<const WcIndex>(
+      WcIndex::Build(g, WcIndexOptions::Plus()));
   // A tight impact window, so most cached intervals survive the scope.
   DeltaRecord upgrade;
   upgrade.op = static_cast<uint8_t>(DeltaOp::kUpgrade);
@@ -625,9 +621,8 @@ HandoffFixture MakeHandoffFixture() {
   EXPECT_LT(upgrade.old_quality, upgrade.quality);
   DynamicWcIndex dyn(g);
   dyn.InsertEdge(upgrade.u, upgrade.v, upgrade.quality);
-  WcIndex index_b = WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus());
-  index_b.Finalize();
-  f.index_b = std::make_shared<const WcIndex>(std::move(index_b));
+  f.index_b = std::make_shared<const WcIndex>(
+      WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus()));
   f.delta.base_fingerprint = IndexContentFingerprint(f.index_a->flat_labels());
   f.delta.batches.push_back(DeltaBatch{{upgrade}});
   f.queries = MakeCacheWorkload(f.index_a->NumVertices(), 400, 777);
@@ -837,7 +832,6 @@ TEST(ResultCache, MultiRecordDeltaDropsPairsTheRecordsConnectTogether) {
       builder.AddEdge(3, 4, 5.0f);
     }
     WcIndex index = WcIndex::Build(builder.Build(), WcIndexOptions::Plus());
-    index.Finalize();
     return std::make_shared<const WcIndex>(std::move(index));
   };
   auto old_index = build(false);

@@ -38,9 +38,8 @@ ServeFixture MakeFixture(size_t n, size_t m, size_t num_queries,
   QualityModel quality;
   quality.num_levels = 5;
   f.graph = GenerateRandomConnected(n, m, quality, seed);
-  WcIndex built = WcIndex::Build(f.graph, WcIndexOptions::Plus());
-  built.Finalize();
-  f.index = std::make_shared<const WcIndex>(std::move(built));
+  f.index = std::make_shared<const WcIndex>(
+      WcIndex::Build(f.graph, WcIndexOptions::Plus()));
   Rng rng(seed ^ 0x5eed);
   f.workload.reserve(num_queries);
   f.expected.reserve(num_queries);
@@ -90,7 +89,6 @@ TEST(QueryEngine, OpenOfFullSnapshotUnwindsParents) {
   WcIndexOptions build;
   build.record_parents = true;
   WcIndex built = WcIndex::Build(g, build);
-  built.Finalize();
   std::string path = TempPath("engine_open_parents.wcsnap");
   ASSERT_TRUE(built.SaveSnapshot(path).ok());
   QueryEngineOptions options;
@@ -238,7 +236,6 @@ TEST(ShardedEngine, EmptyShardsServeThroughTheirManifest) {
   QualityModel quality;
   QualityGraph g = GenerateRandomConnected(3, 3, quality, 71);
   WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
   WrittenShardSet set = WriteShards(index, 5, "tiny");
   auto engine = QueryEngine::OpenManifest(set.manifest_path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();

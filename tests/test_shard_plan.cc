@@ -188,7 +188,6 @@ TEST(ShardPlan, RealIndexesOfPaperGraphs) {
   for (const QualityGraph& g :
        {MakeFigure3Graph(), MakeFigure2Graph(), MakeFigure1Network()}) {
     WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-    index.Finalize();
     const FlatLabelSet& flat = index.flat_labels();
     for (size_t shards : {1u, 2u, 3u, 17u}) {
       ShardPlanOptions options;
@@ -234,9 +233,7 @@ TEST(ShardPlan, EdgeSizes) {
 WcIndex BuildFigure3Index() {
   WcIndexOptions options;
   options.ordering = WcIndexOptions::Ordering::kIdentity;
-  WcIndex index = WcIndex::Build(MakeFigure3Graph(), options);
-  index.Finalize();
-  return index;
+  return WcIndex::Build(MakeFigure3Graph(), options);
 }
 
 TEST(ShardManifestFormat, RoundTrip) {
@@ -296,7 +293,6 @@ TEST(ShardManifestFormat, FingerprintIsContentAndTilingInvariant) {
   WcIndex again = BuildFigure3Index();
   EXPECT_EQ(IndexContentFingerprint(again.flat_labels()), fingerprint);
   WcIndex other = WcIndex::Build(MakeFigure2Graph(), WcIndexOptions::Plus());
-  other.Finalize();
   EXPECT_NE(IndexContentFingerprint(other.flat_labels()), fingerprint);
 }
 
@@ -443,7 +439,6 @@ TEST(ShardManifestServe, RejectsSwappedShardFile) {
   b.AddEdge(3, 4, 1);
   b.AddEdge(4, 5, 1);
   WcIndex other = WcIndex::Build(b.Build(), WcIndexOptions::Plus());
-  other.Finalize();
   const ShardManifestEntry& entry = set.manifest.shards[0];
   ASSERT_TRUE(WriteSnapshotShard(set.shard_paths[0], other.flat_labels(),
                                  entry.vertex_begin, entry.vertex_end,

@@ -88,7 +88,6 @@ TEST(ShardTiling, AnyValidTilingAnswersBitIdentically) {
       ++graphs;
 
       WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-      index.Finalize();
       const FlatLabelSet& flat = index.flat_labels();
 
       // Reference engine: the unsharded mmap-served QueryEngine.

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "core/batch.h"
 #include "core/wc_index.h"
@@ -37,17 +38,15 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-WcIndex BuildFinalizedIndex() {
+WcIndex BuildTestIndex() {
   QualityModel quality;
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(150, 400, quality, 11);
-  WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
-  index.Finalize();
-  return index;
+  return WcIndex::Build(g, WcIndexOptions::Plus());
 }
 
 TEST(Snapshot, MmapRoundTripIsBitIdentical) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("round.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
 
@@ -58,7 +57,6 @@ TEST(Snapshot, MmapRoundTripIsBitIdentical) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const WcIndex& mm = loaded.value();
 
-  EXPECT_TRUE(mm.finalized());
   EXPECT_TRUE(mm.flat_labels().external());
   EXPECT_EQ(mm.NumVertices(), index.NumVertices());
   EXPECT_EQ(mm.TotalEntries(), index.TotalEntries());
@@ -87,7 +85,7 @@ TEST(Snapshot, MmapRoundTripIsBitIdentical) {
 TEST(Snapshot, SurvivesSourceIndexDestruction) {
   std::string path = TempPath("lifetime.wcsnap");
   {
-    WcIndex index = BuildFinalizedIndex();
+    WcIndex index = BuildTestIndex();
     ASSERT_TRUE(index.SaveSnapshot(path).ok());
   }
   auto loaded = WcIndex::LoadMmap(path);
@@ -99,16 +97,8 @@ TEST(Snapshot, SurvivesSourceIndexDestruction) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, SaveRequiresFinalize) {
-  QualityGraph g = MakeFigure3Graph();
-  WcIndex index = WcIndex::Build(g);
-  Status st = index.SaveSnapshot(TempPath("unfinalized.wcsnap"));
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-}
-
 TEST(Snapshot, LabelOnlySnapshotLoadsButNotAsWcIndex) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("label_only.wcsnap");
   ASSERT_TRUE(WriteSnapshot(path, index.flat_labels(), nullptr).ok());
 
@@ -125,7 +115,6 @@ TEST(Snapshot, LabelOnlySnapshotLoadsButNotAsWcIndex) {
 
 TEST(Snapshot, EmptyIndexRoundTrips) {
   WcIndex index = WcIndex::Build(QualityGraph());
-  index.Finalize();
   std::string path = TempPath("empty.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   auto loaded = WcIndex::LoadMmap(path);
@@ -142,7 +131,7 @@ TEST(Snapshot, MissingFileIsIoError) {
 }
 
 TEST(Snapshot, TruncationRejectedAtEveryLevel) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("trunc.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
@@ -161,7 +150,7 @@ TEST(Snapshot, TruncationRejectedAtEveryLevel) {
 }
 
 TEST(Snapshot, BadMagicRejected) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("magic.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
@@ -175,7 +164,7 @@ TEST(Snapshot, BadMagicRejected) {
 }
 
 TEST(Snapshot, WrongVersionRejected) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("version.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
@@ -190,7 +179,7 @@ TEST(Snapshot, WrongVersionRejected) {
 }
 
 TEST(Snapshot, HeaderCorruptionCaughtByChecksum) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("header_corrupt.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
@@ -204,7 +193,7 @@ TEST(Snapshot, HeaderCorruptionCaughtByChecksum) {
 }
 
 TEST(Snapshot, SectionCorruptionCaughtUnderVerify) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("section_corrupt.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
@@ -228,7 +217,7 @@ TEST(Snapshot, SectionCorruptionCaughtUnderVerify) {
 // load, which never reads group pages, still maps the file. This is the
 // crash window the tier exists to close.
 TEST(Snapshot, GroupCorruptionCaughtAtDirectoryLevel) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   ASSERT_GT(index.flat_labels().raw_groups().size(), 0u);
   std::string path = TempPath("group_corrupt.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
@@ -267,7 +256,7 @@ TEST(Snapshot, GroupCorruptionCaughtAtDirectoryLevel) {
 // the bound would match each pair (or read past the table). Every query
 // must answer as if those groups were absent.
 TEST(Snapshot, OutOfRangeHubRankMatchesNothing) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   const uint64_t n = index.NumVertices();
   const Vertex picked[] = {3, 17, 42, 99};
   const Rank bad_ranks[] = {static_cast<Rank>(n), static_cast<Rank>(n),
@@ -369,7 +358,7 @@ TEST(Snapshot, OutOfRangeHubRankMatchesNothing) {
 // An uncorrupted snapshot must pass every verification tier (the middle
 // tier cannot produce false positives on writer output).
 TEST(Snapshot, AllVerifyLevelsAcceptAWellFormedSnapshot) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("levels_ok.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   for (SnapshotVerifyLevel level :
@@ -389,7 +378,7 @@ TEST(Snapshot, AllVerifyLevelsAcceptAWellFormedSnapshot) {
 // Unsorted hub ranks inside one vertex's directory are also a
 // directory-tier catch (the kernels binary-search groups by rank).
 TEST(Snapshot, UnsortedHubDirectoryCaughtAtDirectoryLevel) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   // Find a vertex with >= 2 hub groups and swap its first two directory
   // records in the file image (the groups section is the file's tail).
   const FlatLabelSet& flat = index.flat_labels();
@@ -426,7 +415,7 @@ TEST(Snapshot, UnsortedHubDirectoryCaughtAtDirectoryLevel) {
 }
 
 TEST(Snapshot, ReadInfoReportsHeaderFields) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   std::string path = TempPath("info.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   auto info = ReadSnapshotInfo(path);
@@ -442,7 +431,7 @@ TEST(Snapshot, ReadInfoReportsHeaderFields) {
 }
 
 TEST(Snapshot, ShardFilesSliceTheIndex) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   const uint64_t n = index.NumVertices();
   std::string path = TempPath("one_shard.wcsnap");
   ASSERT_TRUE(
@@ -468,7 +457,7 @@ TEST(Snapshot, ShardFilesSliceTheIndex) {
 }
 
 TEST(Snapshot, ShardWriterRejectsBadRanges) {
-  WcIndex index = BuildFinalizedIndex();
+  WcIndex index = BuildTestIndex();
   const uint64_t n = index.NumVertices();
   std::string path = TempPath("bad_shard.wcsnap");
   EXPECT_FALSE(
@@ -481,21 +470,19 @@ TEST(Snapshot, ShardWriterRejectsBadRanges) {
 
 // ------------------------------------------ v2 parents section (§V quads)
 
-WcIndex BuildFinalizedIndexWithParents() {
+WcIndex BuildIndexWithParents() {
   QualityModel quality;
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(120, 320, quality, 17);
   WcIndexOptions options = WcIndexOptions::Plus();
   options.record_parents = true;
-  WcIndex index = WcIndex::Build(g, options);
-  index.Finalize();
-  return index;
+  return WcIndex::Build(g, options);
 }
 
 // The §V parent quads used to be silently dropped by SaveSnapshot; they
 // must now survive the round trip entry-for-entry, as a CRC'd v2 section.
 TEST(Snapshot, ParentsRoundTripThroughSnapshot) {
-  WcIndex index = BuildFinalizedIndexWithParents();
+  WcIndex index = BuildIndexWithParents();
   ASSERT_TRUE(index.has_parents());
   std::string path = TempPath("parents.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
@@ -527,7 +514,7 @@ TEST(Snapshot, ParentsRoundTripThroughSnapshot) {
 // and checked-in goldens stay byte-compatible), and loading one reports
 // the degraded parent-less mode explicitly instead of pretending.
 TEST(Snapshot, ParentLessSnapshotIsV1AndReportsDegradedMode) {
-  WcIndex index = BuildFinalizedIndex();  // record_parents off
+  WcIndex index = BuildTestIndex();  // record_parents off
   ASSERT_FALSE(index.has_parents());
   std::string path = TempPath("no_parents.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
@@ -562,7 +549,7 @@ TEST(Snapshot, OldGoldenSnapshotLoadsWithoutParents) {
 // The parents section is checksummed like every other section: bit rot in
 // the quads must fail a verify_checksums load, not corrupt routes.
 TEST(Snapshot, ParentsCorruptionCaughtUnderVerify) {
-  WcIndex index = BuildFinalizedIndexWithParents();
+  WcIndex index = BuildIndexWithParents();
   std::string path = TempPath("parents_corrupt.wcsnap");
   ASSERT_TRUE(index.SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
@@ -577,6 +564,52 @@ TEST(Snapshot, ParentsCorruptionCaughtUnderVerify) {
   EXPECT_FALSE(checked.ok());
   EXPECT_EQ(checked.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------ one label form per index
+
+// labels() returns a fresh LabelSet, so a span of L(v) taken from it
+// directly would dangle: For refuses a temporary.
+template <typename Labels>
+concept ForCallable = requires { std::declval<Labels>().For(Vertex{0}); };
+static_assert(ForCallable<const LabelSet&>);
+static_assert(!ForCallable<LabelSet>);
+
+// A built index and the snapshots it writes serve one form: every accessor
+// reads the same labels, counts and quads back, flat or compressed.
+void ExpectOneForm(const WcIndex& built, const WcIndex& loaded) {
+  EXPECT_EQ(loaded.NumVertices(), built.NumVertices());
+  EXPECT_EQ(loaded.TotalEntries(), built.TotalEntries());
+  EXPECT_EQ(loaded.ContentFingerprint(), built.ContentFingerprint());
+  EXPECT_EQ(loaded.labels(), built.labels());
+  for (Vertex v = 0; v < built.NumVertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(loaded.EntriesFor(v), built.EntriesFor(v)))
+        << "vertex " << v;
+    ASSERT_TRUE(std::ranges::equal(loaded.Parents(v), built.Parents(v)))
+        << "vertex " << v;
+  }
+}
+
+TEST(Snapshot, BuiltAndLoadedIndexesAreOneForm) {
+  const WcIndex with_parents = BuildIndexWithParents();
+  const std::string flat_path = TempPath("one_form.wcsnap");
+  ASSERT_TRUE(with_parents.SaveSnapshot(flat_path).ok());
+  auto flat = WcIndex::LoadMmap(flat_path);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  ASSERT_TRUE(flat.value().has_parents());
+  ExpectOneForm(with_parents, flat.value());
+
+  const WcIndex plain = BuildTestIndex();
+  const std::string compressed_path = TempPath("one_form_c.wcsnap");
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(plain.SaveSnapshot(compressed_path, compress).ok());
+  auto compressed = WcIndex::LoadMmap(compressed_path);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_TRUE(compressed.value().compressed());
+  ExpectOneForm(plain, compressed.value());
+  std::remove(flat_path.c_str());
+  std::remove(compressed_path.c_str());
 }
 
 }  // namespace

@@ -46,9 +46,8 @@ SwapFixture MakeSwapFixture(size_t n, size_t m, size_t num_queries,
   quality.num_levels = 5;
   QualityGraph g = GenerateRandomConnected(n, m, quality, seed);
 
-  WcIndex built_a = WcIndex::Build(g, WcIndexOptions::Plus());
-  built_a.Finalize();
-  f.index_a = std::make_shared<const WcIndex>(std::move(built_a));
+  f.index_a = std::make_shared<const WcIndex>(
+      WcIndex::Build(g, WcIndexOptions::Plus()));
 
   // Generation B: insert a high-quality shortcut edge between two vertices
   // the generator left far apart, so plenty of workload answers change.
@@ -56,9 +55,8 @@ SwapFixture MakeSwapFixture(size_t n, size_t m, size_t num_queries,
   Vertex u = 0;
   Vertex v = static_cast<Vertex>(n - 1);
   dyn.InsertEdge(u, v, static_cast<Quality>(quality.num_levels));
-  WcIndex built_b = WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus());
-  built_b.Finalize();
-  f.index_b = std::make_shared<const WcIndex>(std::move(built_b));
+  f.index_b = std::make_shared<const WcIndex>(
+      WcIndex::Build(dyn.Snapshot(), WcIndexOptions::Plus()));
 
   Rng rng(seed ^ 0xabcd);
   f.workload.reserve(num_queries);

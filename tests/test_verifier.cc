@@ -110,16 +110,14 @@ TEST(VerifierTest, CompletenessCatchesMissingCoverage) {
   EXPECT_EQ(report.completeness_violations, 0u);
 }
 
-// A served index is checked through the labels it serves: a mapped
-// snapshot has no append-oriented labels, so reading those would check
-// nothing and pass.
+// A mapped snapshot, flat or compressed, is checked through the labels it
+// serves, as thoroughly as the index it was written from.
 TEST(VerifierTest, ChecksTheEntriesASnapshotServes) {
   QualityGraph g = SocialGraph();
   WcIndex built = WcIndex::Build(g);
   VerificationReport expected = VerifyAll(built, g);
   ASSERT_TRUE(expected.ok()) << expected.Summary();
   ASSERT_GT(expected.entries_checked, 0u);
-  built.Finalize();
   for (bool compress : {false, true}) {
     SCOPED_TRACE(compress ? "compressed" : "flat");
     const std::string path = TempPath("verifier_served.wcsnap");
@@ -132,6 +130,29 @@ TEST(VerifierTest, ChecksTheEntriesASnapshotServes) {
     EXPECT_TRUE(report.ok()) << report.Summary();
     EXPECT_EQ(report.entries_checked, expected.entries_checked);
     EXPECT_EQ(report.pairs_checked, expected.pairs_checked);
+    std::remove(path.c_str());
+  }
+}
+
+// VerifyAll reads every entry in more than one check but counts it once,
+// on a built index and on its flat and compressed snapshots alike;
+// VerifyMonotonicity alone still counts the entries it reads.
+TEST(VerifierTest, CountsEachEntryOnce) {
+  QualityGraph g = SocialGraph();
+  WcIndex built = WcIndex::Build(g);
+  EXPECT_EQ(VerifyAll(built, g).entries_checked, built.TotalEntries());
+  EXPECT_EQ(VerifyMonotonicity(built.labels()).entries_checked,
+            built.TotalEntries());
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "flat");
+    const std::string path = TempPath("verifier_count.wcsnap");
+    SnapshotWriteOptions write;
+    write.compress = compress;
+    ASSERT_TRUE(built.SaveSnapshot(path, write).ok());
+    auto served = WcIndex::LoadMmap(path);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(VerifyAll(served.value(), g).entries_checked,
+              served.value().TotalEntries());
     std::remove(path.c_str());
   }
 }

@@ -22,7 +22,7 @@ WcIndex BuildPaperIndex() {
 }
 
 std::vector<LabelEntry> Entries(const WcIndex& index, Vertex v) {
-  auto span = index.labels().For(v);
+  auto span = index.EntriesFor(v);
   return {span.begin(), span.end()};
 }
 
@@ -172,7 +172,7 @@ TEST(PaperExample, Example4BfsHub0Entries) {
   WcIndex index = BuildPaperIndex();
   size_t hub0_entries = 0;
   for (Vertex v = 0; v < 6; ++v) {
-    for (const LabelEntry& e : index.labels().For(v)) {
+    for (const LabelEntry& e : index.EntriesFor(v)) {
       if (e.hub == 0) ++hub0_entries;
     }
   }

@@ -185,7 +185,7 @@ TEST(WcIndexFamilies, AllEqualQualities) {
   QualityGraph g = GenerateRandomConnected(100, 300, quality, 25);
   WcIndex index = WcIndex::Build(g);
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    auto lv = index.labels().For(v);
+    auto lv = index.EntriesFor(v);
     for (size_t i = 1; i < lv.size(); ++i) {
       ASSERT_NE(lv[i - 1].hub, lv[i].hub) << "duplicate hub group at |w|=1";
     }
@@ -305,7 +305,7 @@ TEST(WcIndexFrontier, GroupSizesRespectSizeBound) {
     WcIndex index = WcIndex::Build(g);
     size_t max_group = 0;
     for (Vertex v = 0; v < g.NumVertices(); ++v) {
-      auto lv = index.labels().For(v);
+      auto lv = index.EntriesFor(v);
       size_t i = 0;
       while (i < lv.size()) {
         size_t ie = i;
@@ -330,7 +330,7 @@ TEST(WcIndexFrontier, LabelsMatchParetoFrontierOfHubPairs) {
   for (Vertex v : {Vertex{4}, Vertex{5}}) {
     auto frontier = ParetoFrontier(g, 0, v);
     std::vector<FrontierPoint> hub0;
-    for (const LabelEntry& e : index.labels().For(v)) {
+    for (const LabelEntry& e : index.EntriesFor(v)) {
       if (e.hub == 0) hub0.push_back({e.dist, e.quality});
     }
     EXPECT_EQ(hub0, frontier) << "v" << v;

@@ -7,10 +7,11 @@
 #   tools/ci_smoke.sh cli coldtier        # selected sections, in this order
 #
 # Sections (the default runs all of them, in this order):
-#   cli       build/query/verify/snapshot/serve round trips, a 4-thread
-#             build byte-identical to the sequential one, 40-level road and
-#             social graphs built in hybrid and tree order byte-identical at
-#             1 and 4 threads and verified, one answer CRC across the flat,
+#   cli       build/query/verify/snapshot/serve round trips (verify must
+#             count each entry once), a 4-thread build byte-identical to the
+#             sequential one, 40-level road and social graphs built in
+#             hybrid and tree order byte-identical at 1 and 4 threads and
+#             verified, one answer CRC across the flat,
 #             compressed, cold-tier, even-sharded and planned-sharded
 #             backends, and a local --topk=-1 refused
 #   crash     a `build` crashed at the snapshot commit point leaves the old
@@ -40,7 +41,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR=$2; shift 2 ;;
     --build-dir=*) BUILD_DIR=${1#*=}; shift ;;
     -h|--help)
-      sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) SECTIONS+=("$1"); shift ;;
   esac
@@ -70,6 +71,20 @@ report_of() {
 # The answer CRC of one `serve` batch run, its report shown on stderr.
 serve_crc() { report_of "$CLI" serve "$@" | crc_of; }
 
+# Pulls the entry count out of a `stats` or `verify` report (entries=N).
+entries_of() { sed -n 's/^entries=\([0-9]*\) .*/\1/p'; }
+
+# verify_counts GRAPH INDEX ENTRIES: `verify` passes INDEX and counts each
+# of its ENTRIES entries once, as `build` or `stats` reported them.
+verify_counts() {
+  local counted
+  counted=$(report_of "$CLI" verify --graph="$1" --index="$2" | entries_of)
+  if [ "$counted" != "$3" ]; then
+    echo "verify counted ${counted:-no} entries in $2, which has $3" >&2
+    exit 1
+  fi
+}
+
 # Base fixtures shared by every section: a small road graph, its snapshot,
 # a compressed re-encoding, and an even and a planned (label-mass-balanced)
 # 3-shard set. Idempotent.
@@ -90,9 +105,10 @@ section_cli() {
   "$CLI" query --index=ci.wcsnap --s=1 --w=2 --topk=5
   "$CLI" query --index=ci.wcsnap --s=1 --t=42 --profile --thresholds=1,2,3,4,5
   "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2 --path --graph=ci.edges
-  "$CLI" stats --index=ci.wcsnap
-  "$CLI" verify --graph=ci.edges --index=ci.wcsnap
-  "$CLI" verify --graph=ci.edges --index=ci_c.wcsnap
+  for index in ci.wcsnap ci_c.wcsnap; do
+    verify_counts ci.edges "$index" \
+      "$(report_of "$CLI" stats --index="$index" | entries_of)"
+  done
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --verify
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --cache-mb=8
   "$CLI" serve --manifest=ci_even.manifest --queries=20000
@@ -122,12 +138,13 @@ section_cli() {
   for graph in road40 social40; do
     for order in hybrid tree; do
       stem=ci_${graph}_$order
-      "$CLI" build --graph="ci_$graph.edges" --index="${stem}1.wcsnap" \
-        --order="$order" --threads=1
+      built=$(report_of "$CLI" build --graph="ci_$graph.edges" \
+        --index="${stem}1.wcsnap" --order="$order" --threads=1)
       "$CLI" build --graph="ci_$graph.edges" --index="${stem}4.wcsnap" \
         --order="$order" --threads=4 --batch=3
       cmp "${stem}1.wcsnap" "${stem}4.wcsnap"
-      "$CLI" verify --graph="ci_$graph.edges" --index="${stem}1.wcsnap"
+      verify_counts "ci_$graph.edges" "${stem}1.wcsnap" \
+        "$(printf '%s\n' "$built" | sed -n 's/.* \([0-9]*\) entries,.*/\1/p')"
     done
   done
 

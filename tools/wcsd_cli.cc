@@ -238,7 +238,6 @@ int CmdBuild(const Flags& flags) {
       "built in %.2f s (merge %.2f s): %zu vertices, %zu entries, %zu bytes\n",
       timer.Seconds(), index.build_stats().merge_seconds, index.NumVertices(),
       index.TotalEntries(), index.MemoryBytes());
-  index.Finalize();
   Status st = index.SaveSnapshot(out);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
@@ -972,7 +971,6 @@ int CmdUpdate(const Flags& flags) {
     }
   }
   WcIndex updated = dyn.ReleaseIndex();
-  updated.Finalize();
   const uint64_t new_fingerprint =
       IndexContentFingerprint(updated.flat_labels());
   Status st = updated.SaveSnapshot(out);
